@@ -34,6 +34,9 @@ from .eigensolve import (
     DEFAULT_DECAY_MARGIN,
     DEFAULT_POINTS_PER_WAVELENGTH,
     DEFAULT_REL_TOL,
+    MIN_DECAY_MARGIN,
+    MIN_POINTS_PER_WAVELENGTH,
+    MIN_REL_TOL,
     SpectrumTable,
     export_spectrum_csv,
     load_spectrum,
@@ -246,6 +249,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     kernel_levels = int(values["kernel_levels"])
     if kernel_levels < 0:
         raise ValueError("kernel levels must be non-negative")
+    solver = {}
+    for key, least in (
+        ("rel_tol", MIN_REL_TOL),
+        ("points_per_wavelength", MIN_POINTS_PER_WAVELENGTH),
+        ("decay_margin", MIN_DECAY_MARGIN),
+    ):
+        solver[key] = float(values[key])
+        if not (math.isfinite(solver[key]) and solver[key] >= least):
+            raise ValueError(f"{key} must be finite and at least {least:g}")
 
     out = values["out"] or os.environ.get("SPECPROBE_OUT") or "specprobe-out"
     out_dir = Path(out)
@@ -255,9 +267,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         model=model,
         channels=channels,
         l_max=l_max,
-        rel_tol=float(values["rel_tol"]),
-        points_per_wavelength=float(values["points_per_wavelength"]),
-        decay_margin=float(values["decay_margin"]),
+        **solver,
         sigma=sigma,
         phi=phi,
         psi=psi,
@@ -435,12 +445,18 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     payload = {"channels": {}, "rows": 0}
     for (d, n), table in tables.items():
         lams = table.eigenvalues
-        payload["channels"][_channel_key(d, n)] = {
+        entry = {
             "levels": len(table.eigenpairs),
             "lambda_min": float(lams[0]),
             "lambda_max": float(lams[-1]),
             "grid_points": table.grid.n_points,
         }
+        for stat in ("sweeps", "bisections"):
+            counts = [getattr(p, stat) for p in table.eigenpairs]
+            known = None not in counts  # caches older than the counters lack them
+            entry[f"{stat}_max"] = max(counts) if known else None
+            entry[f"{stat}_mean"] = sum(counts) / len(counts) if known else None
+        payload["channels"][_channel_key(d, n)] = entry
         payload["rows"] += len(table.eigenpairs)
     _update_run_json(cfg, "spectrum", payload)
     print(f"wrote {path} ({payload['rows']} rows)")

@@ -4,9 +4,17 @@ The discrete problem is the standard fourth-order three-term recurrence.
 Integration starts outward from a small-radius seed built from the regular
 free solution ``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed at
 the far boundary, and the two branches are matched at the outer turning
-point through their logarithmic derivatives.  Eigenvalues are isolated by
-the node count of the outward sweep (which jumps at each eigenvalue) and
-polished by a safeguarded secant iteration on the mismatch.
+point through their logarithmic derivatives.
+
+One probe sweep at a spectral parameter gives both the node count of the
+full outward sweep (which jumps at each eigenvalue) and the mismatch, at a
+match index fixed once per level and read off the sampled potential.  A
+level is bracketed from a guess by node count and refined by regula falsi
+on the mismatch, with the Anderson-Bjorck (Illinois-type) end scaling and
+a bisection whenever the end mismatches do not bracket a single root; the
+node count alone decides which end a probe replaces.  Levels from 3 on
+start from the quadratic extrapolation of the three below, so the WKB
+action is inverted only for the grid and the first three levels.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ DEFAULT_POINTS_PER_WAVELENGTH = 250.0
 DEFAULT_DECAY_MARGIN = 35.0
 DEFAULT_MIN_POINTS = 1000
 DEFAULT_REL_TOL = 1e-10
+MIN_POINTS_PER_WAVELENGTH = 40.0
+MIN_DECAY_MARGIN = 5.0
+MIN_REL_TOL = 1e-15  # a few ulps: the bracket cannot shrink much further
+BRACKET_STEP = 0.1  # first bracketing step, as a fraction of the expected gap
 
 
 @dataclass(frozen=True)
@@ -106,9 +118,9 @@ def build_grid(
     the far boundary carries at least ``decay_margin`` units of decay
     beyond the outer turning point.
     """
-    if points_per_wavelength < 40.0:
+    if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
         raise ValueError("points_per_wavelength must be at least 40")
-    if decay_margin < 5.0:
+    if decay_margin < MIN_DECAY_MARGIN:
         raise ValueError("decay_margin must be at least 5")
     big_t = turning_points(channel, model, lam_max).T  # validates lam_max
 
@@ -168,91 +180,257 @@ class ShootResult(NamedTuple):
     node_count: int
 
 
-class _Sweep(NamedTuple):
-    ys_out: list
-    ys_in: list
-    i0: int
-    m: int
-    nodes: int
-    mismatch: float
+def _numerov(c, wm, wp, y0, y1, keep=None):
+    """Run the recurrence ``y2 = (c*y1 - wm*y0) / wp`` over zipped lists.
 
-
-def _potential_samples(channel: Channel, model: PotentialModel, grid: RadialGrid):
-    return effective_potential(channel, model, grid.r)
-
-
-def _match_index(grid: RadialGrid, channel, model, lam: float, i0: int) -> int:
-    big_t = turning_points(channel, model, lam).T
-    if big_t >= grid.r_max - 6.0 * grid.h:
-        raise ValueError(
-            f"turning point {big_t:.3f} too close to the grid end; "
-            "the grid does not cover this spectral parameter"
-        )
-    m = int(round((big_t - grid.r_min) / grid.h))
-    return min(max(m, i0 + 3), grid.n_points - 5)
-
-
-def _sweep(channel, model, lam, grid, u, m) -> _Sweep:
-    h = grid.h
-    n = grid.n_points
-    w = 1.0 + (h * h / 12.0) * (lam - u)
-    wl = w.tolist()
-
-    # start the outward recurrence where the weights are safely positive;
-    # below that the samples follow the regular free solution exactly
-    i0 = 0
-    if wl[0] < 0.75:
-        i0 = int(np.argmax(w >= 0.75))
-        if wl[i0] < 0.75:
-            raise ConsistencyError("no safe start index; grid step too coarse")
-    if i0 > m - 3:
-        raise ValueError("safe start index reaches the matching point")
-
-    seeds = boundary_series_small_r(
-        channel, lam, np.array([grid.r_min + i0 * h, grid.r_min + (i0 + 1) * h])
-    )
-    scale = max(abs(seeds[0]), abs(seeds[1]))
-    if scale == 0.0 or not np.isfinite(scale):
-        raise ConsistencyError("degenerate outward seed")
-
-    ys_out = [0.0] * n
-    y0 = seeds[0] / scale
-    y1 = seeds[1] / scale
-    ys_out[i0] = y0
-    ys_out[i0 + 1] = y1
+    Returns the last two values and the number of sign changes among the
+    new values; ``keep``, when given, receives each new value.  Sweeping
+    inward is the same recurrence on reversed lists.
+    """
     nodes = 0
-    for i in range(i0 + 1, n - 1):
-        y2 = ((12.0 - 10.0 * wl[i]) * y1 - wl[i - 1] * y0) / wl[i + 1]
-        ys_out[i + 1] = y2
+    for ci, wmi, wpi in zip(c, wm, wp):
+        y2 = (ci * y1 - wmi * y0) / wpi
         if y1 * y2 < 0.0:
             nodes += 1
+        if keep is not None:
+            keep(y2)
         y0, y1 = y1, y2
-    if not (math.isfinite(y1) and math.isfinite(y0)):
-        raise ConsistencyError(
-            "outward sweep overflowed; increase decay margin headroom"
+    return y0, y1, nodes
+
+
+def _retained_scale(g_new: float, g_replaced: float) -> float:
+    """Anderson-Bjorck factor for a bracket end that regula falsi kept twice.
+
+    The Illinois rule halves the kept end's value; this factor does the
+    same when it is not positive and otherwise shrinks it by how much the
+    moving end's value fell, which cut the probes per level by about one.
+    """
+    f = 1.0 - g_new / g_replaced
+    return f if f > 0.0 else 0.5
+
+
+class _Shooter:
+    """Numerov sweeps of one channel on one grid.
+
+    The effective potential is sampled once; the match index of a spectral
+    parameter is the grid node nearest its outer turning point, read off
+    those samples (they increase past their minimum, ``U`` being convex).
+    """
+
+    def __init__(self, channel: Channel, model: PotentialModel, grid: RadialGrid):
+        self.channel = channel
+        self.grid = grid
+        self.u = effective_potential(channel, model, grid.r)
+        self.i_min = int(np.argmin(self.u))
+        self.floor = float(self.u[self.i_min]) * (1.0 + 1e-12) + 1e-12
+
+    def match_index(self, lam: float) -> int:
+        """Grid node nearest the outer turning point of ``lam``."""
+        u, n = self.u, self.grid.n_points
+        if not lam < u[n - 7]:
+            raise ValueError(
+                f"turning point of lam={lam} too close to the grid end; "
+                "the grid does not cover this spectral parameter"
+            )
+        if not lam > u[self.i_min]:
+            raise ValueError(f"lam={lam} does not exceed the potential minimum")
+        k = self.i_min + int(np.searchsorted(u[self.i_min :], lam))
+        if lam - u[k - 1] < u[k] - lam:
+            k -= 1
+        return min(max(k, 3), n - 5)
+
+    def _start(self, lam: float, m: int):
+        """Recurrence coefficients, safe start index and outward seeds."""
+        grid = self.grid
+        h = grid.h
+        w = 1.0 + (h * h / 12.0) * (lam - self.u)
+        wl = w.tolist()
+
+        # start the outward recurrence where the weights are safely positive;
+        # below that the samples follow the regular free solution exactly
+        i0 = 0
+        if wl[0] < 0.75:
+            i0 = int(np.argmax(w >= 0.75))
+            if wl[i0] < 0.75:
+                raise ConsistencyError("no safe start index; grid step too coarse")
+        if i0 > m - 3:
+            raise ValueError("safe start index reaches the matching point")
+
+        # Python floats, not numpy scalars: the sweep loops run three times
+        # faster on them, with the same IEEE results
+        s0, s1 = boundary_series_small_r(
+            self.channel, lam, np.array([grid.r_min + i0 * h, grid.r_min + (i0 + 1) * h])
+        ).tolist()
+        scale = max(abs(s0), abs(s1))
+        if scale == 0.0 or not math.isfinite(scale):
+            raise ConsistencyError("degenerate outward seed")
+        return (12.0 - 10.0 * w).tolist(), wl, i0, s0 / scale, s1 / scale
+
+    def _inward(self, lam: float, c, wl, m: int, keep=None):
+        """Decaying solution from the far boundary: values at ``m + 1``, ``m``."""
+        n = self.grid.n_points
+        u = self.u
+        theta = self.grid.h * 0.5 * (
+            math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0))
+        )
+        z_far = math.exp(-theta)
+        if keep is not None:
+            keep(z_far)
+            keep(1.0)
+        z_p, z_c, _ = _numerov(
+            c[n - 2 : m : -1], wl[n - 1 : m + 1 : -1], wl[n - 3 : m - 1 : -1],
+            z_far, 1.0, keep,
+        )
+        return z_p, z_c
+
+    def probe(self, lam: float, m: int) -> ShootResult:
+        """Node count of the full outward sweep and mismatch at ``m``."""
+        n = self.grid.n_points
+        c, wl, i0, y0, y1 = self._start(lam, m)
+        o_m, o_c, nodes = _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1)
+        _, o_p, k = _numerov(c[m : m + 1], wl[m - 1 : m], wl[m + 1 : m + 2], o_m, o_c)
+        nodes += k
+        y0, y1, k = _numerov(c[m + 1 : n - 1], wl[m : n - 2], wl[m + 2 : n], o_c, o_p)
+        nodes += k
+        if not (math.isfinite(y1) and math.isfinite(y0)):
+            raise ConsistencyError(
+                "outward sweep overflowed; increase decay margin headroom"
+            )
+
+        i_p, i_c = self._inward(lam, c, wl, m)
+        _, i_m, _ = _numerov(c[m : m + 1], wl[m + 1 : m + 2], wl[m - 1 : m], i_p, i_c)
+        if not math.isfinite(i_m):
+            raise ConsistencyError("inward sweep overflowed")
+        if o_c == 0.0 or i_c == 0.0:
+            raise ConsistencyError("matching point sits on a node; cannot form mismatch")
+        h = self.grid.h
+        mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
+        return ShootResult(mismatch=mismatch, node_count=nodes)
+
+    def assemble(self, lam: float, m: int, level: int, sweeps: int, bisections: int):
+        """Normalised eigenfunction stitched at ``m``, with its own node count."""
+        grid = self.grid
+        c, wl, i0, y0, y1 = self._start(lam, m)
+        ys_out = [y0, y1]
+        _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1, ys_out.append)
+        ys_in = []
+        self._inward(lam, c, wl, m, ys_in.append)
+        ys_in.reverse()  # now the samples at m .. n-1
+
+        f = np.empty(grid.n_points)
+        f[i0 : m + 1] = ys_out
+        f[m + 1 :] = np.asarray(ys_in[1:]) * (ys_out[-1] / ys_in[0])
+        if i0 > 0:
+            # extend below the safe start with the regular free solution,
+            # scaled to match the seed continuation
+            free = boundary_series_small_r(self.channel, lam, grid.r[:i0])
+            anchor = boundary_series_small_r(self.channel, lam, float(grid.r[i0]))
+            f[:i0] = free * (f[i0] / anchor)
+
+        interior = f[i0:m]
+        if interior[np.nonzero(interior)[0][0]] < 0.0:
+            f = -f
+        norm_sq = float(np.dot(grid.simpson_weights, f * f))
+        if norm_sq <= 0.0 or not math.isfinite(norm_sq):
+            raise ConsistencyError("assembled eigenfunction has a bad norm")
+        f /= math.sqrt(norm_sq)
+
+        k1 = grid.index_of(1.0)
+        h = grid.h
+        fp1 = (f[k1 - 2] - 8.0 * f[k1 - 1] + 8.0 * f[k1 + 1] - f[k1 + 2]) / (12.0 * h)
+        return EigenPair(
+            level=level,
+            lam=lam,
+            samples=f,
+            node_count=int(np.count_nonzero(f[:-1] * f[1:] < 0.0)),
+            f_at_1=float(f[k1]),
+            fprime_at_1=float(fp1),
+            norm_check=float(np.dot(grid.simpson_weights, f * f)),
+            sweeps=sweeps,
+            bisections=bisections,
         )
 
-    theta = h * 0.5 * (
-        math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0))
-    )
-    ys_in = [0.0] * n
-    ys_in[n - 1] = math.exp(-theta)
-    ys_in[n - 2] = 1.0
-    z1 = ys_in[n - 1]
-    z0 = ys_in[n - 2]
-    for i in range(n - 2, m - 2, -1):
-        zm = ((12.0 - 10.0 * wl[i]) * z0 - wl[i + 1] * z1) / wl[i - 1]
-        ys_in[i - 1] = zm
-        z1, z0 = z0, zm
-    if not math.isfinite(z0):
-        raise ConsistencyError("inward sweep overflowed")
+    def solve(self, level: int, guess: float, step: float, rel_tol: float) -> "EigenPair":
+        """Eigenpair ``level`` from a guess of its eigenvalue.
 
-    o_m, o_c, o_p = ys_out[m - 1], ys_out[m], ys_out[m + 1]
-    i_m, i_c, i_p = ys_in[m - 1], ys_in[m], ys_in[m + 1]
-    if o_c == 0.0 or i_c == 0.0:
-        raise ConsistencyError("matching point sits on a node; cannot form mismatch")
-    mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
-    return _Sweep(ys_out=ys_out, ys_in=ys_in, i0=i0, m=m, nodes=nodes, mismatch=mismatch)
+        Walks from ``guess`` in doubling steps, starting at ``step``, until
+        the node counts of the two ends bracket the level, then takes
+        regula falsi steps on the mismatch at a match index fixed from the
+        guess.  Each probe replaces the end on its side of the node count,
+        so the bracket always holds the eigenvalue; the step is a bisection
+        when the end mismatches do not have the sign pattern of a single
+        root (positive below, negative above), as when a mismatch pole
+        lies in the bracket.  The bracket is refined until its width is
+        at most ``rel_tol`` relative.
+        """
+        floor = self.floor
+        x = max(guess, floor)
+        m = self.match_index(x)
+        sweeps = 0
+        a = b = None
+        for _ in range(60):
+            res = self.probe(x, m)
+            sweeps += 1
+            if res.node_count <= level:
+                a, ga = x, res.mismatch
+            else:
+                b, gb = x, res.mismatch
+            if a is not None and b is not None:
+                fa, fb = ga, gb  # unscaled mismatches at the ends
+                break
+            if b is None:
+                x = a + step
+            elif b <= floor:
+                raise BracketError(f"no lower bracket for level {level}")
+            else:
+                x = max(b - step, floor)
+            step *= 2.0
+        else:
+            raise BracketError(f"no bracket for level {level}")
+
+        bisections = 0
+        moved = 0  # +1 after a new upper end, -1 after a new lower end
+        falsi = False
+        while True:
+            half_tol = 0.5 * rel_tol * max(1.0, abs(a), abs(b))
+            if ga > 0.0 > gb:
+                # regula falsi, kept half a tolerance inside the bracket so
+                # that a root next to one end closes the bracket in one step
+                x = b - gb * (b - a) / (gb - ga)
+                x = min(max(x, a + half_tol), b - half_tol)
+                falsi = True
+            elif falsi:
+                # the falsi point's mismatch sign contradicts its node count:
+                # it sits within rounding of the root, so step just past it
+                x = a + half_tol if moved < 0 else b - half_tol
+                falsi = False
+            else:
+                x = 0.5 * (a + b)
+                bisections += 1
+            if not a < x < b:
+                raise ConsistencyError(
+                    f"level {level}: bracket [{a!r}, {b!r}] cannot shrink "
+                    f"to rel_tol {rel_tol:g}"
+                )
+            res = self.probe(x, m)
+            sweeps += 1
+            g = res.mismatch
+            if res.node_count <= level:
+                if moved < 0:
+                    gb *= _retained_scale(g, ga)
+                a, ga, fa = x, g, g
+                moved = -1
+            else:
+                if moved > 0:
+                    ga *= _retained_scale(g, gb)
+                b, gb, fb = x, g, g
+                moved = 1
+            if g == 0.0 or b - a <= rel_tol * max(1.0, abs(x)):
+                break
+        # the end with the smaller mismatch: the last probe is often the
+        # half-tolerance step past a regula falsi point that hit the root
+        lam = a if abs(fa) <= abs(fb) else b
+        return self.assemble(lam, m, level, sweeps + 1, bisections)
 
 
 def shoot_mismatch(
@@ -266,58 +444,20 @@ def shoot_mismatch(
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
-    u = _potential_samples(channel, model, grid)
-    m = _match_index(grid, channel, model, lam, 0)
-    sweep = _sweep(channel, model, lam, grid, u, m)
-    return ShootResult(mismatch=sweep.mismatch, node_count=sweep.nodes)
-
-
-def _assemble(channel, model, lam, grid, u) -> "EigenPair":
-    m = _match_index(grid, channel, model, lam, 0)
-    sweep = _sweep(channel, model, lam, grid, u, m)
-    n = grid.n_points
-    f = np.empty(n)
-    f[sweep.i0 : m + 1] = sweep.ys_out[sweep.i0 : m + 1]
-    scale = sweep.ys_out[m] / sweep.ys_in[m]
-    f[m + 1 :] = np.asarray(sweep.ys_in[m + 1 :]) * scale
-
-    if sweep.i0 > 0:
-        # extend below the safe start with the regular free solution,
-        # scaled to match the seed continuation
-        rs = grid.r[: sweep.i0]
-        free = boundary_series_small_r(channel, lam, rs)
-        anchor = boundary_series_small_r(channel, lam, float(grid.r[sweep.i0]))
-        f[: sweep.i0] = free * (f[sweep.i0] / anchor)
-
-    interior = f[sweep.i0 : m]
-    first = interior[np.nonzero(interior)[0][0]]
-    if first < 0.0:
-        f = -f
-    norm_sq = float(np.dot(grid.simpson_weights, f * f))
-    if norm_sq <= 0.0 or not math.isfinite(norm_sq):
-        raise ConsistencyError("assembled eigenfunction has a bad norm")
-    f /= math.sqrt(norm_sq)
-
-    nodes = int(np.count_nonzero(f[sweep.i0 : m] * f[sweep.i0 + 1 : m + 1] < 0.0))
-
-    k1 = grid.index_of(1.0)
-    h = grid.h
-    fp1 = (f[k1 - 2] - 8.0 * f[k1 - 1] + 8.0 * f[k1 + 1] - f[k1 + 2]) / (12.0 * h)
-    norm_check = float(np.dot(grid.simpson_weights, f * f))
-    return EigenPair(
-        level=nodes,
-        lam=lam,
-        samples=f,
-        node_count=nodes,
-        f_at_1=float(f[k1]),
-        fprime_at_1=float(fp1),
-        norm_check=norm_check,
-    )
+    shooter = _Shooter(channel, model, grid)
+    return shooter.probe(lam, shooter.match_index(lam))
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """One normalized eigenfunction with its spectral parameter."""
+    """One normalized eigenfunction with its spectral parameter.
+
+    ``level`` is the level that was solved for; ``node_count`` is counted
+    afresh on the assembled samples, so the two can disagree.  ``sweeps``
+    is the number of shooting sweeps the level cost (the probes and the
+    assembly) and ``bisections`` how many probes were bisection steps;
+    both are ``None`` for tables read from caches that predate them.
+    """
 
     level: int
     lam: float
@@ -326,6 +466,8 @@ class EigenPair:
     f_at_1: float
     fprime_at_1: float
     norm_check: float
+    sweeps: int | None = None
+    bisections: int | None = None
 
 
 @dataclass(frozen=True)
@@ -349,9 +491,21 @@ class SpectrumTable:
         return p
 
 
-def _count_nodes(channel, model, lam, grid, u) -> int:
-    m = _match_index(grid, channel, model, lam, 0)
-    return _sweep(channel, model, lam, grid, u, m).nodes
+def _action_guess(channel: Channel, model: PotentialModel, level: int):
+    """WKB eigenvalue guess and its bracketing step."""
+    lam = inverse_action(model, quantization_target(channel, level))
+    return lam, BRACKET_STEP / level_density(model, lam)
+
+
+def _default_grid(channel, model, l_max, points_per_wavelength, decay_margin):
+    lam_top = inverse_action(model, quantization_target(channel, l_max) + 2.0)
+    return build_grid(
+        channel,
+        model,
+        1.1 * lam_top,
+        points_per_wavelength=points_per_wavelength,
+        decay_margin=decay_margin,
+    )
 
 
 def solve_level(
@@ -371,91 +525,14 @@ def solve_level(
     if level < 0:
         raise ValueError("level must be non-negative")
     if grid is None:
-        lam_top = inverse_action(model, quantization_target(channel, level) + 2.0)
-        grid = build_grid(
-            channel,
-            model,
-            1.1 * lam_top,
-            points_per_wavelength=points_per_wavelength,
-            decay_margin=decay_margin,
-        )
-    u = _potential_samples(channel, model, grid)
-    lam = _refine_level(channel, model, level, grid, u, rel_tol)
-    pair = _assemble(channel, model, lam, grid, u)
+        grid = _default_grid(channel, model, level, points_per_wavelength, decay_margin)
+    guess, step = _action_guess(channel, model, level)
+    pair = _Shooter(channel, model, grid).solve(level, guess, step, rel_tol)
     if pair.node_count != level:
         raise ConsistencyError(
             f"converged eigenfunction has {pair.node_count} nodes, wanted {level}"
         )
     return pair
-
-
-def _refine_level(channel, model, level, grid, u, rel_tol) -> float:
-    target = quantization_target(channel, level)
-    lam_c = inverse_action(model, target)
-    gap = 1.0 / level_density(model, lam_c)
-
-    lo = lam_c - 0.75 * gap
-    hi = lam_c + 0.75 * gap
-    floor = float(np.min(u)) * (1.0 + 1e-12) + 1e-12
-    for _ in range(60):
-        lo = max(lo, floor)
-        if _count_nodes(channel, model, lo, grid, u) <= level:
-            break
-        if lo <= floor:
-            raise BracketError(f"no lower bracket for level {level}")
-        lo -= gap
-    else:
-        raise BracketError(f"no lower bracket for level {level}")
-    for _ in range(60):
-        if _count_nodes(channel, model, hi, grid, u) > level:
-            break
-        hi += gap
-    else:
-        raise BracketError(f"no upper bracket for level {level}")
-
-    while hi - lo > 0.02 * gap:
-        mid = 0.5 * (lo + hi)
-        if _count_nodes(channel, model, mid, grid, u) <= level:
-            lo = mid
-        else:
-            hi = mid
-
-    def mismatch_at(lam):
-        m = _match_index(grid, channel, model, lam, 0)
-        return _sweep(channel, model, lam, grid, u, m).mismatch
-
-    a, b = lo, hi
-    ga, gb = mismatch_at(a), mismatch_at(b)
-    if not (ga > 0.0 > gb or ga < 0.0 < gb):
-        # no sign change visible (node sitting near the match point);
-        # fall back to node-count bisection, which still pins the jump
-        while b - a > rel_tol * max(1.0, abs(b)):
-            mid = 0.5 * (a + b)
-            if _count_nodes(channel, model, mid, grid, u) <= level:
-                a = mid
-            else:
-                b = mid
-        return 0.5 * (a + b)
-
-    x0, g0 = a, ga
-    x1, g1 = b, gb
-    for _ in range(90):
-        if g1 == g0:
-            x2 = 0.5 * (a + b)
-        else:
-            x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-            if not (a < x2 < b):
-                x2 = 0.5 * (a + b)
-        g2 = mismatch_at(x2)
-        if (g2 > 0.0) == (ga > 0.0):
-            a = x2
-        else:
-            b = x2
-        x0, g0 = x1, g1
-        x1, g1 = x2, g2
-        if abs(b - a) <= rel_tol * max(1.0, abs(x2)) or g2 == 0.0:
-            return x2
-    raise ConsistencyError(f"mismatch refinement stalled for level {level}")
 
 
 def solve_spectrum(
@@ -467,31 +544,33 @@ def solve_spectrum(
     points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
     decay_margin: float = DEFAULT_DECAY_MARGIN,
 ) -> SpectrumTable:
-    """All eigenpairs of levels ``0 .. l_max`` on one shared grid."""
+    """All eigenpairs of levels ``0 .. l_max`` on one shared grid.
+
+    Levels 0 to 2 start from the WKB guess; each later level starts from
+    the quadratic through the last three eigenvalues, with a bracketing
+    step of BRACKET_STEP times the gap it predicts.
+    """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if grid is None:
-        lam_top = inverse_action(model, quantization_target(channel, l_max) + 2.0)
-        grid = build_grid(
-            channel,
-            model,
-            1.1 * lam_top,
-            points_per_wavelength=points_per_wavelength,
-            decay_margin=decay_margin,
-        )
-    u = _potential_samples(channel, model, grid)
+        grid = _default_grid(channel, model, l_max, points_per_wavelength, decay_margin)
+    shooter = _Shooter(channel, model, grid)
     pairs = []
-    prev = -math.inf
+    lams = []
     for level in range(l_max + 1):
-        lam = _refine_level(channel, model, level, grid, u, rel_tol)
-        pair = _assemble(channel, model, lam, grid, u)
+        if level < 3:
+            guess, step = _action_guess(channel, model, level)
+        else:
+            guess = 3.0 * (lams[-1] - lams[-2]) + lams[-3]
+            step = BRACKET_STEP * (guess - lams[-1])
+        pair = shooter.solve(level, guess, step, rel_tol)
         if pair.node_count != level:
             raise ConsistencyError(
                 f"level {level}: converged node count {pair.node_count}"
             )
-        if lam <= prev:
+        if lams and pair.lam <= lams[-1]:
             raise ConsistencyError(f"level {level}: eigenvalues not increasing")
-        prev = lam
+        lams.append(pair.lam)
         pairs.append(pair)
     return SpectrumTable(
         channel=channel,
@@ -566,6 +645,11 @@ def save_spectrum(table: SpectrumTable, path) -> Path:
                 "f_at_1": p.f_at_1,
                 "fprime_at_1": p.fprime_at_1,
                 "norm_check": p.norm_check,
+                **(
+                    {"sweeps": p.sweeps, "bisections": p.bisections}
+                    if p.sweeps is not None
+                    else {}
+                ),
             }
             for p in table.eigenpairs
         ],
@@ -599,6 +683,8 @@ def load_spectrum(path) -> SpectrumTable:
             f_at_1=rec["f_at_1"],
             fprime_at_1=rec["fprime_at_1"],
             norm_check=rec["norm_check"],
+            sweeps=rec.get("sweeps"),
+            bisections=rec.get("bisections"),
         )
         for i, rec in enumerate(doc["levels"])
     )

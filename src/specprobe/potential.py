@@ -129,7 +129,19 @@ class PotentialModel:
 
     @property
     def spec_string(self) -> str:
-        return "+".join(f"{t.coefficient:g}*r^{t.exponent}" for t in self.terms)
+        """Model string that parses back to exactly these coefficients.
+
+        Coefficients print as ``%g`` when that is exact (``1``, ``0.5``)
+        and as ``.17g`` otherwise, so two models never share a string,
+        and so never share a spectrum cache entry.
+        """
+        return "+".join(f"{_exact(t.coefficient)}*r^{t.exponent}" for t in self.terms)
+
+
+def _exact(x: float) -> str:
+    short = f"{x:g}"
+    text = short if float(short) == x else f"{x:.17g}"
+    return text.replace("e+", "e")  # "+" separates the terms of a spec
 
 
 def _as_positive_radii(r):

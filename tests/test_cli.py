@@ -79,6 +79,26 @@ class TestArgumentErrors:
         rc = main(["probe", "--lrange", "9:3", "--out", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--rel-tol", "0"],
+            ["--rel-tol", "-1"],
+            ["--rel-tol", "nan"],
+            ["--rel-tol", "inf"],
+            ["--rel-tol", "1e-17"],
+            ["--ppw", "30"],
+            ["--ppw", "nan"],
+            ["--decay-margin", "2"],
+            ["--decay-margin", "inf"],
+        ],
+    )
+    def test_solver_settings_rejected_up_front(self, tmp_path, capsys, flags):
+        rc = main(["spectrum", "--lmax", "2"] + flags + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert "must be finite and at least" in capsys.readouterr().err
+        assert not (tmp_path / "spectrum.csv").exists()
+
 
 class TestArtifacts:
     def test_spectrum_rows(self, workspace):
@@ -143,6 +163,42 @@ class TestCaching:
         assert cache.stat().st_mtime_ns == stamp
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert len(lines) == 8
+
+    def test_cache_not_reused_for_a_nearby_model(self, tmp_path):
+        base = ["--d", "3", "--n", "0", "--lmax", "2", "--out", str(tmp_path)]
+        assert main(["spectrum", "--model", "1*r^4"] + base) == 0
+        assert main(["spectrum", "--model", "1.0000004*r^4"] + base) == 0
+        near = (tmp_path / "spectrum.csv").read_text().splitlines()[1].split(",")[2]
+        fresh = tmp_path / "fresh"
+        assert main(["spectrum", "--model", "1.0000004*r^4", "--d", "3", "--n", "0",
+                     "--lmax", "2", "--out", str(fresh)]) == 0
+        assert near == (fresh / "spectrum.csv").read_text().splitlines()[1].split(",")[2]
+        doc = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
+        assert doc["model"] == "1.0000004*r^4"
+
+    def test_solver_counts_in_cache_and_run_json(self, tmp_path):
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        cache = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
+        sweeps = [rec["sweeps"] for rec in cache["levels"]]
+        bisections = [rec["bisections"] for rec in cache["levels"]]
+        entry = json.loads((tmp_path / "run.json").read_text())["results"]["spectrum"][
+            "channels"]["d3_n0"]
+        assert entry["sweeps_max"] == max(sweeps)
+        assert entry["sweeps_mean"] == pytest.approx(sum(sweeps) / 6)
+        assert entry["bisections_max"] == max(bisections)
+        assert entry["bisections_mean"] == pytest.approx(sum(bisections) / 6)
+
+        # a cache written before the counters existed still loads
+        for rec in cache["levels"]:
+            del rec["sweeps"], rec["bisections"]
+        (tmp_path / "spectrum_d3_n0.json").write_text(json.dumps(cache))
+        stamp = (tmp_path / "spectrum_d3_n0.npy").stat().st_mtime_ns
+        assert main(["spectrum"] + base) == 0
+        assert (tmp_path / "spectrum_d3_n0.npy").stat().st_mtime_ns == stamp
+        entry = json.loads((tmp_path / "run.json").read_text())["results"]["spectrum"][
+            "channels"]["d3_n0"]
+        assert entry["sweeps_max"] is None and entry["bisections_mean"] is None
 
     def test_cache_rebuilt_on_tolerance_change(self, tmp_path):
         base = ["--d", "3", "--n", "0", "--out", str(tmp_path)]

@@ -25,6 +25,21 @@ def test_parse_sum_model():
     assert again == model
 
 
+def test_spec_string_is_exact():
+    # %g would print 1.0000004 as 1 and so share the cache entry of 1*r^4
+    for text, spec in [
+        ("1.0000004*r^4", "1.0000004*r^4"),
+        ("0.1*r^4+0.2*r^6", "0.1*r^4+0.2*r^6"),
+        ("1e20*r^4", "1e20*r^4"),
+    ]:
+        model = PotentialModel.from_spec(text)
+        assert model.spec_string == spec
+        assert PotentialModel.from_spec(model.spec_string) == model
+    third = PotentialModel.pure(4, 1.0 / 3.0)
+    assert PotentialModel.from_spec(third.spec_string) == third
+    assert third.spec_string != PotentialModel.pure(4, 0.333333).spec_string
+
+
 def test_parse_bare_coefficient_defaults_to_one():
     model = PotentialModel.from_spec("r^4")
     assert model.terms[0].coefficient == 1.0
