@@ -504,18 +504,29 @@ def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dic
 def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
     c = cfg.model.growth_index
     points = []
+    band_fraction = []
     lam = cfg.appendix_base
     for _ in range(cfg.appendix_doublings):
         split = appendix_error_integral(ch, cfg.model, lam)
         points.append((lam, split.total))
+        band_fraction.append(split.band_estimate / split.total)
         lam *= 2.0
     fit = fit_power_law(points)
+    # the log-log slope between consecutive rungs, next to the estimate of
+    # the band around T that the totals leave out, shows how that band
+    # tilts the fitted exponent
+    local_slopes = [
+        math.log(y1 / y0) / math.log(x1 / x0)
+        for (x0, y0), (x1, y1) in zip(points, points[1:])
+    ]
     return {
         "exponent": fit.exponent,
         "r_squared": fit.r_squared,
         "theoretical": -(c + 1.0) / (2.0 * c),
         "lams": [p[0] for p in points],
         "totals": [p[1] for p in points],
+        "local_slopes": local_slopes,
+        "band_fraction": band_fraction,
     }
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import BracketError, ConsistencyError
 from .potential import Channel, PotentialModel, effective_potential
-from .specfun import integrate_sqrt_singular
+from .specfun import _retained_scale, integrate_sqrt_singular
 from .wkb import inverse_action, level_density, quantization_target, turning_points
 
 __all__ = [
@@ -196,17 +196,6 @@ def _numerov(c, wm, wp, y0, y1, keep=None):
             keep(y2)
         y0, y1 = y1, y2
     return y0, y1, nodes
-
-
-def _retained_scale(g_new: float, g_replaced: float) -> float:
-    """Anderson-Bjorck factor for a bracket end that regula falsi kept twice.
-
-    The Illinois rule halves the kept end's value; this factor does the
-    same when it is not positive and otherwise shrinks it by how much the
-    moving end's value fell, which cut the probes per level by about one.
-    """
-    f = 1.0 - g_new / g_replaced
-    return f if f > 0.0 else 0.5
 
 
 class _Shooter:

@@ -31,6 +31,7 @@ _TERM_RE = re.compile(
     r"^\s*(?:(?P<coeff>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)\s*\*\s*)?"
     r"r\s*\^\s*(?P<exp>[0-9]+)\s*$"
 )
+_TERM_SPLIT_RE = re.compile(r"(?<![eE])\+")
 
 
 @dataclass(frozen=True, order=True)
@@ -97,8 +98,12 @@ class PotentialModel:
         threshold_radius: float = 1.0,
         harmonic: bool = False,
     ) -> "PotentialModel":
-        """Parse a model string such as ``"1*r^4+0.5*r^6"``."""
-        parts = text.split("+")
+        """Parse a model string such as ``"1*r^4+0.5*r^6"``.
+
+        A ``+`` right after an exponent marker (``1e+2``) is part of the
+        coefficient; every other ``+`` separates terms.
+        """
+        parts = _TERM_SPLIT_RE.split(text)
         terms = []
         for part in parts:
             m = _TERM_RE.match(part)

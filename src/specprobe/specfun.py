@@ -1,12 +1,12 @@
 """Special functions and numerical primitives.
 
-Bessel functions of the first kind are implemented here directly (ascending
-series for small argument, Hankel-type asymptotic expansion for large
-argument) so the package does not depend on a platform special-function
-library.  The module also provides the turning-point profile built from
-``J_{1/3} + J_{-1/3}``, a quadrature rule for integrands with square-root
-behaviour at an endpoint, and a log-log power-law fitter used by all of the
-scaling certificates.
+Bessel functions of the first kind are computed here over whole arrays
+(ascending series below a crossover, Hankel asymptotic expansion above,
+each element summed until it converges) so the package needs no
+special-function library.  Also: the turning-point profile from
+``J_{1/3} + J_{-1/3}``, quadrature for square-root endpoints and over many
+segments at once, the Anderson-Bjorck regula falsi factor, and a log-log
+power-law fitter used by all of the scaling certificates.
 """
 
 from __future__ import annotations
@@ -29,59 +29,66 @@ __all__ = [
 ]
 
 _SERIES_MAX_TERMS = 500
+_SEGMENT_CHUNK = 1024
 
 
-def _bessel_series(nu: float, x: float) -> float:
-    # Ascending series sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)).
-    # Reliable in double precision up to the crossover used below.
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
+def _bessel_series(nu: float, x):
+    # Ascending series sum_k (-1)^k (x/2)^(nu+2k) / (k! Gamma(nu+k+1)),
+    # summed until every element's term is below 1e-17 of its total; the
+    # later terms of an element that got there first are under half an ulp
+    # of its total and change no bit of it.  Reliable in double precision
+    # up to the crossover used below.
+    xs = np.ravel(np.asarray(x, dtype=float))
+    zero = xs == 0.0
+    if nu < 0.0 and zero.any():
         raise ValueError("bessel series diverges at x = 0 for negative order")
-    half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    half = 0.5 * xs
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.exp(nu * np.log(half) - math.lgamma(nu + 1.0))
+    term[zero] = 1.0 if nu == 0.0 else 0.0
     total = term
     q = -half * half
     for k in range(1, _SERIES_MAX_TERMS):
-        term *= q / (k * (nu + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 5e-324:
+        term = term * (q / (k * (nu + k)))
+        total = total + term
+        if (np.abs(term) <= 1e-17 * np.abs(total) + 5e-324).all():
             return total
-    raise QuadratureError(f"bessel series did not converge for nu={nu}, x={x}")
+    raise QuadratureError(f"bessel series did not converge for nu={nu}")
 
 
-def _bessel_hankel(nu: float, x: float) -> float:
+def _bessel_hankel(nu: float, x):
     # Large-argument expansion J_nu(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi)
-    # with chi = x - nu pi/2 - pi/4.  The expansion is asymptotic; partial
-    # sums are kept at the smallest term seen, which is where truncation
-    # error bottoms out.
+    # with chi = x - nu pi/2 - pi/4.  The expansion is asymptotic; each
+    # element keeps its partial sums at the smallest term seen, which is
+    # where truncation error bottoms out, and leaves the sum once its terms
+    # are negligible or have grown tenfold past that smallest one.
+    xs = np.ravel(np.asarray(x, dtype=float))
     mu = 4.0 * nu * nu
-    p_sum = 1.0
-    q_sum = 0.0
-    best_p, best_q = p_sum, q_sum
-    term = 1.0
-    smallest = 1.0
+    best_p, best_q = np.ones(xs.size), np.zeros(xs.size)
+    idx = np.arange(xs.size)
+    p_sum, q_sum = best_p.copy(), best_q.copy()
+    term, smallest = best_p.copy(), best_p.copy()
     for k in range(1, 200):
-        term *= (mu - (2 * k - 1) ** 2) / (8.0 * x * k)
+        if idx.size == 0:
+            break
+        term = term * ((mu - (2 * k - 1) ** 2) / (8.0 * xs[idx] * k))
         sign = -1.0 if (k // 2) % 2 else 1.0
         if k % 2 == 0:
-            p_sum += sign * term
+            p_sum = p_sum + sign * term
         else:
-            q_sum += sign * term
-        size = abs(term)
-        if size <= smallest:
-            smallest = size
-            best_p, best_q = p_sum, q_sum
-            if size <= 1e-17:
-                break
-        elif size > 10.0 * smallest and k > 4:
-            break
-    chi = x - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        best_p * math.cos(chi) - best_q * math.sin(chi)
-    )
+            q_sum = q_sum + sign * term
+        size = np.abs(term)
+        better = size <= smallest
+        smallest = np.where(better, size, smallest)
+        best_p[idx[better]] = p_sum[better]
+        best_q[idx[better]] = q_sum[better]
+        done = (better & (size <= 1e-17)) | (~better & (size > 10.0 * smallest) & (k > 4))
+        if done.any():
+            live = ~done
+            idx, term, smallest = idx[live], term[live], smallest[live]
+            p_sum, q_sum = p_sum[live], q_sum[live]
+    chi = xs - (0.5 * nu + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * xs)) * (best_p * np.cos(chi) - best_q * np.sin(chi))
 
 
 def _series_crossover(nu: float) -> float:
@@ -95,48 +102,43 @@ def _series_crossover(nu: float) -> float:
     return 1.9 * a
 
 
-def _bessel_any_order(nu: float, x: float) -> float:
-    # Internal path: any order nu > -1, x >= 0.
-    if x < 0.0:
+def _bessel_any_order(nu: float, x) -> np.ndarray:
+    # Internal path: any order nu > -1, elementwise over x >= 0.
+    x = np.asarray(x, dtype=float)
+    if (x < 0.0).any():
         raise ValueError("bessel argument must be non-negative")
-    if x <= _series_crossover(nu):
-        return _bessel_series(nu, x)
-    return _bessel_hankel(nu, x)
+    series = x <= _series_crossover(nu)
+    if series.all():
+        return _bessel_series(nu, x).reshape(x.shape)
+    out = np.empty(x.shape)
+    out[series] = _bessel_series(nu, x[series])
+    out[~series] = _bessel_hankel(nu, x[~series])
+    return out
 
 
 def bessel_j(nu: float, x):
     """Bessel function of the first kind ``J_nu(x)`` for ``nu >= 0``.
 
-    ``x`` may be a scalar or an array of non-negative values.
+    ``x`` may be a scalar, giving a float, or an array of non-negative values.
     """
     if nu < 0.0:
         raise ValueError("order nu must be non-negative")
-    if np.ndim(x) == 0:
-        return _bessel_any_order(nu, float(x))
-    arr = np.asarray(x, dtype=float)
-    return np.array([_bessel_any_order(nu, float(xi)) for xi in arr.ravel()]).reshape(
-        arr.shape
-    )
-
-
-def _langer_scalar(z: float) -> float:
-    if z <= 0.0:
-        raise ValueError("langer_profile needs z > 0")
-    s = _bessel_any_order(1.0 / 3.0, z) + _bessel_any_order(-1.0 / 3.0, z)
-    return math.sqrt(math.pi * z / 6.0) * s
+    out = _bessel_any_order(nu, x)
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def langer_profile(z):
     """Turning-point profile ``sqrt(pi z / 6) (J_{1/3}(z) + J_{-1/3}(z))``.
 
     Tends to ``cos(z - pi/4)`` with an ``O(1/z)`` error as ``z`` grows.
+    ``z`` may be a scalar, giving a float, or an array of positive values.
     """
-    if np.ndim(z) == 0:
-        return _langer_scalar(float(z))
     arr = np.asarray(z, dtype=float)
-    return np.array([_langer_scalar(float(zi)) for zi in arr.ravel()]).reshape(
-        arr.shape
-    )
+    if np.any(arr <= 0.0):
+        raise ValueError("langer_profile needs z > 0")
+    s = _bessel_any_order(1.0 / 3.0, arr) + _bessel_any_order(-1.0 / 3.0, arr)
+    out = np.sqrt(math.pi * arr / 6.0) * s
+    return float(out) if np.ndim(z) == 0 else out
 
 
 @lru_cache(maxsize=8)
@@ -175,6 +177,48 @@ def _gl_adaptive(
     )
 
 
+def _gl_segments(f: Callable, edges: np.ndarray) -> np.ndarray:
+    """Integrals of ``f`` over ``[edges[i], edges[i+1]]``, 16-point Gauss-Legendre.
+
+    A segment whose halves disagree with it by more than 1e-13 relative
+    plus 1e-15 of the whole span is split, so one next to a singularity of
+    ``f`` converges, and rounding noise in ``f`` (near a root of
+    ``lam - U``) cannot split forever.  ``f`` sees ``_SEGMENT_CHUNK``
+    segments at most per call, which bounds the memory it takes.
+    """
+    nodes, weights = _gl_rule(16)
+
+    def rule(a, b):
+        out = np.empty(a.size)
+        for i in range(0, a.size, _SEGMENT_CHUNK):
+            mid = 0.5 * (a[i : i + _SEGMENT_CHUNK] + b[i : i + _SEGMENT_CHUNK])
+            half = 0.5 * (b[i : i + _SEGMENT_CHUNK] - a[i : i + _SEGMENT_CHUNK])
+            y = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
+            if not np.all(np.isfinite(y)):
+                raise QuadratureError("integrand returned a non-finite value")
+            out[i : i + _SEGMENT_CHUNK] = (y.reshape(-1, nodes.size) @ weights) * half
+        return out
+
+    a, b = edges[:-1], edges[1:]
+    owner = np.arange(a.size)
+    out = np.zeros(a.size)
+    whole = rule(a, b)
+    floor = 1e-15 * np.sum(np.abs(whole))
+    for _ in range(60):
+        m = 0.5 * (a + b)
+        left, right = rule(a, m), rule(m, b)
+        halves = left + right
+        ok = np.abs(halves - whole) <= 1e-13 * np.abs(halves) + floor
+        np.add.at(out, owner[ok], halves[ok])
+        if ok.all():
+            return out
+        split = ~ok
+        owner = np.tile(owner[split], 2)
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        whole = np.concatenate([left[split], right[split]])
+    raise QuadratureError("segment quadrature did not converge in 60 halvings")
+
+
 def integrate_sqrt_singular(
     f: Callable,
     a: float,
@@ -205,6 +249,18 @@ def integrate_sqrt_singular(
     else:
         g = lambda u: 2.0 * u * np.asarray(f(b - u * u), dtype=float)
     return _gl_adaptive(g, 0.0, math.sqrt(span), rel_tol)
+
+
+def _retained_scale(g_new: float, g_replaced: float) -> float:
+    """Anderson-Bjorck factor for a bracket end that regula falsi kept twice.
+
+    The Illinois rule halves the kept end's value; this factor does the
+    same when it is not positive and otherwise shrinks it by how much the
+    moving end's value fell, which cut the shooting probes per level by
+    about one.
+    """
+    f = 1.0 - g_new / g_replaced
+    return f if f > 0.0 else 0.5
 
 
 @dataclass(frozen=True)

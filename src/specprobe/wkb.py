@@ -1,11 +1,11 @@
 """Semiclassical certificates for the computed spectra.
 
-Turning points, action integrals, quantization residuals, phase and
-turning-point coordinates, boundary amplitudes, profile residuals, and the
-scaling fits that certify how these quantities grow with the spectral
-parameter.  Functions that consume eigenpairs only rely on their ``lam``,
-``level``, ``samples``, ``f_at_1``, ``fprime_at_1`` attributes, so this
-module stays independent of the solver.
+Turning points, action integrals, quantization residuals, boundary
+amplitudes, profile residuals, and the scaling fits that certify how they
+grow with the spectral parameter.  Phase and turning-point coordinate come
+from one cumulative integral of ``sqrt|lam - U|`` over sorted radii
+(``_zeta``).  Eigenpairs are read only through ``lam``, ``level``,
+``samples``, ``f_at_1``, ``fprime_at_1``, so this module needs no solver.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
 from .specfun import (
     PowerLawFit,
+    _gl_adaptive,
+    _gl_segments,
+    _retained_scale,
     fit_power_law,
     integrate_sqrt_singular,
     langer_profile,
@@ -136,45 +139,55 @@ def action_integral(model: PotentialModel, lam: float) -> float:
     return integrate_sqrt_singular(integrand, 0.0, big_x, "right", rel_tol=1e-11) / math.pi
 
 
-def _closed_form_action_constant(c: float) -> float:
-    # int_0^1 sqrt(1 - u^(2c)) du via the beta function
-    return (
-        math.gamma(1.0 / (2.0 * c))
-        * math.gamma(1.5)
-        / (2.0 * c * math.gamma(1.0 / (2.0 * c) + 1.5))
-    )
+def _single_term_inverse(term, target: float) -> float:
+    # action of kappa r^(2c) = lam^((c+1)/(2c)) kappa^(-1/(2c)) const / pi,
+    # const = int_0^1 sqrt(1 - u^(2c)) du via the beta function
+    c = term.exponent / 2.0
+    inv = 1.0 / (2.0 * c)
+    const = math.gamma(inv) * math.gamma(1.5) / (2.0 * c * math.gamma(inv + 1.5))
+    return (target * math.pi * term.coefficient**inv / const) ** (2.0 * c / (c + 1.0))
 
 
 def inverse_action(model: PotentialModel, target: float) -> float:
-    """Spectral parameter at which the action reaches ``target`` (> 0)."""
+    """Spectral parameter at which the action reaches ``target`` (> 0).
+
+    Closed form for one term.  A sum of terms is at least each of them, so
+    the largest single-term inverse bounds the root from below;
+    ``lam A'/A >= (c+1)/(2c)`` for the largest ``c`` (integrate ``A`` by
+    parts) bounds it from above.  Regula falsi with the Anderson-Bjorck
+    end scaling on ``log(A/target)``, nearly linear in ``log lam``, closes
+    the bracket to 1e-10 in ``log lam``.
+    """
     if target <= 0.0:
         raise ValueError("target action must be positive")
+    lam = max(_single_term_inverse(term, target) for term in model.terms)
     if len(model.terms) == 1:
-        term = model.terms[0]
-        c = term.exponent / 2.0
-        const = _closed_form_action_constant(c)
-        # action = lam^((c+1)/(2c)) kappa^(-1/(2c)) const / pi
-        return (
-            target * math.pi * term.coefficient ** (1.0 / (2.0 * c)) / const
-        ) ** (2.0 * c / (c + 1.0))
-    lo, hi = 1e-8, 1.0
-    while action_integral(model, hi) < target:
-        hi *= 2.0
-        if hi > 1e18:
-            raise ValueError("action target out of range")
-    while action_integral(model, lo) > target:
-        lo *= 0.5
-        if lo < 1e-18:
-            raise ValueError("action target out of range")
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if action_integral(model, mid) <= target:
-            lo = mid
+        return lam
+    g = lambda x: math.log(action_integral(model, math.exp(x)) / target)
+    a = math.log(lam)
+    ga = g(a)
+    if ga >= 0.0:  # the lower bound is the root, to rounding
+        return lam
+    c = model.terms[-1].exponent / 2.0
+    b = a - ga * 2.0 * c / (c + 1.0)
+    gb = g(b)
+    moved = 0  # +1 after a new upper end, -1 after a new lower end
+    for _ in range(60):
+        if gb <= 0.0 or b - a <= 1e-10:  # gb <= 0: b is the root, to rounding
+            return math.exp(b)
+        x = b - gb * (b - a) / (gb - ga)
+        if not a < x < b:
+            return math.exp(b)
+        gx = g(x)
+        if gx < 0.0:
+            if moved < 0:
+                gb *= _retained_scale(gx, ga)
+            a, ga, moved = x, gx, -1
         else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-9:
-            break
-    return math.sqrt(lo * hi)
+            if moved > 0:
+                ga *= _retained_scale(gx, gb)
+            b, gb, moved = x, gx, 1
+    raise ValueError(f"inverse action did not converge for target {target}")
 
 
 def level_density(model: PotentialModel, lam: float) -> float:
@@ -200,14 +213,8 @@ def bs_residual(pair, channel: Channel, model: PotentialModel) -> float:
     return action_integral(model, pair.lam) - quantization_target(channel, pair.level)
 
 
-def _sqrt_gap(channel: Channel, model: PotentialModel, lam: float):
-    return lambda r: np.sqrt(
-        np.abs(lam - effective_potential(channel, model, np.asarray(r)))
-    )
-
-
 def phase_and_zeta(
-    channel: Channel, model: PotentialModel, lam: float, r: float
+    channel: Channel, model: PotentialModel, lam: float, r
 ) -> PhaseZeta:
     """Phase ``S(r) = int_1^r sqrt(lam - U)`` and turning-point coordinate.
 
@@ -216,81 +223,48 @@ def phase_and_zeta(
     negative real number ``-(3/2 int_r^T sqrt(lam-U))^(2/3)`` to the power
     1 in its natural phase); for ``r`` above it is the positive magnitude
     of the imaginary coordinate ``i * int_T^r sqrt(U - lam)``.  The phase
-    requires ``U < lam`` at both ``1`` and ``r``.
+    requires ``U < lam`` at both ``1`` and ``r``; it stops at ``T``, so
+    above ``T`` it is ``S(T)``.  ``r`` may be a scalar or an array, and
+    the fields take its shape.
     """
-    if np.ndim(r) > 0:
-        parts = [phase_and_zeta(channel, model, lam, float(x)) for x in np.asarray(r)]
-        return PhaseZeta(
-            phase=np.array([p.phase for p in parts]),
-            zeta=np.array([p.zeta for p in parts]),
-        )
-    r = float(r)
+    rs = np.asarray(r, dtype=float)
     big_t = turning_points(channel, model, lam).T
-    u_r = effective_potential(channel, model, r)
-    kernel = _sqrt_gap(channel, model, lam)
-    if r <= big_t:
-        if u_r >= lam and not math.isclose(r, big_t, rel_tol=1e-12):
-            raise ValueError("r is inside the inner forbidden region")
-        zeta = (
-            0.0
-            if math.isclose(r, big_t, rel_tol=1e-12)
-            else -integrate_sqrt_singular(kernel, r, big_t, "right", rel_tol=1e-11)
-        )
-    else:
-        zeta = integrate_sqrt_singular(kernel, big_t, r, "left", rel_tol=1e-11)
-
+    below = (rs < big_t) & (np.abs(rs - big_t) > 1e-12 * big_t)
+    if np.any(below & (effective_potential(channel, model, rs) >= lam)):
+        raise ValueError("r is inside the inner forbidden region")
     if effective_potential(channel, model, 1.0) >= lam:
         raise ValueError("phase undefined: U(1) >= lam")
-    r_cap = min(r, big_t)
-    if r_cap == 1.0:
-        phase = 0.0
-    else:
-        a, b = (1.0, r_cap) if r_cap > 1.0 else (r_cap, 1.0)
-        end = "right" if math.isclose(b, big_t, rel_tol=1e-12) else "none"
-        phase = integrate_sqrt_singular(kernel, a, b, end, rel_tol=1e-11)
-        if r_cap < 1.0:
-            phase = -phase
+    zetas = _zeta(channel, model, lam, big_t, np.append(rs.ravel(), 1.0))
+    zeta = zetas[:-1].reshape(rs.shape)
+    phase = np.minimum(zeta, 0.0) - zetas[-1]
+    if rs.ndim == 0:
+        return PhaseZeta(phase=float(phase), zeta=float(zeta))
     return PhaseZeta(phase=phase, zeta=zeta)
 
 
-def _phase_on_sorted(channel, model, lam, rs: np.ndarray) -> np.ndarray:
-    # Cumulative phase on an ascending array of allowed-region radii,
-    # anchored at S(1) = 0.  Fixed-order panels per segment are exact to
-    # machine precision because segments are a few grid steps wide.
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(16)
-    anchored = np.unique(np.concatenate([[1.0], rs]))
-    mids = 0.5 * (anchored[1:] + anchored[:-1])
-    halfs = 0.5 * (anchored[1:] - anchored[:-1])
-    x = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-    vals = np.sqrt(lam - effective_potential(channel, model, x)).reshape(-1, 16)
-    seg = (vals * weights[None, :]).sum(axis=1) * halfs
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    anchor_index = int(np.searchsorted(anchored, 1.0))
-    s_all = cum - cum[anchor_index]
-    lookup = {float(r): s for r, s in zip(anchored, s_all)}
-    return np.array([lookup[float(r)] for r in rs])
-
-
-def _zeta_below_on_sorted(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
-    # zeta(r) = -int_r^T sqrt(lam - U) for ascending rs below T; the last
-    # segment, which touches T, gets the square-root substitution.
-    kernel = _sqrt_gap(channel, model, lam)
-    tail = integrate_sqrt_singular(kernel, float(rs[-1]), big_t, "right", rel_tol=1e-11)
-    from numpy.polynomial.legendre import leggauss
-
-    nodes, weights = leggauss(16)
-    if len(rs) > 1:
-        mids = 0.5 * (rs[1:] + rs[:-1])
-        halfs = 0.5 * (rs[1:] - rs[:-1])
-        x = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-        vals = np.sqrt(lam - effective_potential(channel, model, x)).reshape(-1, 16)
-        seg = (vals * weights[None, :]).sum(axis=1) * halfs
-        cum_from_last = np.concatenate([[0.0], np.cumsum(seg[::-1])])[::-1]
-    else:
-        cum_from_last = np.array([0.0])
-    return -(tail + cum_from_last)
+def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
+    # Signed zeta of phase_and_zeta at every radius, from one cumulative
+    # integral of sqrt|lam - U| over the sorted distinct radii on each side
+    # of T: Gauss-Legendre panels between neighbours, and the square-root
+    # substitution on the one segment that reaches T.  Radii within 1e-12
+    # relative of T get 0.
+    kernel = lambda r: np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
+    off_t = np.abs(rs - big_t) > 1e-12 * np.maximum(rs, big_t)
+    out = np.zeros(rs.shape)
+    for side in (-1.0, 1.0):
+        mask = off_t & (side * (rs - big_t) > 0.0)
+        if not np.any(mask):
+            continue
+        pts, where = np.unique(rs[mask], return_inverse=True)
+        segs = _gl_segments(kernel, pts)
+        if side < 0.0:
+            end = integrate_sqrt_singular(kernel, pts[-1], big_t, "right", rel_tol=1e-11)
+            dist = end + np.append(np.cumsum(segs[::-1])[::-1], 0.0)
+        else:
+            end = integrate_sqrt_singular(kernel, big_t, pts[0], "left", rel_tol=1e-11)
+            dist = end + np.append(0.0, np.cumsum(segs))
+        out[mask] = side * dist[where]
+    return out
 
 
 def allowed_interval(
@@ -387,10 +361,7 @@ def allowed_region_residual(
     mask = (r >= lo) & (r <= hi)
     if not np.any(mask):
         raise ValueError("window contains no grid points")
-    rs = r[mask]
-    if effective_potential(channel, model, float(rs[0])) >= lam:
-        raise ValueError("window enters the forbidden region")
-    phases = _phase_on_sorted(channel, model, lam, rs)
+    phases = phase_and_zeta(channel, model, lam, r[mask]).phase
     modeled = lam**-0.25 * np.real(c_lambda * np.exp(1j * phases))
     return float(np.max(np.abs(pair.samples[mask] - modeled)))
 
@@ -421,8 +392,7 @@ def langer_residual(pair, channel: Channel, model: PotentialModel, grid) -> Lang
         raise ValueError("profile window contains too few grid points")
     u = effective_potential(channel, model, rs)
     scaled = pair.samples[mask] * (lam - u) ** 0.25
-    zetas = _zeta_below_on_sorted(channel, model, lam, big_t, rs)
-    profile = langer_profile(-zetas)
+    profile = langer_profile(-_zeta(channel, model, lam, big_t, rs))
 
     dot = float(np.dot(profile, profile))
     alpha0 = float(np.dot(scaled, profile)) / dot if dot > 0 else 0.0
@@ -484,20 +454,6 @@ def appendix_error_integral(
     if delta >= eps * big_t:
         raise ValueError("excluded band exceeds the near window; raise lam or eps")
 
-    kernel = _sqrt_gap(channel, model, lam)
-
-    def zeta_sq_signed(rs: np.ndarray) -> np.ndarray:
-        out = np.empty_like(rs)
-        for i, rv in enumerate(rs):
-            rv = float(rv)
-            if rv <= big_t:
-                z = integrate_sqrt_singular(kernel, rv, big_t, "right", rel_tol=1e-11)
-                out[i] = z * z
-            else:
-                z = integrate_sqrt_singular(kernel, big_t, rv, "left", rel_tol=1e-11)
-                out[i] = -z * z
-        return out
-
     def weighted(rs) -> np.ndarray:
         rs = np.asarray(rs, dtype=float)
         u = effective_potential(channel, model, rs)
@@ -505,26 +461,16 @@ def appendix_error_integral(
         d2u = effective_potential(channel, model, rs, 2)
         gap = lam - u
         ucal = d2u / (4.0 * gap**2) + 5.0 * du**2 / (16.0 * gap**3)
-        g = 5.0 / (36.0 * zeta_sq_signed(rs)) - ucal
+        zeta = _zeta(channel, model, lam, big_t, rs)
+        g = 5.0 / (36.0 * -zeta * np.abs(zeta)) - ucal
         return np.abs(g) * np.sqrt(np.abs(gap))
-
-    from .specfun import _gl_adaptive
 
     inner = _gl_adaptive(weighted, 0.5, (1.0 - eps) * big_t, 1e-7)
 
     # resolve the |r - T|^(-1/2) profile by integrating in s = sqrt(|r - T|)
-    left = _gl_adaptive(
-        lambda s: 2.0 * s * weighted(big_t - s * s),
-        math.sqrt(delta),
-        math.sqrt(eps * big_t),
-        1e-7,
-    )
-    right = _gl_adaptive(
-        lambda s: 2.0 * s * weighted(big_t + s * s),
-        math.sqrt(delta),
-        math.sqrt(eps * big_t),
-        1e-7,
-    )
+    s_lo, s_hi = math.sqrt(delta), math.sqrt(eps * big_t)
+    left = _gl_adaptive(lambda s: 2.0 * s * weighted(big_t - s * s), s_lo, s_hi, 1e-7)
+    right = _gl_adaptive(lambda s: 2.0 * s * weighted(big_t + s * s), s_lo, s_hi, 1e-7)
     near = left + right
 
     outer = 0.0
@@ -538,9 +484,7 @@ def appendix_error_integral(
         if piece <= 1e-12 * (inner + near + outer) or piece <= 1e-300:
             break
 
-    edge = float(weighted(np.array([big_t - delta]))[0]) + float(
-        weighted(np.array([big_t + delta]))[0]
-    )
+    edge = float(np.sum(weighted(np.array([big_t - delta, big_t + delta]))))
     band_estimate = 2.0 * delta * edge
     return AppendixSplit(
         lam=lam,
@@ -601,8 +545,7 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
         residual = action - quantization_target(channel, pair.level)
         if pair.lam > u1:
             c_lam = extract_C_lambda(pair, channel, model)
-            kernel = _sqrt_gap(channel, model, pair.lam)
-            phase_z = integrate_sqrt_singular(kernel, 1.0, pts.T, "right", rel_tol=1e-11)
+            phase_z = -float(_zeta(channel, model, pair.lam, pts.T, np.array([1.0]))[0])
         else:
             c_lam = complex(math.nan, math.nan)
             phase_z = math.nan

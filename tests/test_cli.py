@@ -2,6 +2,7 @@
 shapes, config layering, caching, and determinism of the outputs."""
 
 import json
+import math
 import os
 
 import pytest
@@ -71,6 +72,11 @@ class TestArgumentErrors:
         assert main([]) == 1
         assert "usage" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize("model", ["1e+2*r^4", "1.5E+1*r^4+2*r^6"])
+    def test_signed_exponent_coefficient_accepted(self, tmp_path, capsys, model):
+        assert main(["validate", "--model", model, "--out", str(tmp_path)]) == 0
+        assert "validation passed" in capsys.readouterr().out
+
     def test_malformed_model(self, tmp_path, capsys):
         rc = main(["validate", "--model", "r**4", "--out", str(tmp_path)])
         assert rc == 1
@@ -132,6 +138,16 @@ class TestArtifacts:
         assert gap["theoretical"] == pytest.approx(0.25)
         appendix = results["wkb"]["appendix"]
         assert -0.9 < appendix["exponent"] < -0.5
+        # one local slope per pair of rungs, one band fraction per rung
+        lams, totals = appendix["lams"], appendix["totals"]
+        assert len(appendix["local_slopes"]) == len(lams) - 1 == 4
+        assert appendix["local_slopes"][0] == pytest.approx(
+            math.log(totals[1] / totals[0]) / math.log(2.0), rel=1e-12
+        )
+        assert min(appendix["local_slopes"]) <= appendix["exponent"]
+        assert appendix["exponent"] <= max(appendix["local_slopes"])
+        assert len(appendix["band_fraction"]) == len(lams)
+        assert all(0.0 < f < 1.0 for f in appendix["band_fraction"])
         # ladder from level 4 is too short at lmax 14 for a langer fit
         assert results["wkb"]["langer"]["exponent"] is None
         assert results["probe"]["channels"]["d3_n0"]["lower_bound_const"] > 0.0

@@ -66,6 +66,25 @@ def quartic_table():
 
 
 class TestBuildGrid:
+    @pytest.mark.parametrize(
+        "l_max, d, n, n_points, h",
+        [
+            (24, 3, 0, 5669, 0.0008553082191780822),
+            (24, 5, 2, 5973, 0.0008215460526315789),
+            (60, 3, 0, 12939, 0.000455125284738041),
+            (60, 5, 2, 13235, 0.00044738020600089564),
+        ],
+    )
+    def test_mixed_model_default_grid_frozen(self, l_max, d, n, n_points, h):
+        # frozen from the geometric bisection inverse_action used before its
+        # regula falsi: the top level's action target sizes the grid
+        model = PotentialModel.from_spec("1*r^4+0.5*r^6")
+        grid = es._default_grid(
+            Channel(d, n), model, l_max,
+            es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN,
+        )
+        assert (grid.n_points, grid.h) == (n_points, h)
+
     def test_oscillator_example(self):
         grid = es.build_grid(CH30, HARMONIC, 43.0)
         big_t = math.sqrt(43.0)

@@ -40,13 +40,26 @@ def test_spec_string_is_exact():
     assert third.spec_string != PotentialModel.pure(4, 0.333333).spec_string
 
 
+def test_signed_exponent_coefficients_round_trip():
+    # a "+" after an exponent marker belongs to the coefficient
+    for text, terms in [
+        ("1e+2*r^4", [(4, 100.0)]),
+        ("1.5E+1*r^4+2*r^6", [(4, 15.0), (6, 2.0)]),
+        ("2*r^4 + 3.25e-1*r^6+1E+20*r^8", [(4, 2.0), (6, 0.325), (8, 1e20)]),
+    ]:
+        model = PotentialModel.from_spec(text)
+        assert [(t.exponent, t.coefficient) for t in model.terms] == terms
+        assert PotentialModel.from_spec(model.spec_string) == model
+    assert PotentialModel.from_spec("1e+2*r^4") == PotentialModel.from_spec("1e2*r^4")
+
+
 def test_parse_bare_coefficient_defaults_to_one():
     model = PotentialModel.from_spec("r^4")
     assert model.terms[0].coefficient == 1.0
 
 
 def test_parse_rejects_garbage():
-    for bad in ["r^3", "1*r", "-1*r^4", "1*r^4 + ", "x^4"]:
+    for bad in ["r^3", "1*r", "-1*r^4", "1*r^4 + ", "x^4", "1e+*r^4", "1*r^4+e+2*r^6"]:
         with pytest.raises(ValueError):
             PotentialModel.from_spec(bad)
 
