@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import json
 import math
 import os
@@ -370,14 +369,10 @@ def _load_or_solve(cfg: RunConfig, d: int, n: int) -> SpectrumTable:
             table is not None
             and table.model.spec_string == cfg.model.spec_string
             and table.channel == Channel(d, n)
-            and len(table.eigenpairs) >= cfg.l_max + 1
+            and len(table.eigenvalues) >= cfg.l_max + 1
             and all(table.tolerances.get(k) == v for k, v in want.items())
         ):
-            if len(table.eigenpairs) > cfg.l_max + 1:
-                table = dataclasses.replace(
-                    table, eigenpairs=table.eigenpairs[: cfg.l_max + 1]
-                )
-            return table
+            return table.truncated(cfg.l_max + 1)
     table = solve_spectrum(
         Channel(d, n),
         cfg.model,
@@ -446,18 +441,17 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     for (d, n), table in tables.items():
         lams = table.eigenvalues
         entry = {
-            "levels": len(table.eigenpairs),
+            "levels": len(lams),
             "lambda_min": float(lams[0]),
             "lambda_max": float(lams[-1]),
             "grid_points": table.grid.n_points,
         }
         for stat in ("sweeps", "bisections"):
-            counts = [getattr(p, stat) for p in table.eigenpairs]
-            known = None not in counts  # caches older than the counters lack them
-            entry[f"{stat}_max"] = max(counts) if known else None
-            entry[f"{stat}_mean"] = sum(counts) / len(counts) if known else None
+            counts = getattr(table, stat)
+            entry[f"{stat}_max"] = max(counts)
+            entry[f"{stat}_mean"] = sum(counts) / len(counts)
         payload["channels"][_channel_key(d, n)] = entry
-        payload["rows"] += len(table.eigenpairs)
+        payload["rows"] += len(lams)
     _update_run_json(cfg, "spectrum", payload)
     print(f"wrote {path} ({payload['rows']} rows)")
     return 0
@@ -468,7 +462,7 @@ def cmd_gaps(cfg: RunConfig) -> int:
     theory = (cfg.model.growth_index - 1.0) / (2.0 * cfg.model.growth_index)
     channels_payload = {}
     for (d, n), table in tables.items():
-        n_gaps = len(table.eigenpairs) - 1
+        n_gaps = len(table.eigenvalues) - 1
         top = min(cfg.fit_top, n_gaps)
         fit = gap_scaling(table, window=(n_gaps - top, n_gaps))
         channels_payload[_channel_key(d, n)] = {
@@ -487,8 +481,9 @@ def cmd_gaps(cfg: RunConfig) -> int:
 def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
     c = cfg.model.growth_index
     u1 = effective_potential(ch, cfg.model, 1.0)
-    n_skip = sum(1 for p in table.eigenpairs if p.lam <= u1)
-    usable = len(table.eigenpairs) - n_skip
+    count = len(table.eigenvalues)
+    n_skip = int(np.count_nonzero(table.eigenvalues <= u1))
+    usable = count - n_skip
     lo = max(cfg.l_range[0] - n_skip, 0)
     hi = min(cfg.l_range[1] + 1 - n_skip, usable)
     window = (lo, hi) if hi - lo >= 5 else None
@@ -497,7 +492,7 @@ def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dic
         "exponent": fit.exponent,
         "r_squared": fit.r_squared,
         "theoretical": (c - 1.0) / (4.0 * c),
-        "levels": [lo + n_skip, hi - 1 + n_skip] if window else [n_skip, len(table.eigenpairs) - 1],
+        "levels": [lo + n_skip, hi - 1 + n_skip] if window else [n_skip, count - 1],
     }
 
 
@@ -531,7 +526,7 @@ def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
 
 
 def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
-    lams = [p.lam for p in table.eigenpairs]
+    lams = table.eigenvalues.tolist()
     start = min(4, len(lams) - 1)
     target = lams[start]
     levels: list[int] = []
@@ -539,7 +534,7 @@ def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
     while target <= lams[-1] * (1.0 + 1e-12):
         idx = min(range(len(lams)), key=lambda i: abs(lams[i] - target))
         if not levels or idx != levels[-1]:
-            result = langer_residual(table.eigenpairs[idx], ch, cfg.model, table.grid)
+            result = langer_residual(table.pair(idx), ch, cfg.model, table.grid)
             levels.append(idx)
             points.append((lams[idx], result.residual))
         target *= 2.0
@@ -640,7 +635,7 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
 def cmd_kernel(cfg: RunConfig) -> int:
     tables = _tables(cfg)
     table = tables[cfg.channels[0]]
-    cap = min(cfg.kernel_levels, len(table.eigenpairs) - 1)
+    cap = min(cfg.kernel_levels, len(table.eigenvalues) - 1)
     rs = _snap_to_grid(table.grid, cfg.kernel_r)
     ss = _snap_to_grid(table.grid, cfg.kernel_s)
     path = export_kernel_grid(table, list(cfg.kernel_t), rs, ss, cap, cfg.out_dir / "kernel.csv")

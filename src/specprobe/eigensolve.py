@@ -15,10 +15,16 @@ a bisection whenever the end mismatches do not bracket a single root; the
 node count alone decides which end a probe replaces.  Levels from 3 on
 start from the quadratic extrapolation of the three below, so the WKB
 action is inverted only for the grid and the first three levels.
+
+A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
+and the per-level solver counters; an ``EigenPair``'s node count and value
+and slope at ``r = 1`` are derived from its row.  The cache, format version
+2, lists eigenvalues and counters in JSON beside one ``.npy`` of samples.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -50,7 +56,7 @@ __all__ = [
     "export_spectrum_csv",
 ]
 
-SPECTRUM_FORMAT_VERSION = 1
+SPECTRUM_FORMAT_VERSION = 2
 
 DEFAULT_POINTS_PER_WAVELENGTH = 250.0
 DEFAULT_DECAY_MARGIN = 35.0
@@ -324,20 +330,7 @@ class _Shooter:
             raise ConsistencyError("assembled eigenfunction has a bad norm")
         f /= math.sqrt(norm_sq)
 
-        k1 = grid.index_of(1.0)
-        h = grid.h
-        fp1 = (f[k1 - 2] - 8.0 * f[k1 - 1] + 8.0 * f[k1 + 1] - f[k1 + 2]) / (12.0 * h)
-        return EigenPair(
-            level=level,
-            lam=lam,
-            samples=f,
-            node_count=int(np.count_nonzero(f[:-1] * f[1:] < 0.0)),
-            f_at_1=float(f[k1]),
-            fprime_at_1=float(fp1),
-            norm_check=float(np.dot(grid.simpson_weights, f * f)),
-            sweeps=sweeps,
-            bisections=bisections,
-        )
+        return _eigenpair(grid, level, lam, f, sweeps, bisections)
 
     def solve(self, level: int, guess: float, step: float, rel_tol: float) -> "EigenPair":
         """Eigenpair ``level`` from a guess of its eigenvalue.
@@ -350,7 +343,8 @@ class _Shooter:
         when the end mismatches do not have the sign pattern of a single
         root (positive below, negative above), as when a mismatch pole
         lies in the bracket.  The bracket is refined until its width is
-        at most ``rel_tol`` relative.
+        at most ``rel_tol`` relative.  Raises ``ConsistencyError`` when the
+        assembled eigenfunction does not have ``level`` nodes.
         """
         floor = self.floor
         x = max(guess, floor)
@@ -419,7 +413,10 @@ class _Shooter:
         # the end with the smaller mismatch: the last probe is often the
         # half-tolerance step past a regula falsi point that hit the root
         lam = a if abs(fa) <= abs(fb) else b
-        return self.assemble(lam, m, level, sweeps + 1, bisections)
+        pair = self.assemble(lam, m, level, sweeps + 1, bisections)
+        if pair.node_count != level:
+            raise ConsistencyError(f"level {level}: converged node count {pair.node_count}")
+        return pair
 
 
 def shoot_mismatch(
@@ -442,10 +439,9 @@ class EigenPair:
     """One normalized eigenfunction with its spectral parameter.
 
     ``level`` is the level that was solved for; ``node_count`` is counted
-    afresh on the assembled samples, so the two can disagree.  ``sweeps``
-    is the number of shooting sweeps the level cost (the probes and the
-    assembly) and ``bisections`` how many probes were bisection steps;
-    both are ``None`` for tables read from caches that predate them.
+    afresh on the samples, so the two can disagree.  ``sweeps`` is the
+    number of shooting sweeps the level cost (the probes and the assembly)
+    and ``bisections`` how many probes were bisection steps.
     """
 
     level: int
@@ -454,30 +450,68 @@ class EigenPair:
     node_count: int
     f_at_1: float
     fprime_at_1: float
-    norm_check: float
-    sweeps: int | None = None
-    bisections: int | None = None
+    sweeps: int
+    bisections: int
+
+
+def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections) -> EigenPair:
+    """Eigenpair of one row of samples, with the fields derived from them."""
+    f = samples
+    k1 = grid.index_of(1.0)
+    fp1 = (f[k1 - 2] - 8.0 * f[k1 - 1] + 8.0 * f[k1 + 1] - f[k1 + 2]) / (12.0 * grid.h)
+    return EigenPair(
+        level=level,
+        lam=float(lam),
+        samples=f,
+        node_count=int(np.count_nonzero(f[:-1] * f[1:] < 0.0)),
+        f_at_1=float(f[k1]),
+        fprime_at_1=float(fp1),
+        sweeps=int(sweeps),
+        bisections=int(bisections),
+    )
 
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Consecutive eigenpairs of one channel on a shared grid."""
+    """Levels ``0 .. L-1`` of one channel on a shared grid, one row each."""
 
     channel: Channel
     model: PotentialModel
     grid: RadialGrid
-    eigenpairs: tuple[EigenPair, ...]
+    eigenvalues: np.ndarray
+    samples: np.ndarray
+    sweeps: tuple[int, ...]
+    bisections: tuple[int, ...]
     tolerances: dict
 
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([p.lam for p in self.eigenpairs])
+    def __post_init__(self):
+        count = len(self.eigenvalues)
+        shape = (count, self.grid.n_points)
+        if self.samples.shape != shape or not len(self.sweeps) == len(self.bisections) == count:
+            raise ValueError(f"table arrays do not hold {count} levels on the grid")
 
     def pair(self, level: int) -> EigenPair:
-        p = self.eigenpairs[level]
-        if p.level != level:
-            raise ValueError("table levels are not consecutive")
-        return p
+        if not 0 <= level < len(self.eigenvalues):
+            raise IndexError(f"level {level} outside 0..{len(self.eigenvalues) - 1}")
+        return _eigenpair(
+            self.grid, level, self.eigenvalues[level], self.samples[level],
+            self.sweeps[level], self.bisections[level],
+        )
+
+    @cached_property
+    def eigenpairs(self) -> tuple[EigenPair, ...]:
+        """Every level as an eigenpair; the samples are views of the rows."""
+        return tuple(self.pair(level) for level in range(len(self.eigenvalues)))
+
+    def truncated(self, count: int) -> "SpectrumTable":
+        """The table of the first ``count`` levels."""
+        return dataclasses.replace(
+            self,
+            eigenvalues=self.eigenvalues[:count],
+            samples=self.samples[:count],
+            sweeps=self.sweeps[:count],
+            bisections=self.bisections[:count],
+        )
 
 
 def _action_guess(channel: Channel, model: PotentialModel, level: int):
@@ -516,12 +550,7 @@ def solve_level(
     if grid is None:
         grid = _default_grid(channel, model, level, points_per_wavelength, decay_margin)
     guess, step = _action_guess(channel, model, level)
-    pair = _Shooter(channel, model, grid).solve(level, guess, step, rel_tol)
-    if pair.node_count != level:
-        raise ConsistencyError(
-            f"converged eigenfunction has {pair.node_count} nodes, wanted {level}"
-        )
-    return pair
+    return _Shooter(channel, model, grid).solve(level, guess, step, rel_tol)
 
 
 def solve_spectrum(
@@ -544,8 +573,8 @@ def solve_spectrum(
     if grid is None:
         grid = _default_grid(channel, model, l_max, points_per_wavelength, decay_margin)
     shooter = _Shooter(channel, model, grid)
-    pairs = []
-    lams = []
+    samples = np.empty((l_max + 1, grid.n_points))
+    lams, sweeps, bisections = [], [], []
     for level in range(l_max + 1):
         if level < 3:
             guess, step = _action_guess(channel, model, level)
@@ -553,19 +582,20 @@ def solve_spectrum(
             guess = 3.0 * (lams[-1] - lams[-2]) + lams[-3]
             step = BRACKET_STEP * (guess - lams[-1])
         pair = shooter.solve(level, guess, step, rel_tol)
-        if pair.node_count != level:
-            raise ConsistencyError(
-                f"level {level}: converged node count {pair.node_count}"
-            )
         if lams and pair.lam <= lams[-1]:
             raise ConsistencyError(f"level {level}: eigenvalues not increasing")
+        samples[level] = pair.samples
         lams.append(pair.lam)
-        pairs.append(pair)
+        sweeps.append(pair.sweeps)
+        bisections.append(pair.bisections)
     return SpectrumTable(
         channel=channel,
         model=model,
         grid=grid,
-        eigenpairs=tuple(pairs),
+        eigenvalues=np.array(lams),
+        samples=samples,
+        sweeps=tuple(sweeps),
+        bisections=tuple(bisections),
         tolerances={
             "rel_tol": rel_tol,
             "points_per_wavelength": points_per_wavelength,
@@ -609,8 +639,7 @@ def save_spectrum(table: SpectrumTable, path) -> Path:
     """Persist a table as JSON metadata plus a binary sample sidecar."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
-    samples = np.stack([p.samples for p in table.eigenpairs])
-    np.save(sidecar, samples)
+    np.save(sidecar, table.samples)
     doc = {
         "format_version": SPECTRUM_FORMAT_VERSION,
         "model": table.model.spec_string,
@@ -626,22 +655,11 @@ def save_spectrum(table: SpectrumTable, path) -> Path:
         },
         "tolerances": table.tolerances,
         "samples_file": sidecar.name,
-        "levels": [
-            {
-                "l": p.level,
-                "lambda": p.lam,
-                "nodes": p.node_count,
-                "f_at_1": p.f_at_1,
-                "fprime_at_1": p.fprime_at_1,
-                "norm_check": p.norm_check,
-                **(
-                    {"sweeps": p.sweeps, "bisections": p.bisections}
-                    if p.sweeps is not None
-                    else {}
-                ),
-            }
-            for p in table.eigenpairs
-        ],
+        "levels": {
+            "lambda": table.eigenvalues.tolist(),
+            "sweeps": list(table.sweeps),
+            "bisections": list(table.bisections),
+        },
     }
     path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="ascii")
     return path
@@ -662,26 +680,15 @@ def load_spectrum(path) -> SpectrumTable:
     channel = Channel(doc["d"], doc["n"])
     g = doc["grid"]
     grid = RadialGrid(g["r_min"], g["r_max"], g["h"], g["n_points"])
-    samples = np.load(path.parent / doc["samples_file"])
-    pairs = tuple(
-        EigenPair(
-            level=rec["l"],
-            lam=rec["lambda"],
-            samples=samples[i],
-            node_count=rec["nodes"],
-            f_at_1=rec["f_at_1"],
-            fprime_at_1=rec["fprime_at_1"],
-            norm_check=rec["norm_check"],
-            sweeps=rec.get("sweeps"),
-            bisections=rec.get("bisections"),
-        )
-        for i, rec in enumerate(doc["levels"])
-    )
+    levels = doc["levels"]
     return SpectrumTable(
         channel=channel,
         model=model,
         grid=grid,
-        eigenpairs=pairs,
+        eigenvalues=np.array(levels["lambda"], dtype=float),
+        samples=np.load(path.parent / doc["samples_file"]),
+        sweeps=tuple(levels["sweeps"]),
+        bisections=tuple(levels["bisections"]),
         tolerances=doc["tolerances"],
     )
 

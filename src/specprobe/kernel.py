@@ -34,40 +34,32 @@ def sphere_dim(d: int, n: int) -> int:
     return math.comb(d + n - 1, d - 1) - math.comb(d + n - 3, d - 1)
 
 
-def _check_level(table, level_cap: int) -> int:
-    if not (0 <= level_cap < len(table.eigenpairs)):
+def _levels(table, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and sample rows of levels ``0 .. level_cap``."""
+    count = len(table.eigenvalues)
+    if not (0 <= level_cap < count):
         raise ValueError(
-            f"truncation level {level_cap} outside the solved range "
-            f"0..{len(table.eigenpairs) - 1}"
+            f"truncation level {level_cap} outside the solved range 0..{count - 1}"
         )
-    return level_cap
+    return table.eigenvalues[: level_cap + 1], table.samples[: level_cap + 1]
 
 
 def channel_kernel(table, t: float, r: float, s: float, level_cap: int) -> complex:
     """Truncated kernel value at one (t, r, s); ``r`` and ``s`` grid radii."""
-    _check_level(table, level_cap)
-    i = table.grid.index_of(r)
-    j = table.grid.index_of(s)
-    total = 0.0 + 0.0j
-    for pair in table.eigenpairs[: level_cap + 1]:
-        total += np.exp(-1j * pair.lam * t) * pair.samples[i] * pair.samples[j]
-    return complex(total)
+    return complex(kernel_matrix(table, t, [r, s], level_cap)[0, 1])
 
 
 def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> np.ndarray:
     """Kernel matrix over a set of grid radii at one time."""
-    _check_level(table, level_cap)
-    idx = [table.grid.index_of(r) for r in radii]
-    f = np.stack([pair.samples[idx] for pair in table.eigenpairs[: level_cap + 1]])
-    lams = np.array([pair.lam for pair in table.eigenpairs[: level_cap + 1]])
+    lams, f = _levels(table, level_cap)
+    f = f[:, [table.grid.index_of(r) for r in radii]]
     phases = np.exp(-1j * lams * t)
     return (f.T * phases) @ f
 
 
 def gram_matrix(table, level_cap: int) -> np.ndarray:
     """Simpson-weighted Gram matrix of the first ``level_cap + 1`` levels."""
-    _check_level(table, level_cap)
-    f = np.stack([pair.samples for pair in table.eigenpairs[: level_cap + 1]])
+    _, f = _levels(table, level_cap)
     return (f * table.grid.simpson_weights) @ f.T
 
 
@@ -90,12 +82,10 @@ def export_kernel_grid(
 
     if len(ts) == 0 or len(rs) == 0 or len(ss) == 0:
         raise ValueError("kernel export needs nonempty t, r, s grids")
-    _check_level(table, level_cap)
+    lams, f = _levels(table, level_cap)
     d = table.channel.d
     idx_r = [table.grid.index_of(r) for r in rs]
     idx_s = [table.grid.index_of(s) for s in ss]
-    f = np.stack([pair.samples for pair in table.eigenpairs[: level_cap + 1]])
-    lams = np.array([pair.lam for pair in table.eigenpairs[: level_cap + 1]])
 
     header = ["t", "r", "s", "reK", "imK", "weighted_reK", "weighted_imK"]
     rows = []

@@ -66,10 +66,6 @@ class WindowSpec:
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
 
-    @property
-    def hat_at_zero(self) -> float:
-        return 1.0
-
 
 def window_hat(spec: WindowSpec, mu) -> float:
     """Window transform at offset ``mu``; even and rapidly decaying."""
@@ -106,12 +102,25 @@ def make_bump(center: float, halfwidth: float, grid) -> TestFunction:
     )
 
 
-def overlap(tf: TestFunction, phase: float, pair, grid) -> complex:
-    """Modulated pairing ``int exp(i r phase) tf(r) f(r) dr`` by Simpson."""
-    if tf.samples.shape != pair.samples.shape:
+def overlap(tf: TestFunction, phase: float, pair, grid):
+    """Modulated pairing ``int exp(i r phase) tf(r) f(r) dr`` by Simpson.
+
+    ``pair`` is anything with ``samples`` of shape ``(..., N)``: one
+    eigenpair, giving a complex number, or a whole table, giving one
+    pairing per level.  Only the support of ``tf`` is summed, and a row of
+    a table sums in the same order as the eigenpair of that row.
+    """
+    if tf.samples.shape[-1:] != pair.samples.shape[-1:]:
         raise ValueError("test function and eigenpair live on different grids")
-    integrand = tf.samples * pair.samples * np.exp(1j * phase * grid.r)
-    return complex(grid.simpson_weights @ integrand)
+    inside = np.flatnonzero(tf.samples)
+    support = slice(inside[0], inside[-1] + 1)
+    weights = (
+        grid.simpson_weights[support]
+        * tf.samples[support]
+        * np.exp(1j * phase * grid.r[support])
+    )
+    out = np.sum(pair.samples[..., support] * weights, axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def predicted_overlap(c_lambda: complex, lam: float, mass: float) -> complex:
@@ -157,17 +166,14 @@ def probe_G(
             f"last window weight {tail:.3e}",
             tail_bound=float(tail),
         )
-    total = 0.0 + 0.0j
-    for pair in table.eigenpairs:
-        weight = window_hat(window, pair.lam - tau)
-        if weight == 0.0:
-            continue
-        total += (
-            weight
-            * overlap(phi, j, pair, table.grid)
-            * overlap(psi, -k, pair, table.grid)
-        )
-    return total
+    a = window_hat(window, lams - tau) * overlap(phi, j, table, table.grid)
+    b = overlap(psi, -k, table, table.grid)
+    # the product written out in real arithmetic, as Python's complex
+    # product does it: numpy's complex multiply may fuse the operations, and
+    # the resonant term must equal the product of its overlaps to the bit
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    return complex(np.sum(re), np.sum(im))
 
 
 def isolation_check(table, level: int, window: WindowSpec) -> float:
@@ -207,7 +213,7 @@ def probe_sequence(
     and the smallest rescaled magnitude ``|G| (1 + tau + j + k)^(1/2c)``.
     """
     lo, hi = l_range
-    if not (0 <= lo < hi < len(table.eigenpairs)):
+    if not (0 <= lo < hi < len(table.eigenvalues)):
         raise ValueError("l_range outside the solved spectrum")
     if hi - lo + 1 < 10:
         raise ValueError("need at least ten probe points")

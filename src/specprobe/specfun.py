@@ -274,9 +274,6 @@ class PowerLawFit:
     value_window: tuple[float, float]
     n_points: int
 
-    def evaluate(self, x):
-        return np.exp(self.log_intercept) * np.asarray(x, dtype=float) ** self.exponent
-
 
 def fit_power_law(
     points: Sequence[tuple[float, float]],

@@ -4,8 +4,9 @@ Turning points, action integrals, quantization residuals, boundary
 amplitudes, profile residuals, and the scaling fits that certify how they
 grow with the spectral parameter.  Phase and turning-point coordinate come
 from one cumulative integral of ``sqrt|lam - U|`` over sorted radii
-(``_zeta``).  Eigenpairs are read only through ``lam``, ``level``,
-``samples``, ``f_at_1``, ``fprime_at_1``, so this module needs no solver.
+(``_zeta``).  Tables are read only through ``eigenvalues`` and
+``eigenpairs``, and eigenpairs through ``lam``, ``level``, ``samples``,
+``f_at_1``, ``fprime_at_1``, so this module needs no solver.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ __all__ = [
 ]
 
 
+_END_NOISE = 16.0 * float(np.finfo(float).eps)  # per unit of lam / |lam - U|
+
+
 class TurningPoints(NamedTuple):
     T: float  # outer root of gamma/r^2 + V = lam
     X: float  # root of V = lam
@@ -79,6 +83,15 @@ def _bisect_increasing(func, lo: float, hi: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _root_above(func, lo: float) -> float:
+    # root of an increasing func above lo: bracket it by doubling from
+    # max(2 lo, 1) until func turns positive, then bisect
+    hi = max(2.0 * lo, 1.0)
+    while func(hi) <= 0.0:
+        hi *= 2.0
+    return _bisect_increasing(func, lo, hi)
 
 
 def _potential_min_radius(channel: Channel, model: PotentialModel) -> float:
@@ -111,18 +124,9 @@ def turning_points(channel: Channel, model: PotentialModel, lam: float) -> Turni
         raise ValueError(
             f"lam={lam} does not exceed the potential minimum; no turning point"
         )
-    lo = max(r_c, 1e-12)
-    hi = max(2.0 * lo, 1.0)
     u = lambda r: effective_potential(channel, model, r) - lam
-    while u(hi) <= 0.0:
-        hi *= 2.0
-    big_t = _bisect_increasing(u, lo, hi)
-
-    v = lambda r: eval_potential(model, r) - lam
-    hi = 1.0
-    while v(hi) <= 0.0:
-        hi *= 2.0
-    big_x = _bisect_increasing(v, 1e-300, hi)
+    big_t = _root_above(u, max(r_c, 1e-12))
+    big_x = _root_above(lambda r: eval_potential(model, r) - lam, 1e-300)
     return TurningPoints(T=big_t, X=big_x)
 
 
@@ -130,11 +134,7 @@ def action_integral(model: PotentialModel, lam: float) -> float:
     """Semiclassical action ``(1/pi) * int_0^X sqrt(lam - V)`` of the bare potential."""
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
-    v = lambda r: eval_potential(model, r) - lam
-    hi = 1.0
-    while v(hi) <= 0.0:
-        hi *= 2.0
-    big_x = _bisect_increasing(v, 1e-300, hi)
+    big_x = _root_above(lambda r: eval_potential(model, r) - lam, 1e-300)
     integrand = lambda r: np.sqrt(np.maximum(lam - eval_potential(model, r), 0.0))
     return integrate_sqrt_singular(integrand, 0.0, big_x, "right", rel_tol=1e-11) / math.pi
 
@@ -247,8 +247,13 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
     # integral of sqrt|lam - U| over the sorted distinct radii on each side
     # of T: Gauss-Legendre panels between neighbours, and the square-root
     # substitution on the one segment that reaches T.  Radii within 1e-12
-    # relative of T get 0.
+    # relative of T get 0.  lam - U carries rounding noise of about eps lam,
+    # about 1.5 eps lam / |lam - U(r)| of the segment from r to T, so that
+    # segment converges to the larger of 1e-11 and a multiple of its noise
+    # (at most 1, where |lam - U(r)| itself is rounding noise).
     kernel = lambda r: np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
+    noise = _END_NOISE * lam
+    end_tol = lambda r: max(1e-11, noise / (float(kernel(r)) ** 2 + noise))
     off_t = np.abs(rs - big_t) > 1e-12 * np.maximum(rs, big_t)
     out = np.zeros(rs.shape)
     for side in (-1.0, 1.0):
@@ -258,10 +263,10 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
         pts, where = np.unique(rs[mask], return_inverse=True)
         segs = _gl_segments(kernel, pts)
         if side < 0.0:
-            end = integrate_sqrt_singular(kernel, pts[-1], big_t, "right", rel_tol=1e-11)
+            end = integrate_sqrt_singular(kernel, pts[-1], big_t, "right", end_tol(pts[-1]))
             dist = end + np.append(np.cumsum(segs[::-1])[::-1], 0.0)
         else:
-            end = integrate_sqrt_singular(kernel, big_t, pts[0], "left", rel_tol=1e-11)
+            end = integrate_sqrt_singular(kernel, big_t, pts[0], "left", end_tol(pts[0]))
             dist = end + np.append(0.0, np.cumsum(segs))
         out[mask] = side * dist[where]
     return out
@@ -284,11 +289,7 @@ def allowed_interval(
             f"allowed region empty at lam={lam}: potential floor above lam/2", lam=lam
         )
     u = lambda r: effective_potential(channel, model, r) - half
-    lo = max(r_c, 1e-12)
-    hi = max(2.0 * lo, 1.0)
-    while u(hi) <= 0.0:
-        hi *= 2.0
-    b = _bisect_increasing(u, lo, hi)
+    b = _root_above(u, max(r_c, 1e-12))
     if channel.gamma == 0.0:
         a_barrier = 0.0
     else:
@@ -499,7 +500,7 @@ def appendix_error_integral(
 
 def gap_scaling(table, window: tuple[int, int] | None = None) -> PowerLawFit:
     """Power-law fit of consecutive eigenvalue gaps against the eigenvalue."""
-    lams = np.array([p.lam for p in table.eigenpairs])
+    lams = table.eigenvalues
     if lams.size < 6:
         raise ValueError("need at least six levels to fit gap growth")
     gaps = np.diff(lams)

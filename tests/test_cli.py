@@ -196,8 +196,9 @@ class TestCaching:
         base = ["--lmax", "5", "--out", str(tmp_path)]
         assert main(["spectrum"] + base) == 0
         cache = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
-        sweeps = [rec["sweeps"] for rec in cache["levels"]]
-        bisections = [rec["bisections"] for rec in cache["levels"]]
+        sweeps = cache["levels"]["sweeps"]
+        bisections = cache["levels"]["bisections"]
+        assert len(sweeps) == len(bisections) == len(cache["levels"]["lambda"]) == 6
         entry = json.loads((tmp_path / "run.json").read_text())["results"]["spectrum"][
             "channels"]["d3_n0"]
         assert entry["sweeps_max"] == max(sweeps)
@@ -205,16 +206,30 @@ class TestCaching:
         assert entry["bisections_max"] == max(bisections)
         assert entry["bisections_mean"] == pytest.approx(sum(bisections) / 6)
 
-        # a cache written before the counters existed still loads
-        for rec in cache["levels"]:
-            del rec["sweeps"], rec["bisections"]
-        (tmp_path / "spectrum_d3_n0.json").write_text(json.dumps(cache))
-        stamp = (tmp_path / "spectrum_d3_n0.npy").stat().st_mtime_ns
+    def test_version_1_cache_is_solved_again(self, tmp_path):
+        base = ["--lmax", "5", "--out", str(tmp_path)]
         assert main(["spectrum"] + base) == 0
-        assert (tmp_path / "spectrum_d3_n0.npy").stat().st_mtime_ns == stamp
-        entry = json.loads((tmp_path / "run.json").read_text())["results"]["spectrum"][
-            "channels"]["d3_n0"]
-        assert entry["sweeps_max"] is None and entry["bisections_mean"] is None
+        csv_before = (tmp_path / "spectrum.csv").read_bytes()
+        json_path = tmp_path / "spectrum_d3_n0.json"
+        cache = json.loads(json_path.read_text())
+        # the version-1 layout: one record per level with the derived fields
+        rows = [line.split(",") for line in csv_before.decode().splitlines()[1:]]
+        cache["format_version"] = 1
+        cache["levels"] = [
+            {"l": int(row[1]), "lambda": float(row[2]), "nodes": int(row[3]),
+             "f_at_1": float(row[4]), "fprime_at_1": float(row[5]), "norm_check": 1.0,
+             "sweeps": 5, "bisections": 0}
+            for row in rows
+        ]
+        json_path.write_text(json.dumps(cache))
+        npy = tmp_path / "spectrum_d3_n0.npy"
+        stamp = npy.stat().st_mtime_ns
+        assert main(["spectrum"] + base) == 0
+        assert npy.stat().st_mtime_ns != stamp
+        rewritten = json.loads(json_path.read_text())
+        assert rewritten["format_version"] == 2
+        assert len(rewritten["levels"]["lambda"]) == 6
+        assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
 
     def test_cache_rebuilt_on_tolerance_change(self, tmp_path):
         base = ["--d", "3", "--n", "0", "--out", str(tmp_path)]

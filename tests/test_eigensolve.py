@@ -265,9 +265,9 @@ class TestSolveSpectrum:
         assert np.all(np.diff(gaps) > -1e-9)
 
     def test_normalization(self, quartic_table):
-        for pair in quartic_table.eigenpairs:
-            assert abs(pair.norm_check - 1.0) <= 1e-8
-            assert pair.samples.dtype == np.float64
+        assert quartic_table.samples.dtype == np.float64
+        norms = quartic_table.samples**2 @ quartic_table.grid.simpson_weights
+        assert np.all(np.abs(norms - 1.0) <= 1e-8)
 
     def test_single_level(self):
         table = es.solve_spectrum(CH30, QUARTIC, 0)
@@ -329,6 +329,12 @@ class TestPersistence:
         assert loaded.model.spec_string == quartic_table.model.spec_string
         assert loaded.grid == quartic_table.grid
         assert loaded.tolerances == quartic_table.tolerances
+        for field in ("eigenvalues", "samples"):
+            a, b = getattr(loaded, field), getattr(quartic_table, field)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert loaded.sweeps == quartic_table.sweeps
+        assert loaded.bisections == quartic_table.bisections
         for a, b in zip(loaded.eigenpairs, quartic_table.eigenpairs):
             assert a.lam == b.lam
             assert a.f_at_1 == b.f_at_1

@@ -1,7 +1,6 @@
 """Truncated kernel tests: sphere harmonic counts, Hermitian symmetry,
 positivity at t=0, the Parseval sum, and the export grid."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -55,9 +54,7 @@ class TestChannelKernel:
         assert k_rs == pytest.approx(k_sr, rel=1e-12)
 
     def test_single_level_modulus_static(self, quartic_n0):
-        truncated = dataclasses.replace(
-            quartic_n0, eigenpairs=quartic_n0.eigenpairs[:1]
-        )
+        truncated = quartic_n0.truncated(1)
         vals = [abs(ke.channel_kernel(truncated, t, 1.0, 1.0, 0)) for t in (0.0, 0.7, 2.3)]
         assert vals[1] == pytest.approx(vals[0], rel=1e-13)
         assert vals[2] == pytest.approx(vals[0], rel=1e-13)

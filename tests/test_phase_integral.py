@@ -53,6 +53,26 @@ def reference_zeta(channel, model, lam, big_t, rs):
     return out
 
 
+@pytest.mark.parametrize(
+    "offset", [-1e-8, -1e-9, 1e-9, -1e-10, 1e-10, -1e-11, 1e-11, 1e-12]
+)
+def test_zeta_next_to_the_turning_point(offset):
+    # lam - U carries rounding noise of about eps lam, far above 1e-11 of the
+    # segment from these radii to T; asked for 1e-11 it raised
+    # QuadratureError.  The leading term is taken about the exact root
+    # lam^(1/4) of r^4 = lam: the bisected T lies about one ulp above it,
+    # which is 1.3e-4 of |r - T| at the offset 1e-12.
+    channel, model, lam = CASES["quartic 3:0"]
+    big_t = wkb.turning_points(channel, model, lam).T
+    root = lam**0.25
+    r = big_t * (1.0 + offset)
+    zeta = wkb.phase_and_zeta(channel, model, lam, r).zeta
+    slope = effective_potential(channel, model, root, 1)
+    lead = (2.0 / 3.0) * math.sqrt(slope) * abs(r - root) ** 1.5
+    assert math.copysign(1.0, zeta) == math.copysign(1.0, offset)
+    assert abs(abs(zeta) - lead) <= 1e-4 * lead
+
+
 def random_radii(channel, model, lam, big_t, seed):
     """Radii on both sides of T, allowed below it, with repeats and near-T points."""
     rng = np.random.default_rng(seed)

@@ -127,9 +127,7 @@ class TestProbeG:
         phi = pr.make_bump(1.0, 0.2, grid)
         psi = pr.make_bump(1.5, 0.2, grid)
         win = pr.WindowSpec(1.0)
-        truncated = dataclasses.replace(
-            quartic_n0, eigenpairs=quartic_n0.eigenpairs[:1]
-        )
+        truncated = quartic_n0.truncated(1)
         lam0 = truncated.pair(0).lam
         # offset 6: tail passes the 1e-14 guard yet the weight stays nonzero
         g = pr.probe_G(truncated, lam0 + 6.0, 0.0, 0.0, win, phi, psi)
@@ -141,6 +139,33 @@ class TestProbeG:
         )
         assert expect != 0.0
         assert g == pytest.approx(expect, rel=1e-13)
+
+    def test_matches_per_level_overlap_sum(self, quartic_n0):
+        # the loop over levels that probe_G replaced, with the overlap over
+        # the whole grid, kept as the reference
+        grid = quartic_n0.grid
+        phi = pr.make_bump(1.0, 0.2, grid)
+        psi = pr.make_bump(1.5, 0.2, grid)
+
+        def reference_overlap(tf, phase, pair):
+            integrand = tf.samples * pair.samples * np.exp(1j * phase * grid.r)
+            return complex(grid.simpson_weights @ integrand)
+
+        for sigma in (1.0, 0.2):
+            win = pr.WindowSpec(sigma)
+            for level in (20, 33, 41):
+                lam = quartic_n0.pair(level).lam
+                root = math.sqrt(lam)
+                for tau, j, k in ((lam, root, root), (lam + 2.5, 3.0, 1.0)):
+                    ref = 0.0 + 0.0j
+                    for pair in quartic_n0.eigenpairs:
+                        ref += (
+                            pr.window_hat(win, pair.lam - tau)
+                            * reference_overlap(phi, j, pair)
+                            * reference_overlap(psi, -k, pair)
+                        )
+                    g = pr.probe_G(quartic_n0, tau, j, k, win, phi, psi)
+                    assert abs(g - ref) <= 1e-13 * abs(ref)
 
     def test_real_for_symmetric_arguments(self, quartic_n0):
         grid = quartic_n0.grid
@@ -191,9 +216,7 @@ class TestProbeG:
         phi = pr.make_bump(1.0, 0.2, grid)
         psi = pr.make_bump(1.5, 0.2, grid)
         win = pr.WindowSpec(1.0)
-        shorter = dataclasses.replace(
-            quartic_n0, eigenpairs=quartic_n0.eigenpairs[:41]
-        )
+        shorter = quartic_n0.truncated(41)
         lam = quartic_n0.pair(25).lam
         root = math.sqrt(lam)
         g_full = pr.probe_G(quartic_n0, lam, root, root, win, phi, psi)

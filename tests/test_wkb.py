@@ -261,13 +261,12 @@ class TestAmplitude:
 class TestGapScaling:
     def test_recovers_power_law_gaps(self):
         lams = [(l + 0.75) ** (4.0 / 3.0) * 3.0 for l in range(80)]
-        pairs = tuple(fake_pair(lam, l) for l, lam in enumerate(lams))
-        table = types.SimpleNamespace(eigenpairs=pairs)
+        table = types.SimpleNamespace(eigenvalues=np.array(lams))
         fit = wkb.gap_scaling(table, window=(40, 79))
         assert fit.exponent == pytest.approx(0.25, abs=0.01)
 
     def test_needs_enough_levels(self):
-        table = types.SimpleNamespace(eigenpairs=(fake_pair(3.0, 0), fake_pair(7.0, 1)))
+        table = types.SimpleNamespace(eigenvalues=np.array([3.0, 7.0]))
         with pytest.raises(ValueError):
             wkb.gap_scaling(table)
 
