@@ -8,10 +8,14 @@ truncated propagator, and ``report`` renders the exponent certification
 table.  Exit codes: 0 success, 1 validation failure, 2 numerical failure,
 3 I/O failure.
 
-Configuration comes from built-in defaults, then an optional flat
-``key = value`` file with ``[section]`` headers, then command line flags,
-in increasing priority.  The default output directory can also be set via
-the ``SPECPROBE_OUT`` environment variable.
+Every run setting is one row of ``_KEYS``: its config-file key, flag,
+default, help text and checked parser.  The rows build the command line
+flags, the accepted config-file keys, the checks of ``resolve_config``,
+the ``RunConfig`` fields and the ``config`` section of ``run.json``.
+Values come from the defaults, then an optional flat ``key = value`` file
+(``[section]`` headers optional and ignored; an unknown key is an error),
+then the flags, in increasing priority.  The default output directory can
+also be set via the ``SPECPROBE_OUT`` environment variable.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -59,56 +64,6 @@ from .wkb import (
 
 __all__ = ["RunConfig", "resolve_config", "main"]
 
-_DEFAULTS: dict[str, str] = {
-    "model": "1*r^4",
-    "threshold_radius": "1.0",
-    "allow_harmonic": "false",
-    "channels": "",
-    "d": "3",
-    "n": "0",
-    "lmax": "60",
-    "rel_tol": repr(DEFAULT_REL_TOL),
-    "points_per_wavelength": repr(DEFAULT_POINTS_PER_WAVELENGTH),
-    "decay_margin": repr(DEFAULT_DECAY_MARGIN),
-    "sigma": "1.0",
-    "phi": "1.0:0.2",
-    "psi": "1.5:0.2",
-    "lrange": "20:50",
-    "fit_top": "30",
-    "appendix_base": "400",
-    "appendix_doublings": "6",
-    "kernel_t": "0:1:0.25",
-    "kernel_r": "0.6:1.4:0.2",
-    "kernel_s": "0.6:1.4:0.2",
-    "kernel_levels": "20",
-    "out": "",
-}
-
-# argparse destination -> config key
-_FLAG_KEYS = {
-    "model": "model",
-    "threshold_radius": "threshold_radius",
-    "channels": "channels",
-    "d": "d",
-    "n": "n",
-    "lmax": "lmax",
-    "rel_tol": "rel_tol",
-    "ppw": "points_per_wavelength",
-    "decay_margin": "decay_margin",
-    "sigma": "sigma",
-    "phi": "phi",
-    "psi": "psi",
-    "lrange": "lrange",
-    "fit_top": "fit_top",
-    "appendix_base": "appendix_base",
-    "appendix_doublings": "appendix_doublings",
-    "t": "kernel_t",
-    "r": "kernel_r",
-    "s": "kernel_s",
-    "levels": "kernel_levels",
-    "out": "out",
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -136,12 +91,10 @@ class RunConfig:
 
 
 def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse boolean value {text!r}")
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if state is None:
+        raise ValueError(f"cannot parse boolean value {text!r}")
+    return state
 
 
 def _parse_model(text: str, threshold_radius: float, allow_harmonic: bool) -> PotentialModel:
@@ -160,127 +113,137 @@ def _parse_model(text: str, threshold_radius: float, allow_harmonic: bool) -> Po
     )
 
 
-def _parse_float_pair(text: str, name: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must look like center:halfwidth, got {text!r}")
-    return float(parts[0]), float(parts[1])
+def _number(kind: type, least: float, above: bool = False) -> Callable[[str], float]:
+    """Parser of a finite ``kind`` that is at least ``least`` (above it, if ``above``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > least if above else value >= least)):
+            raise ValueError(f"must be finite and {'above' if above else 'at least'} {least:g}")
+        return value
+
+    return parse
 
 
-def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"{name} must look like lo:hi, got {text!r}")
-    return int(parts[0]), int(parts[1])
+def _pair(kind: type, shape: str) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise ValueError(f"must look like {shape}, got {text!r}")
+        return kind(parts[0]), kind(parts[1])
+
+    return parse
 
 
-def _parse_grid_values(text: str, name: str) -> tuple[float, ...]:
+def _level_range(text: str) -> tuple[int, int]:
+    lo, hi = _pair(int, "lo:hi")(text)
+    if not (0 <= lo < hi):
+        raise ValueError(f"{(lo, hi)} must satisfy 0 <= lo < hi")
+    return lo, hi
+
+
+def _grid_values(text: str) -> tuple[float, ...]:
     """Either ``a:b:step`` (inclusive of b up to rounding) or ``v1,v2,...``."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ValueError(f"{name} must look like start:stop:step, got {text!r}")
+            raise ValueError(f"must look like start:stop:step, got {text!r}")
         a, b, step = (float(p) for p in parts)
         if step <= 0.0 or b < a:
-            raise ValueError(f"{name}: need stop >= start and step > 0")
+            raise ValueError("need stop >= start and step > 0")
         count = int(math.floor((b - a) / step + 1e-9)) + 1
         return tuple(a + i * step for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
 
-def _parse_channels(values: dict[str, str]) -> tuple[tuple[int, int], ...]:
-    raw = values.get("channels", "").strip()
-    pairs = []
-    if raw:
-        for part in raw.split(","):
-            bits = part.split(":")
-            if len(bits) != 2:
-                raise ValueError(f"channel must look like d:n, got {part!r}")
-            pairs.append((int(bits[0]), int(bits[1])))
-    else:
-        d = int(values["d"])
-        pairs = [(d, int(n)) for n in values["n"].split(",")]
-    seen = []
-    for pair in pairs:
-        Channel(*pair)
-        if pair not in seen:
-            seen.append(pair)
-    if not seen:
-        raise ValueError("need at least one channel")
-    return tuple(seen)
+def _channel_list(text: str) -> list[tuple[int, int]]:
+    """``d:n,d:n,...``; an empty list leaves the channels to ``d`` and ``n``."""
+    return [_pair(int, "d:n")(part) for part in text.split(",")] if text.strip() else []
+
+
+@dataclass
+class _Key:
+    """One run setting, declared once."""
+
+    key: str  # config-file key
+    flag: str  # command line flag
+    default: str  # as config-file text
+    parse: Callable[[str], object]  # text -> checked value
+    help: str | None = None
+    # RunConfig field and run.json name: the key's own unless given;
+    # None for the keys resolve_config folds into model and channels
+    field: str | None = ""
+    solver: bool = False  # passed to solve_spectrum and matched against a cache
+    switch: bool = False  # the flag takes no value and means "true"
+
+    def __post_init__(self):
+        if self.field == "":
+            self.field = self.key
+
+
+# in the order of the flags in --help
+_KEYS = (
+    _Key("model", "--model", "1*r^4", str, 'potential, e.g. "1*r^4+0.5*r^6"'),
+    _Key("threshold_radius", "--threshold-radius", "1.0", float, field=None),
+    _Key("channels", "--channels", "", _channel_list, "comma list of d:n pairs, e.g. 3:0,3:1"),
+    _Key("d", "--d", "3", int, "space dimension (with --n)", field=None),
+    _Key("n", "--n", "0", lambda text: [int(n) for n in text.split(",")],
+         "comma list of sector indices", field=None),
+    _Key("lmax", "--lmax", "60", _number(int, 0), "highest level to solve", field="l_max"),
+    _Key("rel_tol", "--rel-tol", repr(DEFAULT_REL_TOL), _number(float, MIN_REL_TOL),
+         solver=True),
+    _Key("points_per_wavelength", "--ppw", repr(DEFAULT_POINTS_PER_WAVELENGTH),
+         _number(float, MIN_POINTS_PER_WAVELENGTH), "grid points per wavelength", solver=True),
+    _Key("decay_margin", "--decay-margin", repr(DEFAULT_DECAY_MARGIN),
+         _number(float, MIN_DECAY_MARGIN), solver=True),
+    _Key("sigma", "--sigma", "1.0", float, "spectral window scale"),
+    _Key("phi", "--phi", "1.0:0.2", _pair(float, "center:halfwidth"),
+         "first bump as center:halfwidth"),
+    _Key("psi", "--psi", "1.5:0.2", _pair(float, "center:halfwidth"),
+         "second bump as center:halfwidth"),
+    _Key("lrange", "--lrange", "20:50", _level_range, "probe and fit window as lo:hi levels",
+         field="l_range"),
+    _Key("fit_top", "--fit-top", "30", _number(int, 6), "gaps used in the gap fit"),
+    _Key("appendix_base", "--appendix-base", "400", _number(float, 0.0, above=True)),
+    # five rungs at least, to fit a slope
+    _Key("appendix_doublings", "--appendix-doublings", "6", _number(int, 5)),
+    _Key("kernel_t", "--t", "0:1:0.25", _grid_values,
+         "kernel times, start:stop:step or comma list"),
+    _Key("kernel_r", "--r", "0.6:1.4:0.2", _grid_values,
+         "kernel radii, start:stop:step or comma list"),
+    _Key("kernel_s", "--s", "0.6:1.4:0.2", _grid_values,
+         "kernel radii, start:stop:step or comma list"),
+    _Key("kernel_levels", "--levels", "20", _number(int, 0), "kernel truncation level"),
+    _Key("out", "--out", "", lambda text: Path(
+        text or os.environ.get("SPECPROBE_OUT") or "specprobe-out"),
+        "output directory (or SPECPROBE_OUT)", field="out_dir"),
+    _Key("allow_harmonic", "--allow-harmonic", "false", _parse_bool,
+         "permit the quadratic reference model", switch=True),
+)
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = dict(_DEFAULTS)
+    text = {row.key: row.default for row in _KEYS}
     config_path = getattr(args, "config", None)
     if config_path:
-        values.update(_read_config_file(config_path))
-    for attr, key in _FLAG_KEYS.items():
-        flag = getattr(args, attr, None)
+        text.update(_read_config_file(config_path))
+    for row in _KEYS:
+        flag = getattr(args, row.flag.lstrip("-").replace("-", "_"), None)
         if flag is not None:
-            values[key] = str(flag)
-    if getattr(args, "allow_harmonic", None):
-        values["allow_harmonic"] = "true"
-
-    allow_harmonic = _parse_bool(values["allow_harmonic"])
-    model = _parse_model(
-        values["model"], float(values["threshold_radius"]), allow_harmonic
-    )
-    channels = _parse_channels(values)
-    l_max = int(values["lmax"])
-    if l_max < 0:
-        raise ValueError("lmax must be non-negative")
-    l_range = _parse_int_pair(values["lrange"], "lrange")
-    if not (0 <= l_range[0] < l_range[1]):
-        raise ValueError(f"lrange {l_range} must satisfy 0 <= lo < hi")
-    fit_top = int(values["fit_top"])
-    if fit_top < 6:
-        raise ValueError("fit_top must be at least 6")
-    sigma = float(values["sigma"])
-    phi = _parse_float_pair(values["phi"], "phi")
-    psi = _parse_float_pair(values["psi"], "psi")
-    appendix_doublings = int(values["appendix_doublings"])
-    if appendix_doublings < 5:
-        raise ValueError("appendix_doublings must be at least 5 to fit a slope")
-    appendix_base = float(values["appendix_base"])
-    if appendix_base <= 0.0:
-        raise ValueError("appendix_base must be positive")
-    kernel_levels = int(values["kernel_levels"])
-    if kernel_levels < 0:
-        raise ValueError("kernel levels must be non-negative")
-    solver = {}
-    for key, least in (
-        ("rel_tol", MIN_REL_TOL),
-        ("points_per_wavelength", MIN_POINTS_PER_WAVELENGTH),
-        ("decay_margin", MIN_DECAY_MARGIN),
-    ):
-        solver[key] = float(values[key])
-        if not (math.isfinite(solver[key]) and solver[key] >= least):
-            raise ValueError(f"{key} must be finite and at least {least:g}")
-
-    out = values["out"] or os.environ.get("SPECPROBE_OUT") or "specprobe-out"
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    return RunConfig(
-        model=model,
-        channels=channels,
-        l_max=l_max,
-        **solver,
-        sigma=sigma,
-        phi=phi,
-        psi=psi,
-        l_range=l_range,
-        fit_top=fit_top,
-        appendix_base=appendix_base,
-        appendix_doublings=appendix_doublings,
-        kernel_t=_parse_grid_values(values["kernel_t"], "kernel t grid"),
-        kernel_r=_parse_grid_values(values["kernel_r"], "kernel r grid"),
-        kernel_s=_parse_grid_values(values["kernel_s"], "kernel s grid"),
-        kernel_levels=kernel_levels,
-        out_dir=out_dir,
-        allow_harmonic=allow_harmonic,
-    )
+            text[row.key] = flag
+    got = {}
+    for row in _KEYS:
+        try:
+            got[row.key] = row.parse(text[row.key])
+        except ValueError as exc:
+            raise ValueError(f"{row.key}: {exc}") from None
+    got["model"] = _parse_model(got["model"], got["threshold_radius"], got["allow_harmonic"])
+    pairs = got["channels"] or [(got["d"], n) for n in got["n"]]
+    for pair in pairs:
+        Channel(*pair)
+    got["channels"] = tuple(dict.fromkeys(pairs))
+    got["out"].mkdir(parents=True, exist_ok=True)
+    return RunConfig(**{row.field: got[row.key] for row in _KEYS if row.field})
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -290,37 +253,23 @@ def _read_config_file(path) -> dict[str, str]:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError:
         parser.read_string("[run]\n" + text)
-    out: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            out[key] = value
+    out = {key: value for section in parser.sections() for key, value in parser.items(section)}
+    unknown = sorted(set(out) - {row.key for row in _KEYS})
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
     return out
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": cfg.model.spec_string,
-        "growth_index": cfg.model.growth_index,
-        "threshold_radius": cfg.model.threshold_radius,
-        "allow_harmonic": cfg.allow_harmonic,
-        "channels": [list(pair) for pair in cfg.channels],
-        "l_max": cfg.l_max,
-        "rel_tol": cfg.rel_tol,
-        "points_per_wavelength": cfg.points_per_wavelength,
-        "decay_margin": cfg.decay_margin,
-        "sigma": cfg.sigma,
-        "phi": list(cfg.phi),
-        "psi": list(cfg.psi),
-        "l_range": list(cfg.l_range),
-        "fit_top": cfg.fit_top,
-        "appendix_base": cfg.appendix_base,
-        "appendix_doublings": cfg.appendix_doublings,
-        "kernel_t": list(cfg.kernel_t),
-        "kernel_r": list(cfg.kernel_r),
-        "kernel_s": list(cfg.kernel_s),
-        "kernel_levels": cfg.kernel_levels,
-        "out": str(cfg.out_dir),
-    }
+    # json writes the tuples as lists
+    doc = {row.field: getattr(cfg, row.field) for row in _KEYS if row.field}
+    doc.update(
+        model=cfg.model.spec_string,
+        growth_index=cfg.model.growth_index,
+        threshold_radius=cfg.model.threshold_radius,
+        out=str(doc.pop("out_dir")),
+    )
+    return doc
 
 
 def _meta_dict() -> dict:
@@ -355,11 +304,7 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
 def _load_or_solve(cfg: RunConfig, d: int, n: int) -> SpectrumTable:
     """Reuse a cached table when it matches the config, else solve and cache."""
     path = _cache_path(cfg, d, n)
-    want = {
-        "rel_tol": cfg.rel_tol,
-        "points_per_wavelength": cfg.points_per_wavelength,
-        "decay_margin": cfg.decay_margin,
-    }
+    solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
     if path.exists():
         try:
             table = load_spectrum(path)
@@ -370,17 +315,10 @@ def _load_or_solve(cfg: RunConfig, d: int, n: int) -> SpectrumTable:
             and table.model.spec_string == cfg.model.spec_string
             and table.channel == Channel(d, n)
             and len(table.eigenvalues) >= cfg.l_max + 1
-            and all(table.tolerances.get(k) == v for k, v in want.items())
+            and all(table.tolerances.get(k) == v for k, v in solver.items())
         ):
             return table.truncated(cfg.l_max + 1)
-    table = solve_spectrum(
-        Channel(d, n),
-        cfg.model,
-        cfg.l_max,
-        rel_tol=cfg.rel_tol,
-        points_per_wavelength=cfg.points_per_wavelength,
-        decay_margin=cfg.decay_margin,
-    )
+    table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
     save_spectrum(table, path)
     return table
 
@@ -761,14 +699,15 @@ def cmd_report(cfg: RunConfig) -> int:
     return 0
 
 
+# subcommand -> (function, help), in the order of --help
 _COMMANDS = {
-    "validate": cmd_validate,
-    "spectrum": cmd_spectrum,
-    "wkb": cmd_wkb,
-    "gaps": cmd_gaps,
-    "probe": cmd_probe,
-    "kernel": cmd_kernel,
-    "report": cmd_report,
+    "validate": (cmd_validate, "check the structural assumptions on the potential"),
+    "spectrum": (cmd_spectrum, "solve and cache the discrete spectrum, write spectrum.csv"),
+    "wkb": (cmd_wkb, "semiclassical summaries and scaling fits, write wkb.csv"),
+    "gaps": (cmd_gaps, "fit eigenvalue gap growth"),
+    "probe": (cmd_probe, "resonant probe functional along the spectrum, write probe.csv"),
+    "kernel": (cmd_kernel, "truncated propagator kernel on a grid, write kernel.csv"),
+    "report": (cmd_report, "render report.md from recorded artifacts"),
 }
 
 
@@ -782,33 +721,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value configuration file")
-    common.add_argument("--model", help='potential, e.g. "1*r^4+0.5*r^6"')
-    common.add_argument("--threshold-radius", dest="threshold_radius", type=float)
-    common.add_argument("--channels", help="comma list of d:n pairs, e.g. 3:0,3:1")
-    common.add_argument("--d", type=int, help="space dimension (with --n)")
-    common.add_argument("--n", help="comma list of sector indices")
-    common.add_argument("--lmax", type=int, help="highest level to solve")
-    common.add_argument("--rel-tol", dest="rel_tol", type=float)
-    common.add_argument("--ppw", type=float, help="grid points per wavelength")
-    common.add_argument("--decay-margin", dest="decay_margin", type=float)
-    common.add_argument("--sigma", type=float, help="spectral window scale")
-    common.add_argument("--phi", help="first bump as center:halfwidth")
-    common.add_argument("--psi", help="second bump as center:halfwidth")
-    common.add_argument("--lrange", help="probe and fit window as lo:hi levels")
-    common.add_argument("--fit-top", dest="fit_top", type=int, help="gaps used in the gap fit")
-    common.add_argument("--appendix-base", dest="appendix_base", type=float)
-    common.add_argument("--appendix-doublings", dest="appendix_doublings", type=int)
-    common.add_argument("--t", help="kernel times, start:stop:step or comma list")
-    common.add_argument("--r", help="kernel radii, start:stop:step or comma list")
-    common.add_argument("--s", help="kernel radii, start:stop:step or comma list")
-    common.add_argument("--levels", type=int, help="kernel truncation level")
-    common.add_argument("--out", help="output directory (or SPECPROBE_OUT)")
-    common.add_argument(
-        "--allow-harmonic",
-        action="store_true",
-        default=None,
-        help="permit the quadratic reference model",
-    )
+    for row in _KEYS:
+        if row.switch:
+            common.add_argument(row.flag, action="store_const", const="true", help=row.help)
+        else:
+            common.add_argument(row.flag, help=row.help)
 
     parser = _Parser(
         prog="specprobe",
@@ -817,16 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"specprobe {__version__}")
     sub = parser.add_subparsers(dest="cmd", parser_class=_Parser)
-    helps = {
-        "validate": "check the structural assumptions on the potential",
-        "spectrum": "solve and cache the discrete spectrum, write spectrum.csv",
-        "wkb": "semiclassical summaries and scaling fits, write wkb.csv",
-        "gaps": "fit eigenvalue gap growth",
-        "probe": "resonant probe functional along the spectrum, write probe.csv",
-        "kernel": "truncated propagator kernel on a grid, write kernel.csv",
-        "report": "render report.md from recorded artifacts",
-    }
-    for name, text in helps.items():
+    for name, (_, text) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text, description=text)
     return parser
 
@@ -839,8 +747,8 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         cfg = resolve_config(args)
-        return _COMMANDS[args.cmd](cfg)
-    except ValueError as exc:
+        return _COMMANDS[args.cmd][0](cfg)
+    except (ValueError, configparser.Error) as exc:  # a malformed config file too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -46,11 +46,9 @@ __all__ = [
     "ShootResult",
     "build_grid",
     "boundary_series_small_r",
-    "small_r_coefficient",
     "shoot_mismatch",
     "solve_level",
     "solve_spectrum",
-    "ode_residual",
     "save_spectrum",
     "load_spectrum",
     "export_spectrum_csv",
@@ -154,19 +152,11 @@ def build_grid(
     )
 
 
-def small_r_coefficient(channel: Channel, lam: float) -> float:
-    """Leading coefficient of the regular solution: ``(sqrt(lam)/2)^nu / nu!``."""
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    nu = channel.bessel_order
-    return math.exp(nu * math.log(0.5 * math.sqrt(lam)) - math.lgamma(nu + 1.0))
-
-
 def boundary_series_small_r(channel: Channel, lam: float, r):
     """Regular free solution ``sqrt(r) J_nu(r sqrt(lam))`` near the origin.
 
-    Behaves like ``small_r_coefficient * r**(n + (d-1)/2)`` as ``r`` tends
-    to zero.
+    Behaves like ``(sqrt(lam)/2)^nu / Gamma(nu + 1) * r**(n + (d-1)/2)``
+    as ``r`` tends to zero, with ``nu`` the channel's Bessel order.
     """
     if lam <= 0.0:
         raise ValueError("lam must be positive")
@@ -602,37 +592,6 @@ def solve_spectrum(
             "decay_margin": decay_margin,
         },
     )
-
-
-def ode_residual(
-    pair: EigenPair,
-    channel: Channel,
-    model: PotentialModel,
-    grid: RadialGrid,
-    window: tuple[float, float] | None = None,
-) -> float:
-    """Relative strong-form residual of the eigen-equation on the grid.
-
-    Uses fourth-order five-point second differences over the window
-    (default: from twice the small-radius seed region to the far
-    boundary, trimmed by two points at each end).
-    """
-    f = pair.samples
-    n = grid.n_points
-    h = grid.h
-    i_lo, i_hi = 2, n - 2
-    if window is not None:
-        i_lo = max(i_lo, int(math.ceil((window[0] - grid.r_min) / h)))
-        i_hi = min(i_hi, int(math.floor((window[1] - grid.r_min) / h)) + 1)
-        if i_hi - i_lo < 3:
-            raise ValueError("window contains too few interior grid points")
-    idx = np.arange(i_lo, i_hi)
-    d2 = (
-        -f[idx - 2] + 16.0 * f[idx - 1] - 30.0 * f[idx] + 16.0 * f[idx + 1] - f[idx + 2]
-    ) / (12.0 * h * h)
-    u = effective_potential(channel, model, grid.r[idx])
-    resid = -d2 + (u - pair.lam) * f[idx]
-    return float(np.sqrt(np.dot(resid, resid) / np.dot(f[idx], f[idx])))
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:

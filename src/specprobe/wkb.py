@@ -51,12 +51,18 @@ __all__ = [
     "gap_scaling",
     "amplitude_scaling",
     "summarize",
-    "connectivity_threshold",
     "export_wkb_csv",
 ]
 
 
 _END_NOISE = 16.0 * float(np.finfo(float).eps)  # per unit of lam / |lam - U|
+_END_TOL = 1e-11  # relative accuracy of the segment of _zeta that reaches T
+# _zeta holds _END_TOL only where |lam - U| >= _END_NOISE lam / _END_TOL,
+# the rounding noise of lam - U below _END_TOL of it.  A lam with
+# lam - min U under that depth has no such radius: the whole well is
+# rounding noise at that accuracy, and the segment quadrature grinds
+# (seconds at a relative depth of 1e-8, minutes at 1e-12).
+_MIN_WELL_DEPTH = _END_NOISE / _END_TOL  # relative to lam, about 3.6e-4
 
 
 class TurningPoints(NamedTuple):
@@ -82,7 +88,7 @@ def _bisect_increasing(func, lo: float, hi: float, iters: int = 200) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return lo  # the last point with func <= 0
 
 
 def _root_above(func, lo: float) -> float:
@@ -114,15 +120,18 @@ def _potential_min_radius(channel: Channel, model: PotentialModel) -> float:
 def turning_points(channel: Channel, model: PotentialModel, lam: float) -> TurningPoints:
     """Outer classical turning point of ``U`` and bare turning point of ``V``.
 
+    Each is the last float at which the potential does not exceed ``lam``.
     Raises ``ValueError`` when ``lam`` does not exceed the minimum of the
-    effective potential (no classical region exists).
+    effective potential by ``_MIN_WELL_DEPTH`` relative: below that depth
+    the classical region is rounding noise for the phase integral.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
     r_c = _potential_min_radius(channel, model)
-    if r_c > 0.0 and effective_potential(channel, model, r_c) >= lam:
+    if r_c > 0.0 and effective_potential(channel, model, r_c) >= lam * (1.0 - _MIN_WELL_DEPTH):
         raise ValueError(
-            f"lam={lam} does not exceed the potential minimum; no turning point"
+            f"lam={lam} does not exceed the potential minimum by {_MIN_WELL_DEPTH:.2g} "
+            "relative; no resolvable turning point"
         )
     u = lambda r: effective_potential(channel, model, r) - lam
     big_t = _root_above(u, max(r_c, 1e-12))
@@ -249,11 +258,11 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
     # substitution on the one segment that reaches T.  Radii within 1e-12
     # relative of T get 0.  lam - U carries rounding noise of about eps lam,
     # about 1.5 eps lam / |lam - U(r)| of the segment from r to T, so that
-    # segment converges to the larger of 1e-11 and a multiple of its noise
+    # segment converges to the larger of _END_TOL and a multiple of its noise
     # (at most 1, where |lam - U(r)| itself is rounding noise).
     kernel = lambda r: np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
     noise = _END_NOISE * lam
-    end_tol = lambda r: max(1e-11, noise / (float(kernel(r)) ** 2 + noise))
+    end_tol = lambda r: max(_END_TOL, noise / (float(kernel(r)) ** 2 + noise))
     off_t = np.abs(rs - big_t) > 1e-12 * np.maximum(rs, big_t)
     out = np.zeros(rs.shape)
     for side in (-1.0, 1.0):
@@ -569,17 +578,6 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
             )
         )
     return out
-
-
-def connectivity_threshold(table, channel: Channel, model: PotentialModel) -> float:
-    """Smallest computed eigenvalue whose allowed interval is nonempty."""
-    for pair in table.eigenpairs:
-        try:
-            allowed_interval(channel, model, pair.lam)
-        except ThresholdError:
-            continue
-        return pair.lam
-    raise ThresholdError("no computed level has a nonempty allowed interval")
 
 
 def export_wkb_csv(summaries: Sequence[WkbSummary], path) -> None:

@@ -3,28 +3,38 @@
 ``specbench/tracing.py`` wraps each ``(module, attr)`` of its
 ``BOUNDARIES`` from outside and reports the metrics built on a name that
 no longer exists as absent, without failing.  ``specbench/make_reference.py``
-reads the eigenvalues through ``table.eigenpairs``.  These tests fail
-instead when the package drops what those scripts read.  The tracing
-script is read as text and run in a fresh namespace, so nothing is
-written next to it.
+reads the eigenvalues through ``table.eigenpairs``, and ``specbench/run.py``
+resolves each workload's configuration with the program's own parser.
+These tests fail instead when the package drops what those scripts read.
+The scripts are read as text and run in fresh namespaces, so nothing is
+written next to them.
 """
 
 import importlib
+import re
+import sys
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "specbench" / "tracing.py"
+from specprobe import cli
+
+SPECBENCH = Path(__file__).resolve().parents[1] / "specbench"
+TRACING = SPECBENCH / "tracing.py"
 
 
-def load_tracing() -> types.ModuleType:
-    module = types.ModuleType("specbench_tracing")
-    module.__file__ = str(TRACING)
-    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+def load_script(path: Path, name: str, monkeypatch=None) -> types.ModuleType:
+    """Run a script as module ``name``, listed in ``sys.modules`` (until the
+    test ends) when a ``monkeypatch`` is given: its dataclasses need that."""
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, name, module)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_every_traced_boundary_is_a_package_callable():
-    boundaries = load_tracing().BOUNDARIES
+    boundaries = load_script(TRACING, "specbench_tracing").BOUNDARIES
     assert boundaries
     missing = [
         f"{module}.{attr}"
@@ -37,3 +47,22 @@ def test_every_traced_boundary_is_a_package_callable():
 def test_eigenpairs_carry_the_eigenvalues(quartic_n0):
     assert [p.lam for p in quartic_n0.eigenpairs] == quartic_n0.eigenvalues.tolist()
     assert [p.level for p in quartic_n0.eigenpairs] == list(range(61))
+
+
+def test_workload_configs_carry_what_time_layers_reads(monkeypatch, tmp_path):
+    # run.py imports its neighbours by their bare names
+    load_script(TRACING, "tracing", monkeypatch)
+    load_script(SPECBENCH / "checks.py", "checks", monkeypatch)
+    run = load_script(SPECBENCH / "run.py", "specbench_run", monkeypatch)
+    source = TRACING.read_text()
+    body = source[source.index("def time_layers"):]
+    read = set(re.findall(r"\bcfg\.(\w+)", body))
+    assert {"model", "channels", "l_max", "l_range", "kernel_levels"} <= read
+    assert set(run.WORKLOADS) == {"quartic_cold_certify", "mixed_cold_channels"}
+    for workload in run.WORKLOADS.values():
+        argv = workload.argv("probe", tmp_path / workload.name)
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert isinstance(cfg, cli.RunConfig)
+        assert [a for a in sorted(read) if not hasattr(cfg, a)] == []
+        assert cfg.model.spec_string == workload.model
+        assert cfg.l_max == workload.lmax and cfg.l_range == workload.lrange

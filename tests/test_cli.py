@@ -1,13 +1,15 @@
 """End-to-end command line tests on small spectra: exit codes, artifact
 shapes, config layering, caching, and determinism of the outputs."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
 
 import pytest
 
-from specprobe.cli import main
+from specprobe.cli import build_parser, main, resolve_config
 
 
 @pytest.fixture(autouse=True)
@@ -240,6 +242,89 @@ class TestCaching:
         assert cache.stat().st_mtime_ns != stamp
 
 
+# every run setting: config-file key, flag, a value other than the default
+SETTINGS = [
+    ("model", "--model", "1*r^4+0.5*r^6"),
+    ("threshold_radius", "--threshold-radius", "1.5"),
+    ("channels", "--channels", "3:0,5:2"),
+    ("d", "--d", "4"),
+    ("n", "--n", "1,2"),
+    ("lmax", "--lmax", "12"),
+    ("rel_tol", "--rel-tol", "1e-9"),
+    ("points_per_wavelength", "--ppw", "300"),
+    ("decay_margin", "--decay-margin", "30"),
+    ("sigma", "--sigma", "0.5"),
+    ("phi", "--phi", "0.9:0.1"),
+    ("psi", "--psi", "1.4:0.3"),
+    ("lrange", "--lrange", "2:10"),
+    ("fit_top", "--fit-top", "8"),
+    ("appendix_base", "--appendix-base", "200"),
+    ("appendix_doublings", "--appendix-doublings", "5"),
+    ("kernel_t", "--t", "0,0.5"),
+    ("kernel_r", "--r", "0.7:1.3:0.3"),
+    ("kernel_s", "--s", "1.0"),
+    ("kernel_levels", "--levels", "7"),
+    ("out", "--out", None),
+    ("allow_harmonic", "--allow-harmonic", "true"),
+]
+
+SUBCOMMANDS = ("validate", "spectrum", "wkb", "gaps", "probe", "kernel", "report")
+
+
+class TestSurface:
+    def test_every_subcommand_takes_the_same_flags(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == SUBCOMMANDS
+        expected = {"-h", "--help", "--config"} | {flag for _, flag, _ in SETTINGS}
+        for name, subparser in sub.choices.items():
+            takes = {
+                option: action.nargs != 0
+                for action in subparser._actions
+                for option in action.option_strings
+            }
+            assert set(takes) == expected, name
+            assert [o for o, value in takes.items() if not value] == [
+                "-h", "--help", "--allow-harmonic"
+            ]
+
+    @pytest.mark.parametrize("channels", ["3:0,5:2", ""])
+    def test_config_file_and_flags_resolve_alike(self, tmp_path, channels):
+        out = str(tmp_path / "o")
+        values = {key: value or out for key, _, value in SETTINGS}
+        values["channels"] = channels
+        cfgfile = tmp_path / "all.cfg"
+        cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        argv = ["spectrum"]
+        for key, flag, _ in SETTINGS:
+            argv += [flag] if key == "allow_harmonic" else [flag, values[key]]
+        from_file = resolve_config(build_parser().parse_args(["spectrum", "--config", str(cfgfile)]))
+        from_flags = resolve_config(build_parser().parse_args(argv))
+        assert from_file == from_flags
+        assert from_file.channels == (((3, 0), (5, 2)) if channels else ((4, 1), (4, 2)))
+        # every key took effect: no field is left at its default
+        default = resolve_config(build_parser().parse_args(["spectrum", "--out", out]))
+        same = [f.name for f in dataclasses.fields(default)
+                if getattr(default, f.name) == getattr(from_file, f.name)]
+        assert same == ["out_dir"]
+
+    def test_default_run_json_config(self, tmp_path):
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "run.json").read_text())["config"]
+        expected = {
+            "allow_harmonic": False, "appendix_base": 400.0, "appendix_doublings": 6,
+            "channels": [[3, 0]], "decay_margin": 35.0, "fit_top": 30, "growth_index": 2.0,
+            "kernel_levels": 20, "kernel_r": [0.6, 0.8, 1.0, 1.2000000000000002, 1.4],
+            "kernel_s": [0.6, 0.8, 1.0, 1.2000000000000002, 1.4],
+            "kernel_t": [0.0, 0.25, 0.5, 0.75, 1.0], "l_max": 60, "l_range": [20, 50],
+            "model": "1*r^4", "out": str(tmp_path), "phi": [1.0, 0.2],
+            "points_per_wavelength": 250.0, "psi": [1.5, 0.2], "rel_tol": 1e-10,
+            "sigma": 1.0, "threshold_radius": 1.0,
+        }
+        # the text pins the types too: 400.0, not 400
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -263,6 +348,24 @@ class TestConfigFile:
         assert rc == 0
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
         assert len(lines) == 7
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfgfile = tmp_path / "typo.cfg"
+        cfgfile.write_text("[run]\nl_max = 3\nppw = 30\nlmx = 2\n")
+        rc = main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "unknown config key" in err
+        for key in ("l_max", "lmx", "ppw"):
+            assert key in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("text", ["lmax = 5\nlmax = 6\n", "model = 1*r^4 % note\n"])
+    def test_malformed_file_is_validation_failure(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        assert main(["validate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SPECPROBE_OUT", str(tmp_path / "envout"))

@@ -161,28 +161,55 @@ class TestBoundarySeries:
         )
 
     def test_small_r_coefficient_limit(self):
-        for channel in (CH30, Channel(4, 1), Channel(5, 2)):
+        # leading coefficient (sqrt(lam)/2)^nu / Gamma(nu + 1), nu = n + (d-2)/2
+        for channel, nu in ((CH30, 0.5), (Channel(4, 1), 2.0), (Channel(5, 2), 3.5)):
+            assert channel.bessel_order == nu
             lam = 7.0
             r = 1e-4
             p = channel.regular_exponent
             ratio = es.boundary_series_small_r(channel, lam, r) / r**p
-            expect = es.small_r_coefficient(channel, lam)
+            expect = (math.sqrt(lam) / 2.0) ** nu / math.gamma(nu + 1.0)
             assert ratio == pytest.approx(expect, rel=1e-6)
 
     def test_coefficient_formula(self):
-        # (sqrt(lam)/2)^nu / Gamma(nu + 1) with nu = n + (d-2)/2
+        # (sqrt(lam)/2)^nu / Gamma(nu + 1) with nu = n + (d-2)/2; at r = 1e-8
+        # the next series term is below 1e-16 of the leading one
+        channel = Channel(3, 1)
         lam = 7.0
         nu = 1.5
+        r = 1e-8
         expect = (math.sqrt(lam) / 2.0) ** nu / math.gamma(nu + 1.0)
-        assert es.small_r_coefficient(Channel(3, 1), lam) == pytest.approx(
-            expect, rel=1e-13
-        )
+        ratio = es.boundary_series_small_r(channel, lam, r) / r**channel.regular_exponent
+        assert ratio == pytest.approx(expect, rel=1e-13)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             es.boundary_series_small_r(CH30, 9.0, -0.1)
         with pytest.raises(ValueError):
             es.boundary_series_small_r(CH30, -1.0, 0.5)
+
+
+def ode_residual(pair, channel, model, grid, window=None):
+    """Relative strong-form residual of the eigen-equation on the grid.
+
+    Fourth-order five-point second differences over the window (default:
+    the whole grid, trimmed by two points at each end).  It shares nothing
+    with the solver's Numerov recurrence, so it checks it independently.
+    """
+    f = pair.samples
+    h = grid.h
+    i_lo, i_hi = 2, grid.n_points - 2
+    if window is not None:
+        i_lo = max(i_lo, int(math.ceil((window[0] - grid.r_min) / h)))
+        i_hi = min(i_hi, int(math.floor((window[1] - grid.r_min) / h)) + 1)
+        assert i_hi - i_lo >= 3
+    idx = np.arange(i_lo, i_hi)
+    d2 = (
+        -f[idx - 2] + 16.0 * f[idx - 1] - 30.0 * f[idx] + 16.0 * f[idx + 1] - f[idx + 2]
+    ) / (12.0 * h * h)
+    u = effective_potential(channel, model, grid.r[idx])
+    resid = -d2 + (u - pair.lam) * f[idx]
+    return float(np.sqrt(np.dot(resid, resid) / np.dot(f[idx], f[idx])))
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +330,7 @@ class TestDiscretizationInvariants:
         for table, model in ((osc_table, HARMONIC), (quartic_table, QUARTIC)):
             for level in (0, len(table.eigenpairs) // 2, len(table.eigenpairs) - 1):
                 pair = table.pair(level)
-                resid = es.ode_residual(pair, CH30, model, table.grid)
+                resid = ode_residual(pair, CH30, model, table.grid)
                 assert resid <= 1e-6
 
     def test_ode_residual_is_fourth_order(self, quartic_table):
@@ -311,13 +338,13 @@ class TestDiscretizationInvariants:
         fine = es.RadialGrid(g.r_min, g.r_max, g.h / 2.0, 2 * (g.n_points - 1) + 1)
         pair_c = quartic_table.pair(12)
         pair_f = es.solve_level(CH30, QUARTIC, 12, grid=fine)
-        r_c = es.ode_residual(pair_c, CH30, QUARTIC, g)
-        r_f = es.ode_residual(pair_f, CH30, QUARTIC, fine)
+        r_c = ode_residual(pair_c, CH30, QUARTIC, g)
+        r_f = ode_residual(pair_f, CH30, QUARTIC, fine)
         assert r_f <= r_c / 10.0
 
     def test_eigenfunction_window_residual(self, quartic_table):
         pair = quartic_table.pair(8)
-        resid = es.ode_residual(pair, CH30, QUARTIC, quartic_table.grid, window=(0.8, 1.2))
+        resid = ode_residual(pair, CH30, QUARTIC, quartic_table.grid, window=(0.8, 1.2))
         assert resid <= 1e-6
 
 

@@ -10,6 +10,7 @@ Oracle values were frozen from independent high-precision quadrature
 """
 
 import math
+import time
 import types
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from specprobe import wkb
 from specprobe.errors import ThresholdError
-from specprobe.potential import Channel, PotentialModel, effective_potential
+from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
 from specprobe.specfun import integrate_sqrt_singular, langer_profile
 
 QUARTIC_PLATEAU = 0.8740191847640399368216132
@@ -58,6 +59,33 @@ class TestTurningPoints:
         # U = 2/r^2 + r^4 has minimum 3 at r = 1
         with pytest.raises(ValueError):
             wkb.turning_points(CH31, QUARTIC, 2.5)
+
+    def test_rejected_promptly_just_above_the_minimum(self):
+        # the whole well is rounding noise of lam - U for the phase integral
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="potential minimum"):
+            wkb.phase_and_zeta(CH31, QUARTIC, 3.0 * (1.0 + 1e-10), 1.0)
+        assert time.perf_counter() - start < 2.0
+
+    def test_lowest_gamma_level_summarised(self, quartic_n1):
+        (summary,) = wkb.summarize(quartic_n1.truncated(1), CH31, QUARTIC)
+        assert summary.level == 0
+        assert 1.0 < summary.turning_t < summary.turning_x
+        assert math.isfinite(summary.phase_to_turning) and summary.allowed is not None
+
+    @pytest.mark.parametrize("channel", [CH30, CH31])
+    @pytest.mark.parametrize("lam", [16.0, 150.0, 1234.5])
+    def test_roots_on_the_allowed_side(self, channel, lam):
+        # each root is the last float at which the potential is at most the
+        # level: f(root) <= 0 < f(next float up)
+        pts = wkb.turning_points(channel, QUARTIC, lam)
+        outer = wkb.allowed_interval(channel, QUARTIC, lam)[1]
+        for root, f in (
+            (pts.T, lambda r: effective_potential(channel, QUARTIC, r) - lam),
+            (pts.X, lambda r: eval_potential(QUARTIC, r) - lam),
+            (outer, lambda r: effective_potential(channel, QUARTIC, r) - 0.5 * lam),
+        ):
+            assert f(root) <= 0.0 < f(math.nextafter(root, math.inf))
 
 
 class TestAction:
@@ -204,12 +232,6 @@ class TestAllowedRegion:
         with pytest.raises(ThresholdError) as info:
             wkb.allowed_interval(CH31, QUARTIC, 5.0)
         assert info.value.lam == 5.0
-
-    def test_connectivity_threshold(self):
-        table = types.SimpleNamespace(
-            eigenpairs=(fake_pair(4.0, 0), fake_pair(10.0, 1), fake_pair(20.0, 2))
-        )
-        assert wkb.connectivity_threshold(table, CH31, QUARTIC) == 10.0
 
 
 class TestAmplitude:
