@@ -41,6 +41,7 @@ from .eigensolve import (
     MIN_DECAY_MARGIN,
     MIN_POINTS_PER_WAVELENGTH,
     MIN_REL_TOL,
+    SpectrumFormatError,
     SpectrumTable,
     export_spectrum_csv,
     load_spectrum,
@@ -135,6 +136,15 @@ def _pair(kind: type, shape: str) -> Callable[[str], tuple]:
     return parse
 
 
+def _bump(text: str) -> tuple[float, float]:
+    center, halfwidth = _pair(float, "center:halfwidth")(text)
+    if not (math.isfinite(center) and math.isfinite(halfwidth) and halfwidth > 0.0):
+        raise ValueError(f"{text!r} needs a finite center and a finite half-width above 0")
+    if not center - halfwidth > 0.0:
+        raise ValueError(f"{text!r}: the support must stay above r = 0 (center > halfwidth)")
+    return center, halfwidth
+
+
 def _level_range(text: str) -> tuple[int, int]:
     lo, hi = _pair(int, "lo:hi")(text)
     if not (0 <= lo < hi):
@@ -196,11 +206,9 @@ _KEYS = (
          _number(float, MIN_POINTS_PER_WAVELENGTH), "grid points per wavelength", solver=True),
     _Key("decay_margin", "--decay-margin", repr(DEFAULT_DECAY_MARGIN),
          _number(float, MIN_DECAY_MARGIN), solver=True),
-    _Key("sigma", "--sigma", "1.0", float, "spectral window scale"),
-    _Key("phi", "--phi", "1.0:0.2", _pair(float, "center:halfwidth"),
-         "first bump as center:halfwidth"),
-    _Key("psi", "--psi", "1.5:0.2", _pair(float, "center:halfwidth"),
-         "second bump as center:halfwidth"),
+    _Key("sigma", "--sigma", "1.0", _number(float, 0.0, above=True), "spectral window scale"),
+    _Key("phi", "--phi", "1.0:0.2", _bump, "first bump as center:halfwidth"),
+    _Key("psi", "--psi", "1.5:0.2", _bump, "second bump as center:halfwidth"),
     _Key("lrange", "--lrange", "20:50", _level_range, "probe and fit window as lo:hi levels",
          field="l_range"),
     _Key("fit_top", "--fit-top", "30", _number(int, 6), "gaps used in the gap fit"),
@@ -301,30 +309,47 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
     return cfg.out_dir / f"spectrum_{_channel_key(d, n)}.json"
 
 
-def _load_or_solve(cfg: RunConfig, d: int, n: int) -> SpectrumTable:
-    """Reuse a cached table when it matches the config, else solve and cache."""
-    path = _cache_path(cfg, d, n)
+def _cached(
+    cfg: RunConfig, path: Path, channel: Channel, solver: dict
+) -> tuple[SpectrumTable | None, str]:
+    """The cached table at ``path`` if it serves ``cfg``, else None, and why not."""
+    if not path.exists():
+        return None, "missing"
+    try:
+        table = load_spectrum(path)
+    except SpectrumFormatError:
+        return None, "format"
+    except (ValueError, KeyError, OSError, EOFError):
+        return None, "unreadable"
+    if table.model.spec_string != cfg.model.spec_string:
+        return None, "model"
+    if table.channel != channel:
+        return None, "channel"
+    if any(table.tolerances.get(k) != v for k, v in solver.items()):
+        return None, "tolerances"
+    if len(table.eigenvalues) < cfg.l_max + 1:
+        return None, "too short"
+    return table.truncated(cfg.l_max + 1), "hit"
+
+
+def _tables(cfg: RunConfig) -> tuple[dict[tuple[int, int], SpectrumTable], dict]:
+    """Every channel's table, reused from its cache when that matches the
+    config, else solved and cached; and per channel, whether the cache hit
+    or why it missed (also one line on stderr)."""
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
-    if path.exists():
-        try:
-            table = load_spectrum(path)
-        except (ValueError, OSError):
-            table = None
-        if (
-            table is not None
-            and table.model.spec_string == cfg.model.spec_string
-            and table.channel == Channel(d, n)
-            and len(table.eigenvalues) >= cfg.l_max + 1
-            and all(table.tolerances.get(k) == v for k, v in solver.items())
-        ):
-            return table.truncated(cfg.l_max + 1)
-    table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
-    save_spectrum(table, path)
-    return table
-
-
-def _tables(cfg: RunConfig) -> dict[tuple[int, int], SpectrumTable]:
-    return {(d, n): _load_or_solve(cfg, d, n) for d, n in cfg.channels}
+    tables, cache = {}, {}
+    for d, n in cfg.channels:
+        path = _cache_path(cfg, d, n)
+        table, why = _cached(cfg, path, Channel(d, n), solver)
+        if table is None:
+            table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
+            save_spectrum(table, path)
+        tables[(d, n)] = table
+        cache[_channel_key(d, n)] = {"hit": True} if why == "hit" else {"hit": False, "reason": why}
+    print("cache: " + ", ".join(
+        f"{key} " + ("hit" if entry["hit"] else f"miss ({entry['reason']})")
+        for key, entry in cache.items()), file=sys.stderr)
+    return tables, cache
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -373,9 +398,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    tables = _tables(cfg)
+    tables, cache = _tables(cfg)
     path = export_spectrum_csv(list(tables.values()), cfg.out_dir / "spectrum.csv")
-    payload = {"channels": {}, "rows": 0}
+    payload = {"channels": {}, "rows": 0, "cache": cache}
     for (d, n), table in tables.items():
         lams = table.eigenvalues
         entry = {
@@ -383,6 +408,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             "lambda_min": float(lams[0]),
             "lambda_max": float(lams[-1]),
             "grid_points": table.grid.n_points,
+            # the largest dispersion correction, relative to its eigenvalue
+            "shift_rel_max": float(np.max(np.abs(table.shifts) / lams)),
         }
         for stat in ("sweeps", "bisections"):
             counts = getattr(table, stat)
@@ -396,7 +423,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 
 def cmd_gaps(cfg: RunConfig) -> int:
-    tables = _tables(cfg)
+    tables, cache = _tables(cfg)
     theory = (cfg.model.growth_index - 1.0) / (2.0 * cfg.model.growth_index)
     channels_payload = {}
     for (d, n), table in tables.items():
@@ -411,7 +438,7 @@ def cmd_gaps(cfg: RunConfig) -> int:
         }
         print(f"d={d} n={n}: gap exponent {fit.exponent:.4f} (theory {theory:.4f})")
     _update_run_json(
-        cfg, "gaps", {"channels": channels_payload, "fit_top": cfg.fit_top}
+        cfg, "gaps", {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
     )
     return 0
 
@@ -494,7 +521,7 @@ def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
 
 
 def cmd_wkb(cfg: RunConfig) -> int:
-    tables = _tables(cfg)
+    tables, cache = _tables(cfg)
     summaries = []
     channels_payload = {}
     for (d, n), table in tables.items():
@@ -509,6 +536,7 @@ def cmd_wkb(cfg: RunConfig) -> int:
         "channels": channels_payload,
         "appendix": _appendix_payload(cfg, Channel(*first)),
         "langer": _langer_payload(cfg, tables[first], Channel(*first)),
+        "cache": cache,
     }
     _update_run_json(cfg, "wkb", payload)
     amp = channels_payload[_channel_key(*first)]["amplitude"]
@@ -526,7 +554,7 @@ def cmd_probe(cfg: RunConfig) -> int:
         raise ValueError(
             f"lrange {cfg.l_range} needs lmax >= {cfg.l_range[1]}, got {cfg.l_max}"
         )
-    tables = _tables(cfg)
+    tables, cache = _tables(cfg)
     theory = -1.0 / (2.0 * cfg.model.growth_index)
     rows = []
     channels_payload = {}
@@ -556,6 +584,7 @@ def cmd_probe(cfg: RunConfig) -> int:
             "sigma": cfg.sigma,
             "phi": list(cfg.phi),
             "psi": list(cfg.psi),
+            "cache": cache,
         },
     )
     print(f"wrote {path}")
@@ -571,7 +600,7 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
 
 
 def cmd_kernel(cfg: RunConfig) -> int:
-    tables = _tables(cfg)
+    tables, cache = _tables(cfg)
     table = tables[cfg.channels[0]]
     cap = min(cfg.kernel_levels, len(table.eigenvalues) - 1)
     rs = _snap_to_grid(table.grid, cfg.kernel_r)
@@ -598,6 +627,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "t0_max_eigenvalue": float(eigs.max()),
         "snapped_r": rs,
         "snapped_s": ss,
+        "cache": cache,
     }
     _update_run_json(cfg, "kernel", payload)
     print(f"wrote {path}")

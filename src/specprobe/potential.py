@@ -151,7 +151,8 @@ def _exact(x: float) -> str:
 
 def _as_positive_radii(r):
     arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    # two reductions and no temporaries: a nan fails both comparisons
+    if arr.size and not (arr.min() > 0.0 and arr.max() < math.inf):
         raise ValueError("radii must be positive and finite")
     return arr
 

@@ -2,7 +2,10 @@
 
 Turning points, action integrals, quantization residuals, boundary
 amplitudes, profile residuals, and the scaling fits that certify how they
-grow with the spectral parameter.  Phase and turning-point coordinate come
+grow with the spectral parameter.  Turning points and the edges of allowed
+regions come from one Newton iteration over an array of levels
+(``_newton_edge``); ``U`` is convex, so started on the far side of each
+root it converges monotonically.  Phase and turning-point coordinate come
 from one cumulative integral of ``sqrt|lam - U|`` over sorted radii
 (``_zeta``).  Tables are read only through ``eigenvalues`` and
 ``eigenpairs``, and eigenpairs through ``lam``, ``level``, ``samples``,
@@ -37,6 +40,7 @@ __all__ = [
     "AppendixSplit",
     "WkbSummary",
     "turning_points",
+    "classical_edges",
     "action_integral",
     "quantization_target",
     "bs_residual",
@@ -63,6 +67,8 @@ _END_TOL = 1e-11  # relative accuracy of the segment of _zeta that reaches T
 # rounding noise at that accuracy, and the segment quadrature grinds
 # (seconds at a relative depth of 1e-8, minutes at 1e-12).
 _MIN_WELL_DEPTH = _END_NOISE / _END_TOL  # relative to lam, about 3.6e-4
+# cap on the steps of _newton_edge; from its starts ten have sufficed
+_NEWTON_ITERS = 100
 
 
 class TurningPoints(NamedTuple):
@@ -75,46 +81,122 @@ class PhaseZeta(NamedTuple):
     zeta: float  # signed: negative below T, positive above (times i)
 
 
-def _bisect_increasing(func, lo: float, hi: float, iters: int = 200) -> float:
-    flo = func(lo)
-    fhi = func(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise ValueError("root not bracketed")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _newton_edge(fun, targets: np.ndarray, r: np.ndarray, outward: float) -> np.ndarray:
+    """Edge of ``{fun <= target}`` on one convex branch of ``fun``, per target.
+
+    ``fun(r, k)`` is the ``k``-th derivative of the function over an array.
+    Every ``r`` starts on the branch with ``fun(r) >= target``; from there
+    Newton's method on a convex function moves monotonically to the root,
+    never past it, and a target's iteration stops once its step is small
+    and no longer shrinks (far from the root a step may still grow).  The last ulps are then walked so that each edge
+    is the last float of the set in the direction ``outward`` (``inf`` on
+    an increasing branch, ``-inf`` on a decreasing one):
+    ``fun(edge) <= target < fun(nextafter(edge, outward))``.
+    """
+    r = np.array(r, dtype=float)
+    step = np.full(r.shape, np.inf)
+    live = np.ones(r.shape, dtype=bool)
+    for _ in range(_NEWTON_ITERS):
+        new = (fun(r[live], 0) - targets[live]) / fun(r[live], 1)
+        size = np.abs(new)
+        stop = (new == 0.0) | ((size >= np.abs(step[live])) & (size <= 1e-8 * r[live]))
+        idx = np.flatnonzero(live)
+        move = idx[~stop]
+        r[move] -= new[~stop]
+        step[move] = new[~stop]
+        live[idx[stop]] = False
+        if not live.any():
             break
-        if func(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo  # the last point with func <= 0
+    else:
+        raise ValueError("turning point iteration did not converge")
+    inward = -outward
+    while True:
+        out = fun(r, 0) > targets
+        if not out.any():
+            break
+        r[out] = np.nextafter(r[out], inward)
+    while True:
+        nxt = np.nextafter(r, outward)
+        grow = fun(nxt, 0) <= targets
+        if not grow.any():
+            return r
+        r[grow] = nxt[grow]
 
 
-def _root_above(func, lo: float) -> float:
-    # root of an increasing func above lo: bracket it by doubling from
-    # max(2 lo, 1) until func turns positive, then bisect
-    hi = max(2.0 * lo, 1.0)
-    while func(hi) <= 0.0:
-        hi *= 2.0
-    return _bisect_increasing(func, lo, hi)
+def _upper_start(model: PotentialModel, targets: np.ndarray) -> np.ndarray:
+    # V is at least each of its terms, so the root of V = t past the
+    # minimum of U (and that of U = t, since U >= V) is at most each term's
+    return np.min(
+        [(targets / t.coefficient) ** (1.0 / t.exponent) for t in model.terms], axis=0
+    )
 
 
 def _potential_min_radius(channel: Channel, model: PotentialModel) -> float:
-    # U' = -2 gamma / r^3 + V' is strictly increasing with a unique zero
+    # U' = 0 where r^3 V'(r) = 2 gamma: a sum of positive powers of r, so
+    # convex and increasing, and each term alone puts its root above r_c
     if channel.gamma == 0.0:
         return 0.0
-    uprime = lambda r: effective_potential(channel, model, r, 1)
-    lo, hi = 1e-8, 1.0
-    while uprime(hi) <= 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("potential minimum not found")
-    while uprime(lo) >= 0.0:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise ValueError("potential minimum not found")
-    return _bisect_increasing(uprime, lo, hi)
+
+    def fun(r, k):
+        vp = eval_potential(model, r, 1)
+        return r**3 * vp if k == 0 else r * r * (3.0 * vp + r * eval_potential(model, r, 2))
+
+    target = np.array([2.0 * channel.gamma])
+    start = np.min(
+        [(target / (t.coefficient * t.exponent)) ** (1.0 / (t.exponent + 2))
+         for t in model.terms],
+        axis=0,
+    )
+    return float(_newton_edge(fun, target, start, math.inf)[0])
+
+
+def _bare_edges(model: PotentialModel, targets: np.ndarray) -> np.ndarray:
+    """Root ``X`` of ``V = target``, the edge of ``{V <= target}``, for every target."""
+    fun = lambda r, k: eval_potential(model, r, k)
+    return _newton_edge(fun, targets, _upper_start(model, targets), math.inf)
+
+
+def _outer_edges(channel: Channel, model: PotentialModel, targets: np.ndarray) -> np.ndarray:
+    """Outer edge of ``{U <= target}`` for every target above the minimum of ``U``."""
+    fun = lambda r, k: effective_potential(channel, model, r, k)
+    return _newton_edge(fun, targets, _upper_start(model, targets), math.inf)
+
+
+def _inner_edges(channel: Channel, model: PotentialModel, targets: np.ndarray) -> np.ndarray:
+    """Inner edge of ``{U <= target}`` for every target above the minimum of ``U``.
+
+    0 when gamma is 0.  ``U`` is convex, and ``U >= gamma/r^2`` puts
+    ``sqrt(gamma/target)`` at or below the edge.
+    """
+    if channel.gamma == 0.0:
+        return np.zeros_like(targets)
+    fun = lambda r, k: effective_potential(channel, model, r, k)
+    return _newton_edge(fun, targets, np.sqrt(channel.gamma / targets), -math.inf)
+
+
+def _checked_levels(channel, model, lams, r_c: float) -> np.ndarray:
+    lams = np.asarray(lams, dtype=float)
+    if not np.all(np.isfinite(lams) & (lams > 0.0)):
+        raise ValueError("lam must be positive and finite")
+    if r_c > 0.0:
+        low = effective_potential(channel, model, r_c) >= lams * (1.0 - _MIN_WELL_DEPTH)
+        if low.any():
+            raise ValueError(
+                f"lam={lams[low][0]} does not exceed the potential minimum by "
+                f"{_MIN_WELL_DEPTH:.2g} relative; no resolvable turning point"
+            )
+    return lams
+
+
+def classical_edges(channel: Channel, model: PotentialModel, lams):
+    """Edges of the classically allowed region ``{U <= lam}``, per ``lam``.
+
+    Returns the inner edges (0 when gamma is 0) and the outer ones, the
+    turning points ``T``, as arrays.  Each edge is the last float of the
+    region on its side.  Raises ``ValueError`` as ``turning_points`` does.
+    """
+    lams = _checked_levels(channel, model, lams, _potential_min_radius(channel, model))
+    return _inner_edges(channel, model, lams), _outer_edges(channel, model, lams)
 
 
 def turning_points(channel: Channel, model: PotentialModel, lam: float) -> TurningPoints:
@@ -125,25 +207,22 @@ def turning_points(channel: Channel, model: PotentialModel, lam: float) -> Turni
     effective potential by ``_MIN_WELL_DEPTH`` relative: below that depth
     the classical region is rounding noise for the phase integral.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    r_c = _potential_min_radius(channel, model)
-    if r_c > 0.0 and effective_potential(channel, model, r_c) >= lam * (1.0 - _MIN_WELL_DEPTH):
-        raise ValueError(
-            f"lam={lam} does not exceed the potential minimum by {_MIN_WELL_DEPTH:.2g} "
-            "relative; no resolvable turning point"
-        )
-    u = lambda r: effective_potential(channel, model, r) - lam
-    big_t = _root_above(u, max(r_c, 1e-12))
-    big_x = _root_above(lambda r: eval_potential(model, r) - lam, 1e-300)
-    return TurningPoints(T=big_t, X=big_x)
+    lams = _checked_levels(channel, model, [lam], _potential_min_radius(channel, model))
+    return TurningPoints(
+        T=float(_outer_edges(channel, model, lams)[0]),
+        X=float(_bare_edges(model, lams)[0]),
+    )
 
 
-def action_integral(model: PotentialModel, lam: float) -> float:
-    """Semiclassical action ``(1/pi) * int_0^X sqrt(lam - V)`` of the bare potential."""
+def action_integral(model: PotentialModel, lam: float, big_x: float | None = None) -> float:
+    """Semiclassical action ``(1/pi) * int_0^X sqrt(lam - V)`` of the bare potential.
+
+    ``big_x``, the root of ``V = lam``, is computed when not given.
+    """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
-    big_x = _root_above(lambda r: eval_potential(model, r) - lam, 1e-300)
+    if big_x is None:
+        big_x = float(_bare_edges(model, np.array([lam]))[0])
     integrand = lambda r: np.sqrt(np.maximum(lam - eval_potential(model, r), 0.0))
     return integrate_sqrt_singular(integrand, 0.0, big_x, "right", rel_tol=1e-11) / math.pi
 
@@ -281,43 +360,43 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _allowed_edges(channel, model, lams: np.ndarray, r_c: float):
+    """Edges of ``allowed_interval`` for every ``lam``; nan where the set is empty."""
+    half = 0.5 * lams
+    a = np.full(lams.shape, math.nan)
+    b = np.full(lams.shape, math.nan)
+    ok = half > (effective_potential(channel, model, r_c) if r_c > 0.0 else 0.0)
+    if ok.any():
+        outer = _outer_edges(channel, model, half[ok])
+        # Python's pow, as for one lam: numpy's differs from it in the last bit
+        lo = np.maximum(
+            [lam ** -0.25 for lam in lams[ok].tolist()], _inner_edges(channel, model, half[ok])
+        )
+        empty = lo >= outer
+        a[ok] = np.where(empty, math.nan, lo)
+        b[ok] = np.where(empty, math.nan, outer)
+    return a, b
+
+
 def allowed_interval(
     channel: Channel, model: PotentialModel, lam: float
 ) -> tuple[float, float]:
     """Interval ``{r >= lam^(-1/4) : U(r) <= lam/2}``.
 
-    Raises ``ThresholdError`` when the set is empty, carrying the failing
-    spectral parameter.
+    The upper edge is the last float with ``U <= lam/2``; the lower one is
+    ``lam^(-1/4)`` or the first float with ``U <= lam/2``, whichever is
+    larger.  Raises ``ThresholdError`` when the set is empty, carrying the
+    failing spectral parameter.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
-    half = 0.5 * lam
-    r_c = _potential_min_radius(channel, model)
-    if r_c > 0.0 and effective_potential(channel, model, r_c) >= half:
+    a, b = _allowed_edges(channel, model, np.array([lam]), _potential_min_radius(channel, model))
+    if math.isnan(a[0]):
         raise ThresholdError(
-            f"allowed region empty at lam={lam}: potential floor above lam/2", lam=lam
-        )
-    u = lambda r: effective_potential(channel, model, r) - half
-    b = _root_above(u, max(r_c, 1e-12))
-    if channel.gamma == 0.0:
-        a_barrier = 0.0
-    else:
-        # inner edge: U decreasing there, so negate for the bisection
-        inner = lambda r: -u(r)
-        lo_in = r_c
-        while u(lo_in) <= 0.0:
-            lo_in *= 0.5
-            if lo_in < 1e-300:
-                lo_in = 0.0
-                break
-        a_barrier = _bisect_increasing(inner, lo_in, r_c) if lo_in > 0.0 else 0.0
-    a = max(lam ** (-0.25), a_barrier)
-    if a >= b:
-        raise ThresholdError(
-            f"allowed region empty at lam={lam}: lower edge {a} above upper edge {b}",
+            f"allowed region empty at lam={lam}: no r >= lam^(-1/4) with U(r) <= lam/2",
             lam=lam,
         )
-    return (a, b)
+    return float(a[0]), float(b[0])
 
 
 def amplitude_from_boundary(
@@ -546,23 +625,30 @@ class WkbSummary:
 
 
 def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary]:
-    """Build per-level summaries for every eigenpair of a table."""
-    out = []
+    """Build per-level summaries for every eigenpair of a table.
+
+    The turning points and the edges of the allowed intervals of all levels
+    come from one array iteration each, on the potential minimum found once.
+    """
+    pairs = table.eigenpairs
+    lams = np.array([pair.lam for pair in pairs], dtype=float)
+    r_c = _potential_min_radius(channel, model)
+    big_t = _outer_edges(channel, model, _checked_levels(channel, model, lams, r_c))
+    big_x = _bare_edges(model, lams)
+    edge_a, edge_b = _allowed_edges(channel, model, lams, r_c)
     u1 = effective_potential(channel, model, 1.0)
-    for pair in table.eigenpairs:
-        pts = turning_points(channel, model, pair.lam)
-        action = action_integral(model, pair.lam)
+    u1p = effective_potential(channel, model, 1.0, 1)
+    out = []
+    for i, pair in enumerate(pairs):
+        action = action_integral(model, pair.lam, float(big_x[i]))
         residual = action - quantization_target(channel, pair.level)
         if pair.lam > u1:
-            c_lam = extract_C_lambda(pair, channel, model)
-            phase_z = -float(_zeta(channel, model, pair.lam, pts.T, np.array([1.0]))[0])
+            c_lam = amplitude_from_boundary(pair.f_at_1, pair.fprime_at_1, pair.lam, u1, u1p)
+            phase_z = -float(_zeta(channel, model, pair.lam, big_t[i], np.array([1.0]))[0])
         else:
             c_lam = complex(math.nan, math.nan)
             phase_z = math.nan
-        try:
-            allowed = allowed_interval(channel, model, pair.lam)
-        except ThresholdError:
-            allowed = None
+        allowed = None if math.isnan(edge_a[i]) else (float(edge_a[i]), float(edge_b[i]))
         out.append(
             WkbSummary(
                 n=channel.n,
@@ -570,8 +656,8 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
                 lam=pair.lam,
                 action=action,
                 residual=residual,
-                turning_t=pts.T,
-                turning_x=pts.X,
+                turning_t=float(big_t[i]),
+                turning_x=float(big_x[i]),
                 phase_to_turning=phase_z,
                 c_lambda=c_lam,
                 allowed=allowed,

@@ -107,6 +107,27 @@ class TestArgumentErrors:
         assert "must be finite and at least" in capsys.readouterr().err
         assert not (tmp_path / "spectrum.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma", "0"],
+            ["--sigma", "-1"],
+            ["--sigma", "nan"],
+            ["--sigma", "inf"],
+            ["--phi", "1.0:-0.2"],
+            ["--phi", "1.0:0"],
+            ["--phi", "0.2:0.2"],
+            ["--psi", "nan:0.2"],
+            ["--psi", "1.5:inf"],
+            ["--psi", "1.5"],
+        ],
+    )
+    def test_probe_settings_rejected_before_any_solve(self, tmp_path, capsys, flags):
+        rc = main(["probe", "--lmax", "6", "--lrange", "1:5"] + flags + ["--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]}: ")
+        assert not list(tmp_path.glob("spectrum_*"))
+
 
 class TestArtifacts:
     def test_spectrum_rows(self, workspace):
@@ -229,9 +250,50 @@ class TestCaching:
         assert main(["spectrum"] + base) == 0
         assert npy.stat().st_mtime_ns != stamp
         rewritten = json.loads(json_path.read_text())
-        assert rewritten["format_version"] == 2
+        assert rewritten["format_version"] == 3
         assert len(rewritten["levels"]["lambda"]) == 6
         assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
+
+    @pytest.mark.parametrize(
+        "reason, spoil, flags",
+        [
+            ("format", lambda doc: doc.update(format_version=2), []),
+            ("unreadable", lambda doc: doc.pop("levels"), []),
+            ("channel", lambda doc: doc.update(n=1), []),
+            ("model", None, ["--model", "2*r^4"]),
+            ("tolerances", None, ["--rel-tol", "1e-9"]),
+            ("too short", None, ["--lmax", "6"]),
+        ],
+    )
+    def test_miss_reason_recorded(self, tmp_path, capsys, reason, spoil, flags):
+        base = ["--lmax", "4", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        first = capsys.readouterr()
+        assert first.err == "cache: d3_n0 miss (missing)\n"
+        assert main(["spectrum"] + base) == 0
+        second = capsys.readouterr()
+        assert second.err == "cache: d3_n0 hit\n"
+        assert second.out == first.out
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["results"]["spectrum"]["cache"] == {"d3_n0": {"hit": True}}
+
+        json_path = tmp_path / "spectrum_d3_n0.json"
+        if spoil is not None:
+            cache = json.loads(json_path.read_text())
+            spoil(cache)
+            json_path.write_text(json.dumps(cache))
+        assert main(["spectrum"] + base + flags) == 0
+        assert capsys.readouterr().err == f"cache: d3_n0 miss ({reason})\n"
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["results"]["spectrum"]["cache"] == {
+            "d3_n0": {"hit": False, "reason": reason}
+        }
+        assert json.loads(json_path.read_text())["format_version"] == 3
+
+    def test_cache_record_in_each_reading_section(self, workspace):
+        results = json.loads((workspace / "run.json").read_text())["results"]
+        for section in ("spectrum", "gaps", "wkb", "probe", "kernel"):
+            assert results[section]["cache"]["d3_n0"]["hit"] is (section != "spectrum")
 
     def test_cache_rebuilt_on_tolerance_change(self, tmp_path):
         base = ["--d", "3", "--n", "0", "--out", str(tmp_path)]
@@ -318,7 +380,7 @@ class TestSurface:
             "kernel_s": [0.6, 0.8, 1.0, 1.2000000000000002, 1.4],
             "kernel_t": [0.0, 0.25, 0.5, 0.75, 1.0], "l_max": 60, "l_range": [20, 50],
             "model": "1*r^4", "out": str(tmp_path), "phi": [1.0, 0.2],
-            "points_per_wavelength": 250.0, "psi": [1.5, 0.2], "rel_tol": 1e-10,
+            "points_per_wavelength": 180.0, "psi": [1.5, 0.2], "rel_tol": 1e-10,
             "sigma": 1.0, "threshold_radius": 1.0,
         }
         # the text pins the types too: 400.0, not 400

@@ -77,11 +77,11 @@ class TestBuildGrid:
     )
     def test_mixed_model_default_grid_frozen(self, l_max, d, n, n_points, h):
         # frozen from the geometric bisection inverse_action used before its
-        # regula falsi: the top level's action target sizes the grid
+        # regula falsi: the top level's action target sizes the grid (at the
+        # 250 points per wavelength these were frozen at)
         model = PotentialModel.from_spec("1*r^4+0.5*r^6")
         grid = es._default_grid(
-            Channel(d, n), model, l_max,
-            es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN,
+            Channel(d, n), model, l_max, 250.0, es.DEFAULT_DECAY_MARGIN,
         )
         assert (grid.n_points, grid.h) == (n_points, h)
 
@@ -282,6 +282,16 @@ class TestSolveSpectrum:
             assert abs(pair.lam - exact) <= 1e-6
             assert pair.node_count == pair.level
 
+    def test_corrected_oscillator_ladder(self, osc_n0, osc_n1):
+        # the dispersion correction takes out Numerov's h^4 error: the raw
+        # discrete levels at the default step are about 1e-9 low
+        for table, base in ((osc_n0, 3), (osc_n1, 5)):
+            exact = 4.0 * np.arange(len(table.eigenvalues)) + base
+            assert np.max(np.abs(table.eigenvalues - exact) / exact) <= 1e-10
+            shifts = np.array(table.shifts)
+            assert np.all(shifts > 0.0)
+            assert np.max(np.abs(table.eigenvalues - shifts - exact) / exact) > 1e-10
+
     def test_strictly_increasing_and_contiguous(self, quartic_table):
         lams = quartic_table.eigenvalues
         assert np.all(np.diff(lams) > 0.0)
@@ -362,8 +372,10 @@ class TestPersistence:
             assert a.tobytes() == b.tobytes()
         assert loaded.sweeps == quartic_table.sweeps
         assert loaded.bisections == quartic_table.bisections
+        assert loaded.shifts == quartic_table.shifts
         for a, b in zip(loaded.eigenpairs, quartic_table.eigenpairs):
             assert a.lam == b.lam
+            assert a.shift == b.shift
             assert a.f_at_1 == b.f_at_1
             assert a.fprime_at_1 == b.fprime_at_1
             assert np.array_equal(a.samples, b.samples)

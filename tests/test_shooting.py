@@ -90,7 +90,7 @@ def case(request):
     grid = es._default_grid(
         channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN
     )
-    return channel, model, es._Shooter(channel, model, grid)
+    return channel, model, es._Shooter(channel, model, grid), l_max
 
 
 def _scan(shooter, count):
@@ -100,10 +100,21 @@ def _scan(shooter, count):
     return np.linspace(1.01 * shooter.floor + 0.5, top, count).tolist()
 
 
+def _near_eigenvalues(channel, model, shooter, l_max):
+    """Spectral parameters 1e-12, 1e-9 and 1e-6 relative to either side of
+    each discrete eigenvalue: there the outward sweep follows the decaying
+    tail longest before it turns, so the probe's tail exit comes latest."""
+    table = es.solve_spectrum(channel, model, l_max, grid=shooter.grid)
+    discrete = table.eigenvalues - np.array(table.shifts)
+    return [lam * (1.0 + sign * rel)
+            for lam in discrete.tolist() for rel in (1e-12, 1e-9, 1e-6) for sign in (-1, 1)]
+
+
 def test_probe_bit_identical_to_indexed_loop(case):
-    channel, model, shooter = case
+    # the reference sweeps the whole tail; the probe stops once w y grows
+    channel, model, shooter, l_max = case
     u = effective_potential(channel, model, shooter.grid.r)
-    for lam in _scan(shooter, 40):
+    for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
         m = shooter.match_index(lam)
         got = shooter.probe(lam, m)
         assert (got.node_count, got.mismatch) == reference_sweep(
@@ -112,7 +123,7 @@ def test_probe_bit_identical_to_indexed_loop(case):
 
 
 def test_grid_match_index_is_turning_point_index(case):
-    channel, model, shooter = case
+    channel, model, shooter, _ = case
     for lam in _scan(shooter, 300):
         want, q = turning_point_index(channel, model, shooter.grid, lam)
         got = shooter.match_index(lam)
@@ -122,7 +133,7 @@ def test_grid_match_index_is_turning_point_index(case):
 
 
 def test_match_index_rejects_uncovered_lam(case):
-    _, _, shooter = case
+    _, _, shooter, _ = case
     with pytest.raises(ValueError):
         shooter.match_index(float(shooter.u[-1]))
 

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specprobe import wkb
+from specprobe.eigensolve import solve_spectrum
 from specprobe.errors import ThresholdError
 from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
 from specprobe.specfun import integrate_sqrt_singular, langer_profile
@@ -86,6 +87,64 @@ class TestTurningPoints:
             (outer, lambda r: effective_potential(channel, QUARTIC, r) - 0.5 * lam),
         ):
             assert f(root) <= 0.0 < f(math.nextafter(root, math.inf))
+
+
+@pytest.fixture(scope="module")
+def mixed_n2():
+    return solve_spectrum(Channel(5, 2), MIXED, 24)
+
+
+@pytest.fixture(params=["quartic 3:0", "mixed 5:2"])
+def solved(request):
+    """A table with its channel and model: quartic_n0 or mixed_n2."""
+    if request.param == "quartic 3:0":
+        return request.getfixturevalue("quartic_n0"), CH30, QUARTIC
+    return request.getfixturevalue("mixed_n2"), Channel(5, 2), MIXED
+
+
+class TestTableTurningPoints:
+    """The array iteration ``summarize`` uses, on every level of a table."""
+
+    def test_every_root_on_the_allowed_side(self, solved):
+        table, channel, model = solved
+        u = lambda r: effective_potential(channel, model, r)
+        v = lambda r: eval_potential(model, r)
+        summaries = wkb.summarize(table, channel, model)
+        assert len(summaries) == len(table.eigenvalues)
+        up = lambda r: math.nextafter(r, math.inf)
+        down = lambda r: math.nextafter(r, -math.inf)
+        for s in summaries:
+            lam = s.lam
+            assert u(s.turning_t) <= lam < u(up(s.turning_t))
+            assert v(s.turning_x) <= lam < v(up(s.turning_x))
+            assert s.turning_t == wkb.turning_points(channel, model, lam).T
+            if s.allowed is not None:
+                a, b = s.allowed
+                assert u(b) <= 0.5 * lam < u(up(b))
+                if a > lam**-0.25:  # the centrifugal barrier sets the lower edge
+                    assert u(a) <= 0.5 * lam < u(down(a))
+        if channel.gamma > 0.0:
+            assert any(s.allowed and s.allowed[0] > s.lam**-0.25 for s in summaries)
+
+    def test_summarize_scalar_potential_calls(self, solved, monkeypatch):
+        table, channel, model = solved
+        # effective_potential + eval_potential calls with a scalar radius
+        # when summarize bisected each level's roots one by one
+        bisecting = {CH30: 7329 + 7158, Channel(5, 2): 7207 + 2896}[channel]
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                if np.ndim(args[1] if fn is eval_potential else args[2]) == 0:
+                    calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(wkb, "effective_potential", counted(effective_potential))
+        monkeypatch.setattr(wkb, "eval_potential", counted(eval_potential))
+        wkb.summarize(table, channel, model)
+        assert 0 < len(calls) <= bisecting / 10
 
 
 class TestAction:
