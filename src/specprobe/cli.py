@@ -99,19 +99,17 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_model(text: str, threshold_radius: float, allow_harmonic: bool) -> PotentialModel:
-    try:
-        return PotentialModel.from_spec(text, threshold_radius=threshold_radius)
-    except ValueError as exc:
-        if "requires harmonic" not in str(exc):
-            raise
+    # parsed as harmonic, so the smallest exponent (the terms come sorted)
+    # decides whether the model is the quadratic reference
+    model = PotentialModel.from_spec(text, threshold_radius=threshold_radius, harmonic=True)
+    if model.terms[0].exponent >= 4:
+        return PotentialModel(model.terms, threshold_radius=threshold_radius)
     if not allow_harmonic:
         raise ValueError(
             f"c>1 violated: model {text!r} is not super-quadratic "
             "(pass --allow-harmonic for the reference check)"
         )
-    return PotentialModel.from_spec(
-        text, threshold_radius=threshold_radius, harmonic=True
-    )
+    return model
 
 
 def _number(kind: type, least: float, above: bool = False) -> Callable[[str], float]:
@@ -354,10 +352,13 @@ def _tables(cfg: RunConfig) -> tuple[dict[tuple[int, int], SpectrumTable], dict]
 
 def cmd_validate(cfg: RunConfig) -> int:
     report = validate_assumptions(cfg.model)
-    print(f"model {cfg.model.spec_string} (growth index c = {cfg.model.growth_index:g})")
+    print(
+        f"model {cfg.model.spec_string} (growth index c = deg(V)/2 = "
+        f"{cfg.model.growth_index:g}, smallest c_m = {report.min_term_c:g})"
+    )
     print(f"convexity: {'ok' if report.convexity_ok else 'violated'}")
     print(
-        f"growth r V'/(2V) >= c: {'ok' if report.growth_ok else 'violated'} "
+        f"growth r V'/(2V) >= smallest c_m: {'ok' if report.growth_ok else 'violated'} "
         f"(min {report.max_admissible_c:.6g} at r = {report.admissible_argmin:.6g})"
     )
     if report.superquadratic_ok:
@@ -386,6 +387,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         {
             "passed": bool(ok),
             "max_admissible_c": report.max_admissible_c,
+            "min_term_c": report.min_term_c,
             "worst_ratios": list(report.worst_ratios),
             "window": list(report.window),
         },
@@ -464,17 +466,13 @@ def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dic
 def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
     c = cfg.model.growth_index
     points = []
-    band_fraction = []
     lam = cfg.appendix_base
     for _ in range(cfg.appendix_doublings):
-        split = appendix_error_integral(ch, cfg.model, lam)
-        points.append((lam, split.total))
-        band_fraction.append(split.band_estimate / split.total)
+        points.append((lam, appendix_error_integral(ch, cfg.model, lam)))
         lam *= 2.0
     fit = fit_power_law(points)
-    # the log-log slope between consecutive rungs, next to the estimate of
-    # the band around T that the totals leave out, shows how that band
-    # tilts the fitted exponent
+    # the log-log slope between consecutive rungs shows whether the ladder
+    # is still pre-asymptotic where the fit reads off the exponent
     local_slopes = [
         math.log(y1 / y0) / math.log(x1 / x0)
         for (x0, y0), (x1, y1) in zip(points, points[1:])
@@ -486,7 +484,6 @@ def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
         "lams": [p[0] for p in points],
         "totals": [p[1] for p in points],
         "local_slopes": local_slopes,
-        "band_fraction": band_fraction,
     }
 
 

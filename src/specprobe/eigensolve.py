@@ -360,6 +360,9 @@ class _Shooter:
         interior = f[i0:m]
         if interior[np.nonzero(interior)[0][0]] < 0.0:
             f = -f
+        # a large sector's barrier can grow the samples near the float
+        # limit, where f * f overflows; a power of two rescales them exactly
+        f *= 2.0 ** -math.frexp(float(np.max(np.abs(f))))[1]
         norm_sq = float(np.dot(grid.simpson_weights, f * f))
         if norm_sq <= 0.0 or not math.isfinite(norm_sq):
             raise ConsistencyError("assembled eigenfunction has a bad norm")

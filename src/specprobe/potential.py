@@ -129,8 +129,12 @@ class PotentialModel:
 
     @property
     def growth_index(self) -> float:
-        """Stored growth index ``c``, the smallest ``c_m`` of the sum."""
-        return min(t.exponent for t in self.terms) / 2.0
+        """Growth index ``c = deg(V)/2``, the largest ``c_m`` of the sum.
+
+        This is the paper's ``c``, the growth of ``V`` at infinity, which
+        every exponent formula uses.
+        """
+        return self.terms[-1].exponent / 2.0
 
     @property
     def spec_string(self) -> str:
@@ -229,9 +233,11 @@ def effective_potential(channel: Channel, model: PotentialModel, r, order: int =
 class AssumptionReport:
     """Outcome of sampling the structural assumptions on a radial window.
 
-    ``max_admissible_c`` is the sampled infimum of ``r V'/(2 V)``; the
-    stored growth index is admissible whenever it does not exceed this
-    value.  ``worst_ratios[j-1]`` is the sampled supremum of
+    ``max_admissible_c`` is the sampled infimum of ``r V'/(2 V)``.  The
+    growth check asks it to reach ``min_term_c``, the smallest ``c_m``:
+    ``r V' >= 2 min_m c_m V`` holds at every ``r`` for a positive sum,
+    while ``r V'/(2 V)`` only tends to the growth index ``c = deg(V)/2``.
+    ``worst_ratios[j-1]`` is the sampled supremum of
     ``r |V^(j)| / |V^(j-1)|`` for ``j = 1, 2, 3``; it is reported, not
     enforced against any particular bound.
     """
@@ -243,7 +249,7 @@ class AssumptionReport:
     max_admissible_c: float
     admissible_argmin: float
     worst_ratios: tuple[float, float, float]
-    growth_index: float
+    min_term_c: float
     window: tuple[float, float]
     samples: int
 
@@ -295,7 +301,7 @@ def validate_assumptions(
     admissible = r * dv / (2.0 * v)
     i_min = int(np.argmin(admissible))
     max_admissible_c = float(admissible[i_min])
-    c = model.growth_index
+    c = model.terms[0].exponent / 2.0  # the smallest c_m
     growth_ok = positive and max_admissible_c >= c * (1.0 - 1e-12)
     superquadratic_ok = max_admissible_c > 1.0
 
@@ -314,7 +320,7 @@ def validate_assumptions(
         max_admissible_c=max_admissible_c,
         admissible_argmin=float(r[i_min]),
         worst_ratios=ratios,
-        growth_index=c,
+        min_term_c=c,
         window=(float(r_lo), float(r_hi)),
         samples=int(samples),
     )

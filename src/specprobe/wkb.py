@@ -25,7 +25,6 @@ from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
 from .specfun import (
     PowerLawFit,
-    _gl_adaptive,
     _gl_segments,
     _retained_scale,
     fit_power_law,
@@ -37,7 +36,6 @@ __all__ = [
     "TurningPoints",
     "PhaseZeta",
     "LangerFit",
-    "AppendixSplit",
     "WkbSummary",
     "turning_points",
     "classical_edges",
@@ -69,6 +67,9 @@ _END_TOL = 1e-11  # relative accuracy of the segment of _zeta that reaches T
 _MIN_WELL_DEPTH = _END_NOISE / _END_TOL  # relative to lam, about 3.6e-4
 # cap on the steps of _newton_edge; from its starts ten have sufficed
 _NEWTON_ITERS = 100
+# half-width, relative to T, of the window where appendix_error_integral
+# interpolates (r - T) g instead of evaluating it
+_NEAR_T = 0.1
 
 
 class TurningPoints(NamedTuple):
@@ -335,8 +336,8 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
     # integral of sqrt|lam - U| over the sorted distinct radii on each side
     # of T: Gauss-Legendre panels between neighbours, and the square-root
     # substitution on the one segment that reaches T.  Radii within 1e-12
-    # relative of T get 0.  lam - U carries rounding noise of about eps lam,
-    # about 1.5 eps lam / |lam - U(r)| of the segment from r to T, so that
+    # relative of T get 0.  lam - U carries rounding noise of about ulp(lam),
+    # about 1.5 ulp(lam) / |lam - U(r)| of the segment from r to T, so that
     # segment converges to the larger of _END_TOL and a multiple of its noise
     # (at most 1, where |lam - U(r)| itself is rounding noise).
     kernel = lambda r: np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
@@ -504,86 +505,71 @@ def langer_residual(pair, channel: Channel, model: PotentialModel, grid) -> Lang
     )
 
 
-@dataclass(frozen=True)
-class AppendixSplit:
-    """Split of the profile error integral around the turning point."""
-
-    lam: float
-    eps: float
-    inner: float  # [1/2, (1-eps) T]
-    near: float  # [(1-eps) T, (1+eps) T] minus the excluded band
-    outer: float  # [(1+eps) T, infinity)
-    band_halfwidth: float
-    band_estimate: float
-
-    @property
-    def total(self) -> float:
-        return self.inner + self.near + self.outer
+def _scaled_g(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
+    # (r - T) g(r), with g = 5/(36 zeta^2) - Ucal as in appendix_error_integral
+    u = effective_potential(channel, model, rs)
+    du = effective_potential(channel, model, rs, 1)
+    d2u = effective_potential(channel, model, rs, 2)
+    gap = lam - u
+    ucal = d2u / (4.0 * gap**2) + 5.0 * du**2 / (16.0 * gap**3)
+    zeta = _zeta(channel, model, lam, big_t, rs)
+    return (rs - big_t) * (5.0 / (36.0 * -zeta * np.abs(zeta)) - ucal)
 
 
-def appendix_error_integral(
-    channel: Channel, model: PotentialModel, lam: float, eps: float = 0.1
-) -> AppendixSplit:
+def _scaled_g_near(channel, model, lam, big_t) -> np.polynomial.Chebyshev:
+    """Interpolant of ``(r - T) g(r)`` on ``[(1 - _NEAR_T) T, (1 + _NEAR_T) T]``.
+
+    Degree 23 on the 24 first-kind Chebyshev nodes, none of which is ``T``.
+    The formula loses about ``3 log10(T / |r - T|)`` digits to cancellation;
+    the nearest nodes sit ``0.0065 T`` away, where that is 6.5 digits.
+    """
+    return np.polynomial.Chebyshev.interpolate(
+        lambda rs: _scaled_g(channel, model, lam, big_t, rs),
+        23,
+        domain=[(1.0 - _NEAR_T) * big_t, (1.0 + _NEAR_T) * big_t],
+    )
+
+
+def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float) -> float:
     """Error-control integral ``int_{1/2}^inf |g(zeta)| |lam - U|^(1/2) dr``.
 
     ``g = 5/(36 zeta^2) - Ucal`` with ``Ucal`` the standard potential-form
-    error term; the split reports the inner, near-turning-point, and outer
-    contributions separately.  A band of half-width ten canonical grid
-    steps around ``T`` is excluded from the near part and estimated by
-    square-root extrapolation from its edges instead.
+    error term.  ``g`` has a simple pole at ``T`` and ``(r - T) g`` is
+    analytic there (Olver's ``psi(zeta)/zeta``; *Asymptotics and Special
+    Functions*, ch. 11), but its two terms each grow like ``|r - T|^-3``
+    and cancel.  Within ``_NEAR_T T`` of ``T`` it is therefore read off
+    ``_scaled_g_near``.  The integrand ``|(r - T) g| |lam - U|^(1/2) /
+    |r - T|`` behaves like ``|r - T|^(-1/2)`` at ``T``, which the
+    square-root substitution of ``integrate_sqrt_singular`` removes, so
+    the integral runs through ``T``: one piece below it, one on
+    ``[T, 2T]``, and doubling pieces above until one adds at most 1e-12
+    of the total.
     """
-    if not (0.0 < eps <= 0.25):
-        raise ValueError("eps must be in (0, 1/4]")
     big_t = turning_points(channel, model, lam).T
     if effective_potential(channel, model, 0.5) >= lam:
         raise ThresholdError(
             f"appendix integral needs U(1/2) < lam; lam={lam} too small", lam=lam
         )
-    delta = 10.0 * (2.0 * math.pi / (40.0 * math.sqrt(lam)))
-    if delta >= eps * big_t:
-        raise ValueError("excluded band exceeds the near window; raise lam or eps")
+    near = _scaled_g_near(channel, model, lam, big_t)
 
     def weighted(rs) -> np.ndarray:
-        rs = np.asarray(rs, dtype=float)
-        u = effective_potential(channel, model, rs)
-        du = effective_potential(channel, model, rs, 1)
-        d2u = effective_potential(channel, model, rs, 2)
-        gap = lam - u
-        ucal = d2u / (4.0 * gap**2) + 5.0 * du**2 / (16.0 * gap**3)
-        zeta = _zeta(channel, model, lam, big_t, rs)
-        g = 5.0 / (36.0 * -zeta * np.abs(zeta)) - ucal
-        return np.abs(g) * np.sqrt(np.abs(gap))
+        dist = rs - big_t
+        close = np.abs(dist) < _NEAR_T * big_t
+        h = np.empty(rs.shape)
+        h[close] = near(rs[close])
+        h[~close] = _scaled_g(channel, model, lam, big_t, rs[~close])
+        gap = lam - effective_potential(channel, model, rs)
+        return np.abs(h) * np.sqrt(np.abs(gap)) / np.abs(dist)
 
-    inner = _gl_adaptive(weighted, 0.5, (1.0 - eps) * big_t, 1e-7)
-
-    # resolve the |r - T|^(-1/2) profile by integrating in s = sqrt(|r - T|)
-    s_lo, s_hi = math.sqrt(delta), math.sqrt(eps * big_t)
-    left = _gl_adaptive(lambda s: 2.0 * s * weighted(big_t - s * s), s_lo, s_hi, 1e-7)
-    right = _gl_adaptive(lambda s: 2.0 * s * weighted(big_t + s * s), s_lo, s_hi, 1e-7)
-    near = left + right
-
-    outer = 0.0
-    lo = (1.0 + eps) * big_t
-    span = big_t
+    total = integrate_sqrt_singular(weighted, 0.5, big_t, "right", 1e-7)
+    total += integrate_sqrt_singular(weighted, big_t, 2.0 * big_t, "left", 1e-7)
+    lo = 2.0 * big_t
     while True:
-        piece = _gl_adaptive(weighted, lo, lo + span, 1e-7)
-        outer += piece
-        lo += span
-        span *= 2.0
-        if piece <= 1e-12 * (inner + near + outer) or piece <= 1e-300:
-            break
-
-    edge = float(np.sum(weighted(np.array([big_t - delta, big_t + delta]))))
-    band_estimate = 2.0 * delta * edge
-    return AppendixSplit(
-        lam=lam,
-        eps=eps,
-        inner=inner,
-        near=near,
-        outer=outer,
-        band_halfwidth=delta,
-        band_estimate=band_estimate,
-    )
+        piece = integrate_sqrt_singular(weighted, lo, 2.0 * lo, "none", 1e-7)
+        total += piece
+        lo *= 2.0
+        if piece <= 1e-12 * total:
+            return total
 
 
 def gap_scaling(table, window: tuple[int, int] | None = None) -> PowerLawFit:

@@ -161,7 +161,7 @@ class TestArtifacts:
         assert gap["theoretical"] == pytest.approx(0.25)
         appendix = results["wkb"]["appendix"]
         assert -0.9 < appendix["exponent"] < -0.5
-        # one local slope per pair of rungs, one band fraction per rung
+        # one local slope per pair of rungs
         lams, totals = appendix["lams"], appendix["totals"]
         assert len(appendix["local_slopes"]) == len(lams) - 1 == 4
         assert appendix["local_slopes"][0] == pytest.approx(
@@ -169,8 +169,7 @@ class TestArtifacts:
         )
         assert min(appendix["local_slopes"]) <= appendix["exponent"]
         assert appendix["exponent"] <= max(appendix["local_slopes"])
-        assert len(appendix["band_fraction"]) == len(lams)
-        assert all(0.0 < f < 1.0 for f in appendix["band_fraction"])
+        assert "band_fraction" not in appendix
         # ladder from level 4 is too short at lmax 14 for a langer fit
         assert results["wkb"]["langer"]["exponent"] is None
         assert results["probe"]["channels"]["d3_n0"]["lower_bound_const"] > 0.0
@@ -190,6 +189,22 @@ class TestArtifacts:
         text = (workspace / "report.md").read_text()
         assert 'model = "1*r^4"' in text
         assert "l_max = 14" in text
+
+
+class TestMultiTermReport:
+    def test_every_row_passes_against_deg_v_over_two(self, tmp_path):
+        # the paper's c for 1*r^4+0.5*r^6 is deg(V)/2 = 3, not the smallest c_m
+        base = ["--model", "1*r^4+0.5*r^6", "--channels", "3:0,5:2", "--lmax", "24",
+                "--lrange", "8:22", "--fit-top", "12", "--out", str(tmp_path)]
+        for command in ("gaps", "wkb", "probe", "report"):
+            assert main([command] + base) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["config"]["growth_index"] == 3.0
+        assert doc["results"]["gaps"]["channels"]["d5_n2"]["theoretical"] == pytest.approx(1 / 3)
+        table = (tmp_path / "report.md").read_text().split("## Artifacts")[0]
+        rows = [line for line in table.splitlines() if line.startswith("| ") and "---" not in line]
+        assert len(rows) == 5  # the header and four quantities
+        assert all(row.endswith("| pass |") for row in rows[1:]), rows
 
 
 class TestCaching:

@@ -319,6 +319,16 @@ class TestSolveSpectrum:
         for n in range(3):
             assert np.all(lams[n] < lams[n + 1])
 
+    @pytest.mark.parametrize("n", [93, 150])
+    def test_large_sector_solves(self, n):
+        # the outward sweep grows through the barrier to near the float
+        # limit, where squaring the unscaled samples overflowed
+        table = es.solve_spectrum(Channel(3, n), QUARTIC, 3)
+        assert [p.node_count for p in table.eigenpairs] == [0, 1, 2, 3]
+        assert np.all(np.diff(table.eigenvalues) > 0.0)
+        norms = table.samples**2 @ table.grid.simpson_weights
+        assert np.all(np.abs(norms - 1.0) <= 1e-8)
+
     def test_pair_lookup_guard(self, quartic_table):
         assert quartic_table.pair(3).level == 3
         with pytest.raises(IndexError):

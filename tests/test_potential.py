@@ -18,7 +18,8 @@ from specprobe.potential import (
 def test_parse_sum_model():
     model = PotentialModel.from_spec("1*r^4+0.5*r^6")
     assert [(t.exponent, t.coefficient) for t in model.terms] == [(4, 1.0), (6, 0.5)]
-    assert model.growth_index == 2.0
+    # the paper's c is deg(V)/2, the growth at infinity
+    assert model.growth_index == 3.0
     assert model.spec_string == "1*r^4+0.5*r^6"
     # round trip
     again = PotentialModel.from_spec(model.spec_string)
@@ -151,8 +152,9 @@ def test_validate_sum_binds_at_window_left_edge():
     assert report.passed
     assert report.max_admissible_c == pytest.approx(2.5, rel=1e-12)
     assert report.admissible_argmin == pytest.approx(1.0, rel=1e-12)
-    # the stored index is the smallest exponent over two
-    assert report.growth_index == 2.0
+    # the check binds at the smallest c_m; the growth index is deg(V)/2
+    assert report.min_term_c == 2.0
+    assert model.growth_index == 3.0
 
 
 def test_validate_window_argument_errors():
@@ -181,8 +183,10 @@ def test_positive_even_sums_always_validate(exponents, coeffs):
     model = PotentialModel(terms)
     report = validate_assumptions(model, 1.0, 50.0, samples=64)
     assert report.passed
-    # the infimum of r V'/(2V) is at least the smallest c_m
-    assert report.max_admissible_c >= model.growth_index - 1e-9
+    # the infimum of r V'/(2V) lies between the smallest c_m and deg(V)/2
+    assert report.min_term_c == min(exponents) / 2.0
+    assert model.growth_index == max(exponents) / 2.0
+    assert report.min_term_c - 1e-9 <= report.max_admissible_c <= model.growth_index + 1e-9
 
 
 @settings(max_examples=20, deadline=None)
