@@ -29,7 +29,7 @@ import platform
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -424,9 +424,32 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     return 0
 
 
+class _Certificate(NamedTuple):
+    """One exponent certificate, declared once."""
+
+    name: str  # report row
+    exponent: Callable[[float], float]  # theoretical exponent in c
+    tol: float
+    mode: str  # "two-sided", or "lower": only falling short of the theory fails
+    fits: str  # where run.json's results hold its fits; "*" is each channel
+
+
+# in the order of the report's rows
+_CERTIFICATES = {
+    "gaps": _Certificate("eigenvalue gap growth", lambda c: (c - 1.0) / (2.0 * c),
+                         0.03, "two-sided", "gaps/channels/*/exponent"),
+    "amplitude": _Certificate("boundary amplitude growth", lambda c: (c - 1.0) / (4.0 * c),
+                              0.03, "lower", "wkb/channels/*/amplitude/exponent"),
+    "probe": _Certificate("probe magnitude decay", lambda c: -1.0 / (2.0 * c),
+                          0.05, "two-sided", "probe/channels/*/exponent"),
+    "appendix": _Certificate("error control integral decay", lambda c: -(c + 1.0) / (2.0 * c),
+                             0.10, "two-sided", "wkb/appendix/exponent"),
+}
+
+
 def cmd_gaps(cfg: RunConfig) -> int:
     tables, cache = _tables(cfg)
-    theory = (cfg.model.growth_index - 1.0) / (2.0 * cfg.model.growth_index)
+    theory = _CERTIFICATES["gaps"].exponent(cfg.model.growth_index)
     channels_payload = {}
     for (d, n), table in tables.items():
         n_gaps = len(table.eigenvalues) - 1
@@ -446,7 +469,6 @@ def cmd_gaps(cfg: RunConfig) -> int:
 
 
 def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
-    c = cfg.model.growth_index
     u1 = effective_potential(ch, cfg.model, 1.0)
     count = len(table.eigenvalues)
     n_skip = int(np.count_nonzero(table.eigenvalues <= u1))
@@ -458,13 +480,12 @@ def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dic
     return {
         "exponent": fit.exponent,
         "r_squared": fit.r_squared,
-        "theoretical": (c - 1.0) / (4.0 * c),
+        "theoretical": _CERTIFICATES["amplitude"].exponent(cfg.model.growth_index),
         "levels": [lo + n_skip, hi - 1 + n_skip] if window else [n_skip, count - 1],
     }
 
 
 def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
-    c = cfg.model.growth_index
     points = []
     lam = cfg.appendix_base
     for _ in range(cfg.appendix_doublings):
@@ -480,7 +501,7 @@ def _appendix_payload(cfg: RunConfig, ch: Channel) -> dict:
     return {
         "exponent": fit.exponent,
         "r_squared": fit.r_squared,
-        "theoretical": -(c + 1.0) / (2.0 * c),
+        "theoretical": _CERTIFICATES["appendix"].exponent(cfg.model.growth_index),
         "lams": [p[0] for p in points],
         "totals": [p[1] for p in points],
         "local_slopes": local_slopes,
@@ -552,7 +573,7 @@ def cmd_probe(cfg: RunConfig) -> int:
             f"lrange {cfg.l_range} needs lmax >= {cfg.l_range[1]}, got {cfg.l_max}"
         )
     tables, cache = _tables(cfg)
-    theory = -1.0 / (2.0 * cfg.model.growth_index)
+    theory = _CERTIFICATES["probe"].exponent(cfg.model.growth_index)
     rows = []
     channels_payload = {}
     for (d, n), table in tables.items():
@@ -636,33 +657,17 @@ def cmd_kernel(cfg: RunConfig) -> int:
     return 0
 
 
-def _report_rows(results: dict, c: float) -> list[tuple[str, float, dict, float, str]]:
-    gaps = {
-        key: val["exponent"]
-        for key, val in sorted(results.get("gaps", {}).get("channels", {}).items())
-    }
-    amps = {
-        key: val["amplitude"]["exponent"]
-        for key, val in sorted(results.get("wkb", {}).get("channels", {}).items())
-    }
-    probes = {
-        key: val["exponent"]
-        for key, val in sorted(results.get("probe", {}).get("channels", {}).items())
-    }
-    appendix = results.get("wkb", {}).get("appendix", {})
-    appendix_fit = {"ladder": appendix["exponent"]} if appendix else {}
-    return [
-        ("eigenvalue gap growth", (c - 1.0) / (2.0 * c), gaps, 0.03, "two-sided"),
-        ("boundary amplitude growth", (c - 1.0) / (4.0 * c), amps, 0.03, "lower"),
-        ("probe magnitude decay", -1.0 / (2.0 * c), probes, 0.05, "two-sided"),
-        (
-            "error control integral decay",
-            -(c + 1.0) / (2.0 * c),
-            appendix_fit,
-            0.10,
-            "two-sided",
-        ),
-    ]
+def _fitted(results: dict, path: list[str]) -> dict:
+    """Fits at ``path`` in run.json's results: by channel where it holds
+    ``"*"``, else the one ``ladder`` fit; empty when its stage did not run."""
+    for i, step in enumerate(path):
+        if step == "*":
+            rest = path[i + 1 :]
+            return {key: _fitted(val, rest)["ladder"] for key, val in sorted(results.items())}
+        if step not in results:
+            return {}
+        results = results[step]
+    return {"ladder": results}
 
 
 def _row_status(theory: float, fitted: dict, tol: float, mode: str) -> str:
@@ -698,15 +703,14 @@ def cmd_report(cfg: RunConfig) -> int:
         "| quantity | theoretical exponent | fitted exponent | tolerance | pass/fail |",
         "| --- | --- | --- | --- | --- |",
     ]
-    for name, theory, fitted, tol, mode in _report_rows(results, c):
-        status = _row_status(theory, fitted, tol, mode)
+    for cert in _CERTIFICATES.values():
+        theory, fitted = cert.exponent(c), _fitted(results, cert.fits.split("/"))
+        status = _row_status(theory, fitted, cert.tol, cert.mode)
         if fitted and all(v is not None for v in fitted.values()):
             shown = "; ".join(f"{key}: {value:.4f}" for key, value in fitted.items())
         else:
             shown = "not run"
-        lines.append(
-            f"| {name} | {theory:.4f} | {shown} | {tol:.2f} | {status} |"
-        )
+        lines.append(f"| {cert.name} | {theory:.4f} | {shown} | {cert.tol:.2f} | {status} |")
 
     lines += ["", "## Artifacts", ""]
     for artifact in ("spectrum.csv", "wkb.csv", "probe.csv", "kernel.csv", "run.json"):

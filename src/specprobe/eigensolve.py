@@ -79,6 +79,7 @@ MIN_POINTS_PER_WAVELENGTH = 40.0
 MIN_DECAY_MARGIN = 5.0
 MIN_REL_TOL = 1e-15  # a few ulps: the bracket cannot shrink much further
 BRACKET_STEP = 0.1  # first bracketing step, as a fraction of the expected gap
+BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
 
 
 @dataclass(frozen=True)
@@ -262,7 +263,8 @@ class _Shooter:
         return min(max(k, 3), n - 5)
 
     def _start(self, lam: float, m: int):
-        """Recurrence coefficients, safe start index and outward seeds."""
+        """Recurrence coefficients, start index, outward seeds, and whether
+        the start is inside a barrier, below which the samples are 0."""
         grid = self.grid
         h = grid.h
         w = 1.0 + (h * h / 12.0) * (lam - self.u)
@@ -275,8 +277,21 @@ class _Shooter:
             i0 = int(np.argmax(w >= 0.75))
             if wl[i0] < 0.75:
                 raise ConsistencyError("no safe start index; grid step too coarse")
+        # through a high centrifugal barrier the regular solution grows by
+        # exp(h sum sqrt(U - lam)) before the allowed region; past
+        # BARRIER_EXPONENT of that the sweep would overflow (and the free
+        # seed underflow), so it starts where that much is left, on the
+        # growing solution, whose decaying part dies by exp(-2 BARRIER_EXPONENT)
+        k = i0 + int(np.searchsorted(-self.u[i0 : self.i_min + 1], -lam))
+        left = h * np.cumsum(np.sqrt(self.u[i0:k] - lam)[::-1])[::-1]
+        barrier = left.size > 0 and left[0] > BARRIER_EXPONENT
+        if barrier:
+            i0 += int(np.searchsorted(-left, -BARRIER_EXPONENT))
         if i0 > m - 3:
             raise ValueError("safe start index reaches the matching point")
+        if barrier:
+            seed = (1.0, math.exp(h * math.sqrt(self.u[i0] - lam)))
+            return (12.0 - 10.0 * w).tolist(), wl, i0, *seed, True
 
         # Python floats, not numpy scalars: the sweep loops run three times
         # faster on them, with the same IEEE results
@@ -286,7 +301,7 @@ class _Shooter:
         scale = max(abs(s0), abs(s1))
         if scale == 0.0 or not math.isfinite(scale):
             raise ConsistencyError("degenerate outward seed")
-        return (12.0 - 10.0 * w).tolist(), wl, i0, s0 / scale, s1 / scale
+        return (12.0 - 10.0 * w).tolist(), wl, i0, s0 / scale, s1 / scale, False
 
     def _inward(self, lam: float, c, wl, m: int, keep=None):
         """Decaying solution from the far boundary: values at ``m + 1``, ``m``."""
@@ -308,7 +323,7 @@ class _Shooter:
     def probe(self, lam: float, m: int) -> ShootResult:
         """Node count of the full outward sweep and mismatch at ``m``."""
         n = self.grid.n_points
-        c, wl, i0, y0, y1 = self._start(lam, m)
+        c, wl, i0, y0, y1, _ = self._start(lam, m)
         o_m, o_c, nodes = _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1)
         _, o_p, k = _numerov(c[m : m + 1], wl[m - 1 : m], wl[m + 1 : m + 2], o_m, o_c)
         nodes += k
@@ -340,7 +355,7 @@ class _Shooter:
     def assemble(self, lam: float, m: int, level: int, sweeps: int, bisections: int):
         """Normalised eigenfunction stitched at ``m``, with its own node count."""
         grid = self.grid
-        c, wl, i0, y0, y1 = self._start(lam, m)
+        c, wl, i0, y0, y1, barrier = self._start(lam, m)
         ys_out = [y0, y1]
         _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1, ys_out.append)
         ys_in = []
@@ -350,7 +365,9 @@ class _Shooter:
         f = np.empty(grid.n_points)
         f[i0 : m + 1] = ys_out
         f[m + 1 :] = np.asarray(ys_in[1:]) * (ys_out[-1] / ys_in[0])
-        if i0 > 0:
+        if barrier:
+            f[:i0] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at i0
+        elif i0 > 0:
             # extend below the safe start with the regular free solution,
             # scaled to match the seed continuation
             free = boundary_series_small_r(self.channel, lam, grid.r[:i0])

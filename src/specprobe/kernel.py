@@ -82,30 +82,19 @@ def export_kernel_grid(
 
     if len(ts) == 0 or len(rs) == 0 or len(ss) == 0:
         raise ValueError("kernel export needs nonempty t, r, s grids")
-    lams, f = _levels(table, level_cap)
-    d = table.channel.d
-    idx_r = [table.grid.index_of(r) for r in rs]
-    idx_s = [table.grid.index_of(s) for s in ss]
+    radii = sorted(set(rs) | set(ss))
+    pos = {radius: k for k, radius in enumerate(radii)}
+    power = -(table.channel.d - 1) / 2.0
 
     header = ["t", "r", "s", "reK", "imK", "weighted_reK", "weighted_imK"]
     rows = []
     for t in ts:
-        phases = np.exp(-1j * lams * float(t))
-        for r, i in zip(rs, idx_r):
-            row_f = f[:, i]
-            for s, j in zip(ss, idx_s):
-                value = complex(np.sum(phases * row_f * f[:, j]))
-                weight = (float(r) * float(s)) ** (-(d - 1) / 2.0)
-                weighted = weight * value
+        matrix = kernel_matrix(table, float(t), radii, level_cap)
+        for r in rs:
+            for s in ss:
+                value = complex(matrix[pos[r], pos[s]])
+                weighted = (float(r) * float(s)) ** power * value
                 rows.append(
-                    [
-                        fmt(t),
-                        fmt(r),
-                        fmt(s),
-                        fmt(value.real),
-                        fmt(value.imag),
-                        fmt(weighted.real),
-                        fmt(weighted.imag),
-                    ]
+                    [fmt(x) for x in (t, r, s, value.real, value.imag, weighted.real, weighted.imag)]
                 )
     return write_csv(path, header, rows)

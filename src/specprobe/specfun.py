@@ -4,9 +4,10 @@ Bessel functions of the first kind are computed here over whole arrays
 (ascending series below a crossover, Hankel asymptotic expansion above,
 each element summed until it converges) so the package needs no
 special-function library.  Also: the turning-point profile from
-``J_{1/3} + J_{-1/3}``, quadrature for square-root endpoints and over many
-segments at once, the Anderson-Bjorck regula falsi factor, and a log-log
-power-law fitter used by all of the scaling certificates.
+``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over many
+segments at once (square-root endpoints substituted away), the
+Anderson-Bjorck regula falsi factor, and a log-log power-law fitter used
+by all of the scaling certificates.
 """
 
 from __future__ import annotations
@@ -147,44 +148,18 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-def _gl_fixed(f: Callable, a: float, b: float, panels: int, order: int) -> float:
-    nodes, weights = _gl_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    y = np.asarray(f(x), dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise QuadratureError("integrand returned a non-finite value")
-    w = (half[:, None] * weights[None, :]).ravel()
-    return float(np.dot(w, y))
-
-
-def _gl_adaptive(
-    f: Callable, a: float, b: float, rel_tol: float, max_panels: int = 4096
-) -> float:
-    order = 32
-    panels = 1
-    prev = _gl_fixed(f, a, b, panels, order)
-    while panels < max_panels:
-        panels *= 2
-        cur = _gl_fixed(f, a, b, panels, order)
-        if abs(cur - prev) <= rel_tol * abs(cur) + 1e-300:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"quadrature did not converge to rel_tol={rel_tol} within {max_panels} panels"
-    )
-
-
-def _gl_segments(f: Callable, edges: np.ndarray) -> np.ndarray:
+def _gl_segments(f: Callable, edges: np.ndarray, rel_tol: float) -> np.ndarray:
     """Integrals of ``f`` over ``[edges[i], edges[i+1]]``, 16-point Gauss-Legendre.
 
-    A segment whose halves disagree with it by more than 1e-13 relative
-    plus 1e-15 of the whole span is split, so one next to a singularity of
-    ``f`` converges, and rounding noise in ``f`` (near a root of
-    ``lam - U``) cannot split forever.  ``f`` sees ``_SEGMENT_CHUNK``
-    segments at most per call, which bounds the memory it takes.
+    A segment whose halves disagree with it by more than ``rel_tol``
+    relative plus 1e-15 of the whole span is split, so only segments next
+    to a singularity of ``f`` are refined, and rounding noise in ``f``
+    (near a root of ``lam - U``) cannot split forever.  Both halves of
+    every split segment go to ``f`` together, ``_SEGMENT_CHUNK`` segments
+    at most per call.  A segment that must be split again although it spans
+    at most 4096 ulps of its midpoint raises ``QuadratureError``: its
+    halves' outer nodes would sit within 11 ulps of their ends, placed by
+    rounding rather than by the rule.
     """
     nodes, weights = _gl_rule(16)
 
@@ -204,19 +179,20 @@ def _gl_segments(f: Callable, edges: np.ndarray) -> np.ndarray:
     out = np.zeros(a.size)
     whole = rule(a, b)
     floor = 1e-15 * np.sum(np.abs(whole))
-    for _ in range(60):
+    while True:
         m = 0.5 * (a + b)
-        left, right = rule(a, m), rule(m, b)
+        left, right = np.split(rule(np.concatenate([a, m]), np.concatenate([m, b])), 2)
         halves = left + right
-        ok = np.abs(halves - whole) <= 1e-13 * np.abs(halves) + floor
+        ok = np.abs(halves - whole) <= rel_tol * np.abs(halves) + floor
         np.add.at(out, owner[ok], halves[ok])
         if ok.all():
             return out
         split = ~ok
+        if np.any(b[split] - a[split] <= 4096.0 * np.spacing(np.abs(m[split]))):
+            raise QuadratureError(f"quadrature did not converge to rel_tol={rel_tol}")
         owner = np.tile(owner[split], 2)
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
         whole = np.concatenate([left[split], right[split]])
-    raise QuadratureError("segment quadrature did not converge in 60 halvings")
 
 
 def integrate_sqrt_singular(
@@ -242,13 +218,12 @@ def integrate_sqrt_singular(
     if singular_end not in ("none", "left", "right"):
         raise ValueError("singular_end must be 'none', 'left', or 'right'")
     if singular_end == "none":
-        return _gl_adaptive(f, a, b, rel_tol)
-    span = b - a
+        return float(_gl_segments(f, np.array([a, b]), rel_tol)[0])
     if singular_end == "left":
         g = lambda u: 2.0 * u * np.asarray(f(a + u * u), dtype=float)
     else:
         g = lambda u: 2.0 * u * np.asarray(f(b - u * u), dtype=float)
-    return _gl_adaptive(g, 0.0, math.sqrt(span), rel_tol)
+    return float(_gl_segments(g, np.array([0.0, math.sqrt(b - a)]), rel_tol)[0])
 
 
 def _retained_scale(g_new: float, g_replaced: float) -> float:

@@ -350,7 +350,7 @@ def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
         if not np.any(mask):
             continue
         pts, where = np.unique(rs[mask], return_inverse=True)
-        segs = _gl_segments(kernel, pts)
+        segs = _gl_segments(kernel, pts, 1e-13)
         if side < 0.0:
             end = integrate_sqrt_singular(kernel, pts[-1], big_t, "right", end_tol(pts[-1]))
             dist = end + np.append(np.cumsum(segs[::-1])[::-1], 0.0)

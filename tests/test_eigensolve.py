@@ -22,6 +22,13 @@ QUARTIC = PotentialModel.pure(4, 1.0)
 HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
 CH30 = Channel(3, 0)
 
+# Channel(4, 0): gamma = 3/4, every oscillator level 3.4e-8 relative high
+ROUGH_ORIGIN = pytest.mark.xfail(
+    strict=True,
+    reason="the regular solution goes like r^(3/2), and near r_min = 1e-3 "
+    "the grid step is not small against r",
+)
+
 QUARTIC_L0 = 3.799673029801394
 QUARTIC_L1 = 11.644745511378
 
@@ -292,6 +299,23 @@ class TestSolveSpectrum:
             assert np.all(shifts > 0.0)
             assert np.max(np.abs(table.eigenvalues - shifts - exact) / exact) > 1e-10
 
+    @pytest.mark.parametrize(
+        "d, n",
+        [
+            pytest.param(d, n, marks=ROUGH_ORIGIN) if (d, n) == (4, 0) else (d, n)
+            for d in (3, 4, 5, 7)
+            for n in (0, 1, 2, 5)
+        ]
+        + [(3, 200), (3, 1000)],
+    )
+    def test_exact_oscillator_sectors(self, d, n):
+        # U = gamma/r^2 + r^2 has the levels 4 l + 2 nu + 2, nu the Bessel order
+        ch = Channel(d, n)
+        table = es.solve_spectrum(ch, HARMONIC, 12)
+        exact = 4.0 * np.arange(13) + 2.0 * ch.bessel_order + 2.0
+        assert np.max(np.abs(table.eigenvalues - exact) / exact) <= 1e-10
+        assert [p.node_count for p in table.eigenpairs] == list(range(13))
+
     def test_strictly_increasing_and_contiguous(self, quartic_table):
         lams = quartic_table.eigenvalues
         assert np.all(np.diff(lams) > 0.0)
@@ -319,10 +343,12 @@ class TestSolveSpectrum:
         for n in range(3):
             assert np.all(lams[n] < lams[n + 1])
 
-    @pytest.mark.parametrize("n", [93, 150])
+    @pytest.mark.parametrize("n", [93, 150, 200, 250, 400])
     def test_large_sector_solves(self, n):
         # the outward sweep grows through the barrier to near the float
-        # limit, where squaring the unscaled samples overflowed
+        # limit, where squaring the unscaled samples overflowed (93, 150);
+        # a deeper barrier overflowed the sweep itself (200) and underflowed
+        # the free seed (250), so the sweep now starts inside it
         table = es.solve_spectrum(Channel(3, n), QUARTIC, 3)
         assert [p.node_count for p in table.eigenpairs] == [0, 1, 2, 3]
         assert np.all(np.diff(table.eigenvalues) > 0.0)

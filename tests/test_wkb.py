@@ -448,6 +448,19 @@ class TestAppendixIntegral:
         assert np.all(np.diff(slopes) < 0.0)
         assert slopes[-1] > -0.75
 
+    def test_quartic_ladder_potential_points(self, monkeypatch):
+        # one locally adaptive rule refines next to T only; refining every
+        # panel globally took 3,195,708 points
+        points = []
+
+        def counted(channel, model, r, *rest):
+            points.append(np.size(r))
+            return effective_potential(channel, model, r, *rest)
+
+        monkeypatch.setattr(wkb, "effective_potential", counted)
+        appendix_ladder(QUARTIC)
+        assert sum(points) <= 1_000_000
+
     def test_sextic_ladder_exponent(self):
         exponent, _ = appendix_ladder(SEXTIC)
         assert abs(exponent + 2.0 / 3.0) <= 0.02
