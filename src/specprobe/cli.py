@@ -27,6 +27,7 @@ import math
 import os
 import platform
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -333,17 +334,21 @@ def _cached(
 def _tables(cfg: RunConfig) -> tuple[dict[tuple[int, int], SpectrumTable], dict]:
     """Every channel's table, reused from its cache when that matches the
     config, else solved and cached; and per channel, whether the cache hit
-    or why it missed (also one line on stderr)."""
+    or why it missed (also one line on stderr) and, on a miss, the wall
+    seconds of the solve."""
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
     tables, cache = {}, {}
     for d, n in cfg.channels:
         path = _cache_path(cfg, d, n)
         table, why = _cached(cfg, path, Channel(d, n), solver)
+        entry = {"hit": True}
         if table is None:
+            start = time.perf_counter()
             table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
+            entry = {"hit": False, "reason": why, "solve_s": time.perf_counter() - start}
             save_spectrum(table, path)
         tables[(d, n)] = table
-        cache[_channel_key(d, n)] = {"hit": True} if why == "hit" else {"hit": False, "reason": why}
+        cache[_channel_key(d, n)] = entry
     print("cache: " + ", ".join(
         f"{key} " + ("hit" if entry["hit"] else f"miss ({entry['reason']})")
         for key, entry in cache.items()), file=sys.stderr)
@@ -417,6 +422,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             counts = getattr(table, stat)
             entry[f"{stat}_max"] = max(counts)
             entry[f"{stat}_mean"] = sum(counts) / len(counts)
+        # the solve's wall seconds, moved here from the cache record; null on a hit
+        entry["solve_s"] = cache[_channel_key(d, n)].pop("solve_s", None)
         payload["channels"][_channel_key(d, n)] = entry
         payload["rows"] += len(lams)
     _update_run_json(cfg, "spectrum", payload)

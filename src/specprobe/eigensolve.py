@@ -1,27 +1,32 @@
 """Shooting eigensolver for the half-line radial operators.
 
-The discrete problem is the standard fourth-order three-term recurrence.
-Integration starts outward from a small-radius seed built from the regular
-free solution ``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed at
-the far boundary, and the two branches are matched at the outer turning
-point through their logarithmic derivatives.
+The discrete problem is the standard fourth-order three-term recurrence,
+run on Numerov's ``z = w y`` as ``z[i+1] = g[i] z[i] - z[i-1]`` over one
+array of ``g`` per spectral parameter (``_sweep``).  Integration starts
+outward from a small-radius seed built from the regular free solution
+``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed at the far
+boundary, and the two branches are matched at the outer turning point
+through their logarithmic derivatives.
 
-One probe sweep at a spectral parameter gives both the node count of the
-full outward sweep (which jumps at each eigenvalue) and the mismatch, at a
-match index fixed once per level and read off the sampled potential.  Past
-the turning point the outward sweep stops once ``w y`` grows with one
-sign, after which the recurrence admits no sign change.  A
-level is bracketed from a guess by node count and refined by regula falsi
-on the mismatch, with the Anderson-Bjorck (Illinois-type) end scaling and
-a bisection whenever the end mismatches do not bracket a single root; the
-node count alone decides which end a probe replaces.  Levels from 3 on
-start from the quadratic extrapolation of the three below, so the WKB
-action is inverted only for the grid and the first three levels.
+One probe sweep at a spectral parameter gives the node count of the full
+outward sweep (which jumps at each eigenvalue), the mismatch at a match
+index read off the sampled potential, and the mismatch's slope in ``lam``
+(Cooley's derivative, Math. Comp. 15, 1961), summed from ``z^2`` during
+the sweep.  Past the turning point the outward sweep stops once ``z``
+grows with one sign, after which the recurrence admits no sign change.
+A level is refined by safeguarded Newton steps on the mismatch: the node
+counts bracket it, a step off the level's branch becomes a bisection, and
+where rounding stalls Newton above the tolerance the node counts close
+the bracket.  Levels from 3 on start from the polynomial through the
+levels below (quadratic for level 3, cubic from level 4), about 2.6
+sweeps per level on the quartic; the WKB action is inverted only for the
+grid and the first three levels.  The sweep expected to be a level's
+last stores its values, which are the level's samples.
 
 Each eigenvalue is the discrete one plus the asymptotic correction of
-Numerov's ``h^4`` dispersion (``_dispersion_shift``), which leaves about
-4e-11 relative error at 180 points per wavelength; the samples stay the
-discrete eigenvectors.
+Numerov's ``h^4`` dispersion (``_dispersion_shifts``, one call for all
+levels), which leaves about 4e-11 relative error at 180 points per
+wavelength; the samples stay the discrete eigenvectors.
 
 A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
 and the per-level solver counters and corrections; an ``EigenPair``'s node
@@ -44,7 +49,7 @@ import numpy as np
 
 from .errors import BracketError, ConsistencyError
 from .potential import Channel, PotentialModel, effective_potential
-from .specfun import _gl_rule, _retained_scale, integrate_sqrt_singular
+from .specfun import _gl_rule, integrate_sqrt_singular
 from .wkb import (
     classical_edges,
     inverse_action,
@@ -78,8 +83,12 @@ DEFAULT_REL_TOL = 1e-10
 MIN_POINTS_PER_WAVELENGTH = 40.0
 MIN_DECAY_MARGIN = 5.0
 MIN_REL_TOL = 1e-15  # a few ulps: the bracket cannot shrink much further
-BRACKET_STEP = 0.1  # first bracketing step, as a fraction of the expected gap
 BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
+MAX_SWEEPS = 60  # probe sweeps per level before the refinement gives up
+# Newton's steps shrink like step^2/gap once a step is this small against
+# the gap, so a step that does not shrink there is rounding noise
+NEWTON_SETTLED = 1e-3
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -192,43 +201,41 @@ class ShootResult(NamedTuple):
     node_count: int
 
 
-def _numerov(c, wm, wp, y0, y1, keep=None):
-    """Run the recurrence ``y2 = (c*y1 - wm*y0) / wp`` over zipped lists.
+def _sweep(g, z0, z1, keep=None, stop=False):
+    """Run Numerov's recurrence ``z2 = g z1 - z0`` on ``z = w y`` over ``g``.
 
-    Returns the last two values and the number of sign changes among the
-    new values; ``keep``, when given, receives each new value.  Sweeping
-    inward is the same recurrence on reversed lists.
+    Returns the last two values, the number of sign changes among the new
+    values and the sum of their squares; ``keep``, when given, receives
+    each new value.  Sweeping inward is the same recurrence on the
+    reversed list.  With ``stop`` the sweep ends before the first new value
+    that carries ``|z|`` further from zero with one sign: the caller
+    guarantees ``g > 2`` (``U > lam``) from that value on, so ``|z|`` would
+    keep growing with that sign and no later value could change sign.
     """
     nodes = 0
-    for ci, wmi, wpi in zip(c, wm, wp):
-        y2 = (ci * y1 - wmi * y0) / wpi
-        if y1 * y2 < 0.0:
+    s = 0.0
+    for gi in g:
+        z2 = gi * z1 - z0
+        if z1 * z2 < 0.0:
             nodes += 1
+        elif stop and (z2 - z1) * z1 > 0.0:
+            break
+        s += z2 * z2
         if keep is not None:
-            keep(y2)
-        y0, y1 = y1, y2
-    return y0, y1, nodes
+            keep(z2)
+        z0 = z1
+        z1 = z2
+    return z0, z1, nodes, s
 
 
-def _numerov_tail(c, wm, wc, wp, y0, y1):
-    """``_numerov`` past the turning point, stopping once ``w y`` grows.
+class _Probe(NamedTuple):
+    """One probe sweep: its ``ShootResult``, the slope of the mismatch in
+    ``lam``, and with ``keep`` the samples stitched at the match index,
+    not yet normalised, else None."""
 
-    ``wc`` holds the weight of the current value.  With ``z = w y`` the
-    recurrence reads ``z2 = (c/w) z1 - z0``, and ``c/w = 12/w - 10 > 2``
-    wherever ``0 < w < 1``, that is ``U > lam``.  So once ``|z|`` grows
-    with one sign it keeps growing with that sign, and the sweep can stop:
-    no later value changes sign.  The caller guarantees ``0 < w < 1`` at
-    every new value.  Returns what ``_numerov`` returns.
-    """
-    nodes = 0
-    for ci, wmi, wci, wpi in zip(c, wm, wc, wp):
-        y2 = (ci * y1 - wmi * y0) / wpi
-        if y1 * y2 < 0.0:
-            nodes += 1
-        elif (wpi * y2 - wci * y1) * y1 > 0.0:  # |z| grew, sign kept
-            return y1, y2, nodes
-        y0, y1 = y1, y2
-    return y0, y1, nodes
+    result: ShootResult
+    slope: float
+    samples: np.ndarray | None
 
 
 class _Shooter:
@@ -263,19 +270,20 @@ class _Shooter:
         return min(max(k, 3), n - 5)
 
     def _start(self, lam: float, m: int):
-        """Recurrence coefficients, start index, outward seeds, and whether
-        the start is inside a barrier, below which the samples are 0."""
+        """Recurrence coefficients ``g`` (a memoryview), weights ``w``, start
+        index, outward seeds of ``z``, and whether the start is inside a
+        barrier, below which the samples are 0."""
         grid = self.grid
         h = grid.h
-        w = 1.0 + (h * h / 12.0) * (lam - self.u)
-        wl = w.tolist()
+        t = (h * h / 12.0) * (lam - self.u)
+        w = 1.0 + t
 
         # start the outward recurrence where the weights are safely positive;
         # below that the samples follow the regular free solution exactly
         i0 = 0
-        if wl[0] < 0.75:
+        if w[0] < 0.75:
             i0 = int(np.argmax(w >= 0.75))
-            if wl[i0] < 0.75:
+            if w[i0] < 0.75:
                 raise ConsistencyError("no safe start index; grid step too coarse")
         # through a high centrifugal barrier the regular solution grows by
         # exp(h sum sqrt(U - lam)) before the allowed region; past
@@ -286,85 +294,106 @@ class _Shooter:
         left = h * np.cumsum(np.sqrt(self.u[i0:k] - lam)[::-1])[::-1]
         barrier = left.size > 0 and left[0] > BARRIER_EXPONENT
         if barrier:
-            i0 += int(np.searchsorted(-left, -BARRIER_EXPONENT))
+            left = left[int(np.searchsorted(-left, -BARRIER_EXPONENT)) :]
+            i0 = k - left.size
         if i0 > m - 3:
             raise ValueError("safe start index reaches the matching point")
         if barrier:
-            seed = (1.0, math.exp(h * math.sqrt(self.u[i0] - lam)))
-            return (12.0 - 10.0 * w).tolist(), wl, i0, *seed, True
+            seeds = (1.0, math.exp(h * math.sqrt(self.u[i0] - lam)))
+        else:
+            seeds = boundary_series_small_r(
+                self.channel, lam, np.array([grid.r_min + i0 * h, grid.r_min + (i0 + 1) * h])
+            ).tolist()
+            scale = max(map(abs, seeds))
+            if scale == 0.0 or not math.isfinite(scale):
+                raise ConsistencyError("degenerate outward seed")
+            seeds = (seeds[0] / scale, seeds[1] / scale)
+        # the seeds lose the growth still ahead, in a power of two, so that
+        # the sums of z^2 stay finite and every value keeps its bits
+        e = -int(left[0] / _LN2) if left.size else 0
+        z0, z1 = (math.ldexp(y * float(wi), e) for y, wi in zip(seeds, w[i0 : i0 + 2]))
+        # 12/w - 10, written so that t keeps its low bits.  A memoryview
+        # yields Python floats, on which the sweep runs three times faster
+        # than on numpy scalars, and its slices copy nothing
+        g = memoryview(2.0 - 12.0 * t / w)
+        return g, w, i0, z0, z1, barrier
 
-        # Python floats, not numpy scalars: the sweep loops run three times
-        # faster on them, with the same IEEE results
-        s0, s1 = boundary_series_small_r(
-            self.channel, lam, np.array([grid.r_min + i0 * h, grid.r_min + (i0 + 1) * h])
-        ).tolist()
-        scale = max(abs(s0), abs(s1))
-        if scale == 0.0 or not math.isfinite(scale):
-            raise ConsistencyError("degenerate outward seed")
-        return (12.0 - 10.0 * w).tolist(), wl, i0, s0 / scale, s1 / scale, False
+    def _tail_nodes(self, g, w, lam: float, m: int, z0: float, z1: float) -> int:
+        """Sign changes of the outward samples past ``m + 1``, continuing
+        the sweep from its values at ``m`` and ``m + 1``.
 
-    def _inward(self, lam: float, c, wl, m: int, keep=None):
-        """Decaying solution from the far boundary: values at ``m + 1``, ``m``."""
+        Where the weights stay positive to the grid end (they fall past
+        ``T``), ``sign z = sign y`` and the sweep stops early from the first
+        node with ``U > lam`` on.  Otherwise it runs to the end, and at the
+        one step where ``w`` turns negative ``y`` changes sign exactly when
+        ``z`` does not.
+        """
         n = self.grid.n_points
-        u = self.u
-        theta = self.grid.h * 0.5 * (
-            math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0))
-        )
-        z_far = math.exp(-theta)
-        if keep is not None:
-            keep(z_far)
-            keep(1.0)
-        z_p, z_c, _ = _numerov(
-            c[n - 2 : m : -1], wl[n - 1 : m + 1 : -1], wl[n - 3 : m - 1 : -1],
-            z_far, 1.0, keep,
-        )
-        return z_p, z_c
-
-    def probe(self, lam: float, m: int) -> ShootResult:
-        """Node count of the full outward sweep and mismatch at ``m``."""
-        n = self.grid.n_points
-        c, wl, i0, y0, y1, _ = self._start(lam, m)
-        o_m, o_c, nodes = _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1)
-        _, o_p, k = _numerov(c[m : m + 1], wl[m - 1 : m], wl[m + 1 : m + 2], o_m, o_c)
-        nodes += k
-        # the tail may stop early from the first node with U > lam on, when
-        # the weights stay positive to the grid end (they fall past T)
-        s = n - 1
-        if wl[n - 1] > 0.0:
+        if w[n - 1] > 0.0:
             k_t = self.i_min + int(np.searchsorted(self.u[self.i_min :], lam, side="right"))
             s = max(m + 1, k_t - 1)
-        y0, y1, k = _numerov(c[m + 1 : s], wl[m : s - 1], wl[m + 2 : s + 1], o_c, o_p)
-        nodes += k
-        y0, y1, k = _numerov_tail(c[s : n - 1], wl[s - 1 : n - 2], wl[s : n - 1], wl[s + 1 : n], y0, y1)
-        nodes += k
-        if not (math.isfinite(y1) and math.isfinite(y0)):
-            raise ConsistencyError(
-                "outward sweep overflowed; increase decay margin headroom"
-            )
+            z0, z1, nodes, _ = _sweep(g[m + 1 : s], z0, z1)
+            z0, z1, k, _ = _sweep(g[s : n - 1], z0, z1, stop=True)
+        else:
+            j = m + 2 + int(np.argmax(w[m + 2 :] <= 0.0))  # first weight <= 0
+            z0, z1, nodes, _ = _sweep(g[m + 1 : j], z0, z1)
+            turn = z0 * z1
+            nodes += (turn > 0.0) - (turn < 0.0)
+            z0, z1, k, _ = _sweep(g[j : n - 1], z0, z1)
+        if not (math.isfinite(z0) and math.isfinite(z1)):
+            raise ConsistencyError("outward sweep overflowed; increase decay margin headroom")
+        return nodes + k
 
-        i_p, i_c = self._inward(lam, c, wl, m)
-        _, i_m, _ = _numerov(c[m : m + 1], wl[m + 1 : m + 2], wl[m - 1 : m], i_p, i_c)
-        if not math.isfinite(i_m):
-            raise ConsistencyError("inward sweep overflowed")
-        if o_c == 0.0 or i_c == 0.0:
-            raise ConsistencyError("matching point sits on a node; cannot form mismatch")
-        h = self.grid.h
-        mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
-        return ShootResult(mismatch=mismatch, node_count=nodes)
+    def _shoot(self, lam: float, m: int, keep: bool = False) -> _Probe:
+        """Probe sweep at ``lam``, matched at ``m``; see ``_Probe``.
 
-    def assemble(self, lam: float, m: int, level: int, sweeps: int, bisections: int):
-        """Normalised eigenfunction stitched at ``m``, with its own node count."""
+        The mismatch's slope is Cooley's derivative: the outward
+        log-derivative at ``m`` moves with ``lam`` by
+        ``-int_0^m y^2 / y_m^2``, the inward one by ``+int_m^oo y^2 / y_m^2``.
+        Both integrals are trapezoid sums of ``z^2``, which differs from
+        ``y^2`` by ``O(h^2 lam)`` relative where the samples are large.
+        """
         grid = self.grid
-        c, wl, i0, y0, y1, barrier = self._start(lam, m)
-        ys_out = [y0, y1]
-        _numerov(c[i0 + 1 : m], wl[i0 : m - 1], wl[i0 + 2 : m + 1], y0, y1, ys_out.append)
-        ys_in = []
-        self._inward(lam, c, wl, m, ys_in.append)
-        ys_in.reverse()  # now the samples at m .. n-1
+        n, h, u = grid.n_points, grid.h, self.u
+        g, w, i0, z0, z1, barrier = self._start(lam, m)
+        outward = [z0, z1] if keep else None
+        zo_m, zo_c, nodes, s_out = _sweep(
+            g[i0 + 1 : m], z0, z1, outward.append if keep else None
+        )
+        s_out += z0 * z0 + z1 * z1
+        zo_p = g[m] * zo_c - zo_m
+        if zo_c * zo_p < 0.0:
+            nodes += 1
+        nodes += self._tail_nodes(g, w, lam, m, zo_c, zo_p)
 
-        f = np.empty(grid.n_points)
-        f[i0 : m + 1] = ys_out
-        f[m + 1 :] = np.asarray(ys_in[1:]) * (ys_out[-1] / ys_in[0])
+        # the decaying solution from the far boundary, its seeds scaled by a
+        # power of two against the growth up to m, as the outward ones are
+        theta = h * 0.5 * (math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0)))
+        e = -int(h * float(np.sqrt(np.maximum(u[m:] - lam, 0.0)).sum()) / _LN2)
+        z0 = math.ldexp(float(w[n - 1]) * math.exp(-theta), e)
+        z1 = math.ldexp(float(w[n - 2]), e)
+        inward = [z0, z1] if keep else None
+        zi_p, zi_c, _, s_in = _sweep(g[n - 2 : m : -1], z0, z1, inward.append if keep else None)
+        s_in += z0 * z0 + z1 * z1
+        zi_m = g[m] * zi_c - zi_p
+        if not (math.isfinite(zi_m) and math.isfinite(s_in) and math.isfinite(s_out)):
+            raise ConsistencyError("sweep overflowed")
+        if zo_c == 0.0 or zi_c == 0.0:
+            raise ConsistencyError("matching point sits on a node; cannot form mismatch")
+        w_m, w_c, w_p = w[m - 1 : m + 2].tolist()
+        o_m, o_c, o_p = zo_m / w_m, zo_c / w_c, zo_p / w_p
+        i_m, i_c, i_p = zi_m / w_m, zi_c / w_c, zi_p / w_p
+        mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
+        # node m closes both sums; the trapezoid rule halves it in each
+        slope = -h * (s_out / (zo_c * zo_c) + s_in / (zi_c * zi_c) - 1.0)
+        result = ShootResult(mismatch=mismatch, node_count=nodes)
+        if not keep:
+            return _Probe(result, slope, None)
+
+        f = np.empty(n)
+        f[i0 : m + 1] = np.asarray(outward) / w[i0 : m + 1]
+        inward.reverse()  # now the values at m .. n-1
+        f[m + 1 :] = np.asarray(inward[1:]) * (f[m] / inward[0]) * (w[m] / w[m + 1 :])
         if barrier:
             f[:i0] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at i0
         elif i0 > 0:
@@ -373,12 +402,26 @@ class _Shooter:
             free = boundary_series_small_r(self.channel, lam, grid.r[:i0])
             anchor = boundary_series_small_r(self.channel, lam, float(grid.r[i0]))
             f[:i0] = free * (f[i0] / anchor)
+        return _Probe(result, slope, f)
 
-        interior = f[i0:m]
-        if interior[np.nonzero(interior)[0][0]] < 0.0:
+    def probe(self, lam: float, m: int) -> ShootResult:
+        """Node count of the full outward sweep and mismatch at ``m``."""
+        return self._shoot(lam, m).result
+
+    def assemble(self, lam: float, m: int, level: int, sweeps: int, bisections: int,
+                 samples: np.ndarray | None = None):
+        """Normalised eigenfunction stitched at ``m``, with its own node count.
+
+        ``samples`` are those a probe sweep kept; by default a sweep at
+        ``lam`` keeps them.
+        """
+        if samples is None:
+            samples = self._shoot(lam, m, keep=True).samples
+        grid = self.grid
+        f = samples
+        if f[np.flatnonzero(f)[0]] < 0.0:
             f = -f
-        # a large sector's barrier can grow the samples near the float
-        # limit, where f * f overflows; a power of two rescales them exactly
+        # a power of two rescales the samples exactly, keeping f * f finite
         f *= 2.0 ** -math.frexp(float(np.max(np.abs(f))))[1]
         norm_sq = float(np.dot(grid.simpson_weights, f * f))
         if norm_sq <= 0.0 or not math.isfinite(norm_sq):
@@ -387,98 +430,90 @@ class _Shooter:
 
         return _eigenpair(grid, level, lam, f, sweeps, bisections)
 
-    def solve(self, level: int, guess: float, step: float, rel_tol: float) -> "EigenPair":
-        """Eigenpair ``level`` from a guess of its eigenvalue.
+    def solve(self, level: int, guess: float, gap: float, rel_tol: float,
+              expect: float = math.inf) -> "EigenPair":
+        """Eigenpair ``level`` of the discrete recurrence from a guess.
 
-        Walks from ``guess`` in doubling steps, starting at ``step``, until
-        the node counts of the two ends bracket the level, then takes
-        regula falsi steps on the mismatch at a match index fixed from the
-        guess.  Each probe replaces the end on its side of the node count,
-        so the bracket always holds the eigenvalue; the step is a bisection
-        when the end mismatches do not have the sign pattern of a single
-        root (positive below, negative above), as when a mismatch pole
-        lies in the bracket.  The bracket is refined until its width is
-        at most ``rel_tol`` relative.  The pair's eigenvalue is the
-        discrete one plus ``_dispersion_shift``; its samples are the
-        discrete eigenvector.  Raises ``ConsistencyError`` when the
-        assembled eigenfunction does not have ``level`` nodes.
+        Takes Newton steps ``-D/D'`` on the mismatch ``D`` at a match index
+        fixed from the guess, each at most half the expected ``gap``.  The
+        mismatch has one root per eigenvalue, between poles, and the node
+        counts of the probes bracket the level.  A probe whose count is
+        neither ``level`` nor ``level + 1``, or whose step leaves the
+        bracket, lies off the level's branch: the next probe is ``gap``
+        times the count's distance from ``level + 1/2`` away when that is
+        inside the bracket, else its midpoint, and the match moves to the
+        new probe's turning point.  A Newton step that stops shrinking is
+        rounding noise, and the node counts close the bracket from there.
+        The level has converged when the step is at most half of
+        ``rel_tol`` relative, or the bracket at most ``rel_tol``; its
+        eigenvalue is the last probe plus that step, kept in the bracket.
+        ``expect`` is the expected size of the first step: the probe
+        expected to be the last stores its samples, so no sweep is spent
+        on assembly when it is.  Raises ``ConsistencyError`` when the
+        bracket cannot shrink to the tolerance, or when the assembled
+        eigenfunction does not have ``level`` nodes.
         """
-        floor = self.floor
-        x = max(guess, floor)
+        x = max(guess, self.floor)
         m = self.match_index(x)
-        sweeps = 0
-        a = b = None
-        for _ in range(60):
-            res = self.probe(x, m)
+        a, b = self.floor, math.inf  # node counts: at most level at a, more at b
+        cap = 0.5 * gap
+        sweeps = bisections = 0
+        prev = math.inf  # the last Newton step; inf after a safeguard step
+        for _ in range(MAX_SWEEPS):
+            half_tol = 0.5 * rel_tol * max(1.0, abs(x))
+            probe = self._shoot(x, m, keep=expect <= half_tol)
             sweeps += 1
-            if res.node_count <= level:
-                a, ga = x, res.mismatch
+            nodes = probe.result.node_count
+            if nodes <= level:
+                a = x
             else:
-                b, gb = x, res.mismatch
-            if a is not None and b is not None:
-                fa, fb = ga, gb  # unscaled mismatches at the ends
+                b = x
+            step = -probe.result.mismatch / probe.slope
+            # next to the level the count is level below it, level + 1 above
+            near = level <= nodes <= level + 1
+            if near and abs(step) <= half_tol or b - a <= 2.0 * half_tol:
                 break
-            if b is None:
-                x = a + step
-            elif b <= floor:
-                raise BracketError(f"no lower bracket for level {level}")
+            # quadratic convergence: the next step is about this one squared
+            # times its ratio to the square of the last one
+            expect = abs(step) ** 3 / prev**2 if prev < math.inf else step * step / gap
+            if near and abs(step) >= prev and prev <= NEWTON_SETTLED * gap:
+                # where Newton converges quadratically a step that does not
+                # shrink is rounding noise in the mismatch, and the root lies
+                # within it: close in by the node count, from twice the step
+                # on the root's side of x, then by halving the bracket
+                x += 2.0 * abs(step) if x == a else -2.0 * abs(step)
+                if not a < x < b:
+                    x = 0.5 * (a + b)
             else:
-                x = max(b - step, floor)
-            step *= 2.0
-        else:
-            raise BracketError(f"no bracket for level {level}")
-
-        bisections = 0
-        moved = 0  # +1 after a new upper end, -1 after a new lower end
-        falsi = False
-        while True:
-            half_tol = 0.5 * rel_tol * max(1.0, abs(a), abs(b))
-            if ga > 0.0 > gb:
-                # regula falsi, kept half a tolerance inside the bracket so
-                # that a root next to one end closes the bracket in one step
-                x = b - gb * (b - a) / (gb - ga)
-                x = min(max(x, a + half_tol), b - half_tol)
-                falsi = True
-            elif falsi:
-                # the falsi point's mismatch sign contradicts its node count:
-                # it sits within rounding of the root, so step just past it
-                x = a + half_tol if moved < 0 else b - half_tol
-                falsi = False
-            else:
-                x = 0.5 * (a + b)
-                bisections += 1
+                step = min(max(step, -cap), cap)
+                if near and a < x + step < b:
+                    x += step
+                    prev = abs(step)
+                    continue
+                # off the level's branch of the mismatch: a node count off by
+                # k levels is about k gaps away; else halve the bracket
+                jump = x + (level + 0.5 - nodes) * gap
+                x = jump if a < jump < b else 0.5 * (a + b)
             if not a < x < b:
                 raise ConsistencyError(
-                    f"level {level}: bracket [{a!r}, {b!r}] cannot shrink "
-                    f"to rel_tol {rel_tol:g}"
+                    f"level {level}: bracket [{a!r}, {b!r}] cannot shrink to rel_tol {rel_tol:g}"
                 )
-            res = self.probe(x, m)
-            sweeps += 1
-            g = res.mismatch
-            if res.node_count <= level:
-                if moved < 0:
-                    gb *= _retained_scale(g, ga)
-                a, ga, fa = x, g, g
-                moved = -1
-            else:
-                if moved > 0:
-                    ga *= _retained_scale(g, gb)
-                b, gb, fb = x, g, g
-                moved = 1
-            if g == 0.0 or b - a <= rel_tol * max(1.0, abs(x)):
-                break
-        # the end with the smaller mismatch: the last probe is often the
-        # half-tolerance step past a regula falsi point that hit the root
-        lam = a if abs(fa) <= abs(fb) else b
-        pair = self.assemble(lam, m, level, sweeps + 1, bisections)
+            bisections += 1
+            prev = expect = math.inf
+            m = self.match_index(x)  # the turning point of the new probe
+        else:
+            raise BracketError(f"level {level}: no convergence in {MAX_SWEEPS} sweeps")
+        lam = min(max(x + step, a), b)
+        if probe.samples is None:
+            sweeps += 1  # the assembly sweep
+        pair = self.assemble(lam, m, level, sweeps, bisections, probe.samples)
         if pair.node_count != level:
             raise ConsistencyError(f"level {level}: converged node count {pair.node_count}")
-        shift = _dispersion_shift(self, lam)
-        return dataclasses.replace(pair, lam=lam + shift, shift=shift)
+        return pair
 
 
-def _dispersion_shift(shooter: "_Shooter", lam: float) -> float:
-    """Numerov's eigenvalue error at a discrete eigenvalue, to be added to it.
+def _dispersion_shifts(shooter: "_Shooter", lams) -> np.ndarray:
+    """Numerov's eigenvalue errors at discrete eigenvalues, to be added to them.
 
     For constant ``k^2 = lam - U`` the recurrence carries the wave number
     ``k + k^5 h^4/480 + O(h^6)``, so the discrete level sits below the true
@@ -488,19 +523,23 @@ def _dispersion_shift(shooter: "_Shooter", lam: float) -> float:
     spacing is the semiclassical ``dlam/dl = 2 pi / int (lam - U)^(-1/2)``
     over the allowed region ``[a, T]``, integrated in ``theta`` with
     ``r = a + (T - a)(1 - cos theta)/2``, which takes out the inverse
-    square roots at both edges.
+    square roots at both edges.  All levels share one edge call and one
+    array of quadrature nodes.
     """
     grid = shooter.grid
-    k2 = np.maximum(lam - shooter.u, 0.0)
-    fifth = float(np.dot(grid.simpson_weights, k2 * k2 * np.sqrt(k2)))
-    (a,), (b,) = classical_edges(shooter.channel, shooter.model, [lam])
+    lams = np.asarray(lams, dtype=float)
+    fifth = np.array([
+        np.dot(grid.simpson_weights, k2 * k2 * np.sqrt(k2))
+        for k2 in (np.maximum(lam - shooter.u, 0.0) for lam in lams.tolist())
+    ])
+    a, b = classical_edges(shooter.channel, shooter.model, lams)
     # 48 Gauss-Legendre nodes on (0, pi): the integrand is smooth in theta,
     # and the shift needs only a few digits of it
     nodes, weights = _gl_rule(48)
     theta = 0.5 * math.pi * (nodes + 1.0)
-    half = 0.5 * (b - a)
-    u = effective_potential(shooter.channel, shooter.model, a + half * (1.0 - np.cos(theta)))
-    period = 0.5 * math.pi * float(np.dot(weights, half * np.sin(theta) / np.sqrt(lam - u)))
+    half = (0.5 * (b - a))[:, None]
+    u = effective_potential(shooter.channel, shooter.model, a[:, None] + half * (1.0 - np.cos(theta)))
+    period = 0.5 * math.pi * ((half * np.sin(theta) / np.sqrt(lams[:, None] - u)) @ weights)
     return grid.h**4 * fifth / (240.0 * period)
 
 
@@ -525,10 +564,12 @@ class EigenPair:
 
     ``level`` is the level that was solved for; ``node_count`` is counted
     afresh on the samples, so the two can disagree.  ``sweeps`` is the
-    number of shooting sweeps the level cost (the probes and the assembly)
-    and ``bisections`` how many probes were bisection steps.  ``shift`` is
-    the dispersion correction included in ``lam``: ``lam - shift`` is the
-    eigenvalue of the discrete recurrence that ``samples`` solve.
+    number of shooting sweeps the level cost (the probes, and an assembly
+    sweep when the last probe did not store its values) and
+    ``bisections`` how many probes a safeguard step placed instead of
+    Newton.  ``shift`` is the dispersion correction included in ``lam``:
+    ``lam - shift`` is the eigenvalue of the discrete recurrence, and
+    ``samples`` solve it at a spectral parameter within ``rel_tol`` of it.
     """
 
     level: int
@@ -607,9 +648,9 @@ class SpectrumTable:
 
 
 def _action_guess(channel: Channel, model: PotentialModel, level: int):
-    """WKB eigenvalue guess and its bracketing step."""
+    """WKB eigenvalue guess and the gap it expects above it."""
     lam = inverse_action(model, quantization_target(channel, level))
-    return lam, BRACKET_STEP / level_density(model, lam)
+    return lam, 1.0 / level_density(model, lam)
 
 
 def _default_grid(channel, model, l_max, points_per_wavelength, decay_margin):
@@ -634,15 +675,18 @@ def solve_level(
 ) -> EigenPair:
     """Eigenpair with exactly ``level`` interior nodes.
 
-    Brackets the eigenvalue by the node count of the shooting sweep, then
-    refines the log-derivative mismatch to relative tolerance ``rel_tol``.
+    Newton steps on the log-derivative mismatch from the WKB guess, kept
+    on the level by the node count of the shooting sweep, to relative
+    tolerance ``rel_tol``.
     """
     if level < 0:
         raise ValueError("level must be non-negative")
     if grid is None:
         grid = _default_grid(channel, model, level, points_per_wavelength, decay_margin)
-    guess, step = _action_guess(channel, model, level)
-    return _Shooter(channel, model, grid).solve(level, guess, step, rel_tol)
+    shooter = _Shooter(channel, model, grid)
+    pair = shooter.solve(level, *_action_guess(channel, model, level), rel_tol)
+    shift = float(_dispersion_shifts(shooter, [pair.lam])[0])
+    return dataclasses.replace(pair, lam=pair.lam + shift, shift=shift)
 
 
 def solve_spectrum(
@@ -656,9 +700,10 @@ def solve_spectrum(
 ) -> SpectrumTable:
     """All eigenpairs of levels ``0 .. l_max`` on one shared grid.
 
-    Levels 0 to 2 start from the WKB guess; each later level starts from
-    the quadratic through the last three eigenvalues, with a bracketing
-    step of BRACKET_STEP times the gap it predicts.
+    Levels 0 to 2 start from the WKB guess; level 3 from the quadratic
+    through the three below, each later level from the cubic through the
+    four below, whose last finite difference is the expected first step.
+    The dispersion shifts of all levels are taken in one call at the end.
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
@@ -666,30 +711,33 @@ def solve_spectrum(
         grid = _default_grid(channel, model, l_max, points_per_wavelength, decay_margin)
     shooter = _Shooter(channel, model, grid)
     samples = np.empty((l_max + 1, grid.n_points))
-    lams, sweeps, bisections, shifts = [], [], [], []
+    lams, sweeps, bisections = [], [], []
     for level in range(l_max + 1):
         if level < 3:
-            guess, step = _action_guess(channel, model, level)
+            guess, gap = _action_guess(channel, model, level)
+            expect = math.inf
         else:
-            guess = 3.0 * (lams[-1] - lams[-2]) + lams[-3]
-            step = BRACKET_STEP * (guess - lams[-1])
-        pair = shooter.solve(level, guess, step, rel_tol)
+            below = np.array(lams[-4:])
+            diffs = [float(np.diff(below, j)[-1]) for j in range(below.size)]
+            guess, gap, expect = sum(diffs), sum(diffs[1:]), abs(diffs[-1])
+        pair = shooter.solve(level, guess, gap, rel_tol, expect)
         if lams and pair.lam <= lams[-1]:
             raise ConsistencyError(f"level {level}: eigenvalues not increasing")
         samples[level] = pair.samples
         lams.append(pair.lam)
         sweeps.append(pair.sweeps)
         bisections.append(pair.bisections)
-        shifts.append(pair.shift)
+    lams = np.array(lams)
+    shifts = _dispersion_shifts(shooter, lams)
     return SpectrumTable(
         channel=channel,
         model=model,
         grid=grid,
-        eigenvalues=np.array(lams),
+        eigenvalues=lams + shifts,
         samples=samples,
         sweeps=tuple(sweeps),
         bisections=tuple(bisections),
-        shifts=tuple(shifts),
+        shifts=tuple(shifts.tolist()),
         tolerances={
             "rel_tol": rel_tol,
             "points_per_wavelength": points_per_wavelength,

@@ -231,8 +231,7 @@ def _retained_scale(g_new: float, g_replaced: float) -> float:
 
     The Illinois rule halves the kept end's value; this factor does the
     same when it is not positive and otherwise shrinks it by how much the
-    moving end's value fell, which cut the shooting probes per level by
-    about one.
+    moving end's value fell.
     """
     f = 1.0 - g_new / g_replaced
     return f if f > 0.0 else 0.5

@@ -244,6 +244,18 @@ class TestCaching:
         assert entry["bisections_max"] == max(bisections)
         assert entry["bisections_mean"] == pytest.approx(sum(bisections) / 6)
 
+    def test_solve_seconds_in_run_json(self, tmp_path):
+        base = ["spectrum", "--channels", "3:0,4:1", "--lmax", "3", "--out", str(tmp_path)]
+        run_json = tmp_path / "run.json"
+        assert main(base) == 0
+        section = json.loads(run_json.read_text())["results"]["spectrum"]
+        for key in ("d3_n0", "d4_n1"):
+            assert section["channels"][key]["solve_s"] > 0.0
+            assert section["cache"][key] == {"hit": False, "reason": "missing"}
+        assert main(base) == 0
+        section = json.loads(run_json.read_text())["results"]["spectrum"]
+        assert [entry["solve_s"] for entry in section["channels"].values()] == [None, None]
+
     def test_version_1_cache_is_solved_again(self, tmp_path):
         base = ["--lmax", "5", "--out", str(tmp_path)]
         assert main(["spectrum"] + base) == 0

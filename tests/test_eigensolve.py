@@ -299,6 +299,16 @@ class TestSolveSpectrum:
             assert np.all(shifts > 0.0)
             assert np.max(np.abs(table.eigenvalues - shifts - exact) / exact) > 1e-10
 
+    def test_batched_shifts_match_per_level(self, quartic_n0):
+        # the table takes every level's shift in one call; solve_level takes
+        # one level's through the same function
+        shooter = es._Shooter(quartic_n0.channel, quartic_n0.model, quartic_n0.grid)
+        shifts = np.array(quartic_n0.shifts)
+        discrete = quartic_n0.eigenvalues - shifts
+        for level, lam in enumerate(discrete.tolist()):
+            alone = float(es._dispersion_shifts(shooter, [lam])[0])
+            assert abs(alone - shifts[level]) <= 1e-14 * shifts[level]
+
     @pytest.mark.parametrize(
         "d, n",
         [
@@ -354,6 +364,25 @@ class TestSolveSpectrum:
         assert np.all(np.diff(table.eigenvalues) > 0.0)
         norms = table.samples**2 @ table.grid.simpson_weights
         assert np.all(np.abs(norms - 1.0) <= 1e-8)
+
+    @pytest.mark.parametrize("spec, n", [("1*r^4", 500), ("1*r^4", 1000), ("1*r^4+0.5*r^6", 500)])
+    def test_sectors_far_past_the_action_guess(self, spec, n):
+        # the WKB guess of level 0 lies several levels up here (quartic 3:500:
+        # 8706 against 7534.5); the node count moves the probe and its match
+        # point back to the level
+        table = es.solve_spectrum(Channel(3, n), PotentialModel.from_spec(spec), 3)
+        assert [p.node_count for p in table.eigenpairs] == [0, 1, 2, 3]
+        assert np.all(np.diff(table.eigenvalues) > 0.0)
+        norms = table.samples**2 @ table.grid.simpson_weights
+        assert np.all(np.abs(norms - 1.0) <= 1e-8)
+
+    def test_deep_decay_margin_solves(self):
+        # a far boundary 400 units of decay out: the inward values grow by
+        # e^400 and their squares by e^800, past the float range unless the
+        # seeds are scaled down
+        table = es.solve_spectrum(CH30, QUARTIC, 3, decay_margin=400.0)
+        reference = es.solve_spectrum(CH30, QUARTIC, 3)
+        assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-9, atol=0.0)
 
     def test_pair_lookup_guard(self, quartic_table):
         assert quartic_table.pair(3).level == 3

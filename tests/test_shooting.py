@@ -1,11 +1,15 @@
 """The shooting kernel against its indexed-loop reference, the match index
-against the turning point, and the refinement loop over the model space
+against the turning point, and the Newton refinement over the model space
 the validator accepts (multi-term even polynomials, d >= 3, n >= 0).
 
-``reference_sweep`` is the indexed recurrence the solver used before the
-probe sweep: it stores every value and looks the match index up from the
-turning point.  The probe reorders no floating-point operation, so the two
-agree bit for bit at equal match index.
+``reference_sweep`` is the indexed z-form recurrence (``z = w y``): it
+stores every value, sweeps the whole outward tail and counts nodes on
+``y = z / w``.  The probe computes ``g`` by the same expression and
+reorders no floating-point operation, so the two agree bit for bit at
+equal match index.  ``reference_sweep_y`` is the three-weight y-form loop
+the solver ran before; it agrees with the probe to rounding.  A
+long-double sweep bounds the eigenvalue error that float64 rounding
+leaves, and the sweep counts of two spectra are pinned from above.
 """
 
 import math
@@ -31,31 +35,75 @@ CASES = {
 }
 
 
+def _start_index(w):
+    """First node with a weight of at least 0.75, as the solver starts."""
+    return 0 if w[0] >= 0.75 else int(np.argmax(w >= 0.75))
+
+
+def _seeds(channel, lam, grid, i0):
+    seeds = es.boundary_series_small_r(
+        channel, lam, np.array([grid.r_min + i0 * grid.h, grid.r_min + (i0 + 1) * grid.h])
+    )
+    scale = max(abs(seeds[0]), abs(seeds[1]))
+    return seeds[0] / scale, seeds[1] / scale
+
+
+def _mismatch(h, out, inn, m):
+    o_m, o_c, o_p = out[m - 1], out[m], out[m + 1]
+    i_m, i_c, i_p = inn[m - 1], inn[m], inn[m + 1]
+    return (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
+
+
 def reference_sweep(channel, lam, grid, u, m):
-    """Node count of the full outward sweep and mismatch at ``m``."""
+    """Node count of the full outward sweep and mismatch at ``m``, from the
+    z-form recurrence ``z[i+1] = g[i] z[i] - z[i-1]``."""
+    h = grid.h
+    n = grid.n_points
+    t = (h * h / 12.0) * (lam - u)
+    w = 1.0 + t
+    g = (2.0 - 12.0 * t / w).tolist()
+    wl = w.tolist()
+    i0 = _start_index(w)
+    y0, y1 = _seeds(channel, lam, grid, i0)
+    z = [0.0] * n
+    z[i0] = wl[i0] * y0
+    z[i0 + 1] = wl[i0 + 1] * y1
+    nodes = 0
+    for i in range(i0 + 1, n - 1):
+        z[i + 1] = g[i] * z[i] - z[i - 1]
+        # on y = z / w, whose sign is z's wherever w > 0
+        if (z[i] / wl[i]) * (z[i + 1] / wl[i + 1]) < 0.0:
+            nodes += 1
+
+    theta = h * 0.5 * (
+        math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0))
+    )
+    z_in = [0.0] * n
+    z_in[n - 1] = wl[n - 1] * math.exp(-theta)
+    z_in[n - 2] = wl[n - 2]
+    for i in range(n - 2, m - 1, -1):
+        z_in[i - 1] = g[i] * z_in[i] - z_in[i + 1]
+
+    ys = [zi / wi for zi, wi in zip(z, wl)]
+    ys_in = [zi / wi for zi, wi in zip(z_in, wl)]
+    return nodes, float(_mismatch(h, ys, ys_in, m))
+
+
+def reference_sweep_y(channel, lam, grid, u, m):
+    """``reference_sweep`` on the y-form recurrence
+    ``w[i+1] y[i+1] = (12 - 10 w[i]) y[i] - w[i-1] y[i-1]``."""
     h = grid.h
     n = grid.n_points
     w = 1.0 + (h * h / 12.0) * (lam - u)
     wl = w.tolist()
-    i0 = 0
-    if wl[0] < 0.75:
-        i0 = int(np.argmax(w >= 0.75))
-    seeds = es.boundary_series_small_r(
-        channel, lam, np.array([grid.r_min + i0 * h, grid.r_min + (i0 + 1) * h])
-    )
-    scale = max(abs(seeds[0]), abs(seeds[1]))
-    ys_out = [0.0] * n
-    y0 = seeds[0] / scale
-    y1 = seeds[1] / scale
-    ys_out[i0] = y0
-    ys_out[i0 + 1] = y1
+    i0 = _start_index(w)
+    ys = [0.0] * n
+    ys[i0], ys[i0 + 1] = _seeds(channel, lam, grid, i0)
     nodes = 0
     for i in range(i0 + 1, n - 1):
-        y2 = ((12.0 - 10.0 * wl[i]) * y1 - wl[i - 1] * y0) / wl[i + 1]
-        ys_out[i + 1] = y2
-        if y1 * y2 < 0.0:
+        ys[i + 1] = ((12.0 - 10.0 * wl[i]) * ys[i] - wl[i - 1] * ys[i - 1]) / wl[i + 1]
+        if ys[i] * ys[i + 1] < 0.0:
             nodes += 1
-        y0, y1 = y1, y2
 
     theta = h * 0.5 * (
         math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0))
@@ -63,17 +111,9 @@ def reference_sweep(channel, lam, grid, u, m):
     ys_in = [0.0] * n
     ys_in[n - 1] = math.exp(-theta)
     ys_in[n - 2] = 1.0
-    z1 = ys_in[n - 1]
-    z0 = ys_in[n - 2]
-    for i in range(n - 2, m - 2, -1):
-        zm = ((12.0 - 10.0 * wl[i]) * z0 - wl[i + 1] * z1) / wl[i - 1]
-        ys_in[i - 1] = zm
-        z1, z0 = z0, zm
-
-    o_m, o_c, o_p = ys_out[m - 1], ys_out[m], ys_out[m + 1]
-    i_m, i_c, i_p = ys_in[m - 1], ys_in[m], ys_in[m + 1]
-    mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
-    return nodes, float(mismatch)
+    for i in range(n - 2, m - 1, -1):
+        ys_in[i - 1] = ((12.0 - 10.0 * wl[i]) * ys_in[i] - wl[i + 1] * ys_in[i + 1]) / wl[i - 1]
+    return nodes, float(_mismatch(h, ys, ys_in, m))
 
 
 def turning_point_index(channel, model, grid, lam):
@@ -111,7 +151,7 @@ def _near_eigenvalues(channel, model, shooter, l_max):
 
 
 def test_probe_bit_identical_to_indexed_loop(case):
-    # the reference sweeps the whole tail; the probe stops once w y grows
+    # the reference sweeps the whole tail; the probe stops once z grows
     channel, model, shooter, l_max = case
     u = effective_potential(channel, model, shooter.grid.r)
     for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
@@ -120,6 +160,25 @@ def test_probe_bit_identical_to_indexed_loop(case):
         assert (got.node_count, got.mismatch) == reference_sweep(
             channel, lam, shooter.grid, u, m
         )
+
+
+def test_probe_agrees_with_y_form_loop(case):
+    # the two forms of the recurrence differ by rounding alone: the node
+    # counts agree outside the rounding band around each eigenvalue, and
+    # the mismatches place the eigenvalue within rel_tol of each other
+    channel, model, shooter, l_max = case
+    u = effective_potential(channel, model, shooter.grid.r)
+    for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
+        m = shooter.match_index(lam)
+        probe = shooter._shoot(lam, m)
+        nodes, mismatch = reference_sweep_y(channel, lam, shooter.grid, u, m)
+        step = probe.result.mismatch / probe.slope
+        if abs(step) > 1e-11 * lam:
+            assert nodes == probe.result.node_count
+        if abs(step) < 1e-5 * lam:
+            assert abs(mismatch - probe.result.mismatch) <= (
+                es.DEFAULT_REL_TOL * lam * abs(probe.slope)
+            )
 
 
 def test_grid_match_index_is_turning_point_index(case):
@@ -152,6 +211,15 @@ def test_unreachable_tolerance_raises_instead_of_spinning():
         es.solve_level(Channel(3, 0), QUARTIC, 2, rel_tol=1e-18)
 
 
+def test_tolerance_inside_rounding_band_closes_by_node_count(quartic_n0):
+    # on the level-60 grid the Newton steps at level 0 stall near 1e-13
+    # relative; the node counts still close the bracket to 1e-15
+    for rel_tol in (1e-14, 1e-15):
+        pair = es.solve_level(Channel(3, 0), QUARTIC, 0, grid=quartic_n0.grid, rel_tol=rel_tol)
+        assert pair.node_count == 0 and pair.bisections > 0
+        assert abs(pair.lam - quartic_n0.eigenvalues[0]) <= 1e-11 * pair.lam
+
+
 def test_sweeps_recorded_and_round_tripped(tmp_path):
     table = es.solve_spectrum(Channel(3, 0), QUARTIC, 6)
     for pair in table.eigenpairs:
@@ -165,6 +233,58 @@ def test_sweeps_recorded_and_round_tripped(tmp_path):
     assert [p.sweeps for p in loaded.eigenpairs] == list(table.sweeps)
 
 
+@pytest.fixture(scope="module")
+def mixed_52():
+    channel, model, l_max = CASES["mixed 5:2"]
+    return es.solve_spectrum(channel, model, l_max)
+
+
+def test_sweep_counts_pinned(quartic_n0, mixed_52):
+    # Newton from the cubic through the levels below: 2.6 sweeps per level
+    # on the quartic, against 7.2 for the regula falsi it replaced
+    assert sum(quartic_n0.sweeps) <= 180
+    assert sum(mixed_52.sweeps) <= 100
+
+
+def _longdouble_rounding_error(table, level):
+    """Relative eigenvalue error float64 rounding leaves at ``level``: the
+    mismatch of a long-double sweep at the float64 discrete eigenvalue,
+    over the probe's slope.  The sweeps share the start and the seeds."""
+    ld = np.longdouble
+    shooter = es._Shooter(table.channel, table.model, table.grid)
+    lam = float(table.eigenvalues[level] - table.shifts[level])
+    m = shooter.match_index(lam)
+    _, _, i0, z0, z1, _ = shooter._start(lam, m)
+    n, h = table.grid.n_points, ld(table.grid.h)
+    u = shooter.u.astype(ld)
+    t = (h * h / 12) * (ld(lam) - u)
+    w = 1 + t
+    g = (2 - 12 * t / w).tolist()
+    out = [ld(z0), ld(z1)]  # z at i0, i0 + 1, ...
+    for i in range(i0 + 1, m + 1):
+        out.append(g[i] * out[-1] - out[-2])
+    theta = table.grid.h * 0.5 * (
+        math.sqrt(max(shooter.u[n - 2] - lam, 0.0)) + math.sqrt(max(shooter.u[n - 1] - lam, 0.0))
+    )
+    inn = [w[n - 1] * ld(math.exp(-theta)), w[n - 2]]  # z at n - 1, n - 2, ...
+    for i in range(n - 2, m - 1, -1):
+        inn.append(g[i] * inn[-1] - inn[-2])
+    ys = {j: out[j - i0] / w[j] for j in (m - 1, m, m + 1)}
+    ys_in = {j: inn[n - 1 - j] / w[j] for j in (m - 1, m, m + 1)}
+    mismatch = _mismatch(h, ys, ys_in, m)
+    return float(abs(mismatch / ld(shooter._shoot(lam, m).slope))) / lam
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="np.longdouble is float64 here",
+)
+def test_rounding_error_against_long_double(quartic_n0, mixed_52):
+    for table, levels in ((quartic_n0, (0, 10, 30, 60)), (mixed_52, range(25))):
+        for level in levels:
+            assert _longdouble_rounding_error(table, level) <= 1e-12, level
+
+
 @settings(max_examples=8, deadline=None)
 @given(
     terms=st.lists(
@@ -173,8 +293,8 @@ def test_sweeps_recorded_and_round_tripped(tmp_path):
         max_size=3,
         unique_by=lambda t: t[0],
     ),
-    d=st.integers(min_value=3, max_value=5),
-    n=st.integers(min_value=0, max_value=3),
+    d=st.integers(min_value=3, max_value=8),
+    n=st.integers(min_value=0, max_value=20),
     l_max=st.integers(min_value=0, max_value=8),
 )
 def test_spectrum_over_multi_term_models(terms, d, n, l_max):
@@ -186,6 +306,8 @@ def test_spectrum_over_multi_term_models(terms, d, n, l_max):
     assert [p.level for p in table.eigenpairs] == list(range(l_max + 1))
     assert all(p.node_count == p.level for p in table.eigenpairs)
     assert np.all(np.diff(lams) > 0.0)
+    norms = table.samples**2 @ table.grid.simpson_weights
+    assert np.all(np.abs(norms - 1.0) <= 1e-8)
     for pair in table.eigenpairs:
         alone = es.solve_level(channel, model, pair.level, grid=table.grid, rel_tol=rel_tol)
         # each solve stops on a bracket of relative width rel_tol around the
