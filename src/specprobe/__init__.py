@@ -27,12 +27,10 @@ from .errors import (
     TruncationError,
 )
 from .kernel import (
-    channel_kernel,
     export_kernel_grid,
     gram_matrix,
     kernel_matrix,
     parseval_check,
-    sphere_dim,
 )
 from .potential import (
     AssumptionReport,
@@ -48,7 +46,6 @@ from .probe import (
     ProbeSequence,
     TestFunction,
     WindowSpec,
-    export_probe_csv,
     isolation_check,
     make_bump,
     overlap,

@@ -25,8 +25,9 @@ last stores its values, which are the level's samples.
 
 Each eigenvalue is the discrete one plus the asymptotic correction of
 Numerov's ``h^4`` dispersion (``_dispersion_shifts``, one call for all
-levels), which leaves about 4e-11 relative error at 180 points per
-wavelength; the samples stay the discrete eigenvectors.
+levels, its level spacing from ``wkb.allowed_integrals``), which leaves
+about 4e-11 relative error at 180 points per wavelength; the samples stay
+the discrete eigenvectors.
 
 A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
 and the per-level solver counters and corrections; an ``EigenPair``'s node
@@ -49,8 +50,9 @@ import numpy as np
 
 from .errors import BracketError, ConsistencyError
 from .potential import Channel, PotentialModel, effective_potential
-from .specfun import _gl_rule, integrate_sqrt_singular
+from .specfun import integrate_sqrt_singular
 from .wkb import (
+    allowed_integrals,
     classical_edges,
     inverse_action,
     level_density,
@@ -404,10 +406,6 @@ class _Shooter:
             f[:i0] = free * (f[i0] / anchor)
         return _Probe(result, slope, f)
 
-    def probe(self, lam: float, m: int) -> ShootResult:
-        """Node count of the full outward sweep and mismatch at ``m``."""
-        return self._shoot(lam, m).result
-
     def assemble(self, lam: float, m: int, level: int, sweeps: int, bisections: int,
                  samples: np.ndarray | None = None):
         """Normalised eigenfunction stitched at ``m``, with its own node count.
@@ -521,10 +519,8 @@ def _dispersion_shifts(shooter: "_Shooter", lams) -> np.ndarray:
     asymptotic correction of Andrew & Paine, Numer. Math. 47, 1985).  The
     first integral is a Simpson sum over the sampled potential; the level
     spacing is the semiclassical ``dlam/dl = 2 pi / int (lam - U)^(-1/2)``
-    over the allowed region ``[a, T]``, integrated in ``theta`` with
-    ``r = a + (T - a)(1 - cos theta)/2``, which takes out the inverse
-    square roots at both edges.  All levels share one edge call and one
-    array of quadrature nodes.
+    over the allowed region ``[a, T]``, from ``wkb.allowed_integrals`` for
+    all levels at once; the shift needs only a few digits of it.
     """
     grid = shooter.grid
     lams = np.asarray(lams, dtype=float)
@@ -532,14 +528,10 @@ def _dispersion_shifts(shooter: "_Shooter", lams) -> np.ndarray:
         np.dot(grid.simpson_weights, k2 * k2 * np.sqrt(k2))
         for k2 in (np.maximum(lam - shooter.u, 0.0) for lam in lams.tolist())
     ])
-    a, b = classical_edges(shooter.channel, shooter.model, lams)
-    # 48 Gauss-Legendre nodes on (0, pi): the integrand is smooth in theta,
-    # and the shift needs only a few digits of it
-    nodes, weights = _gl_rule(48)
-    theta = 0.5 * math.pi * (nodes + 1.0)
-    half = (0.5 * (b - a))[:, None]
-    u = effective_potential(shooter.channel, shooter.model, a[:, None] + half * (1.0 - np.cos(theta)))
-    period = 0.5 * math.pi * ((half * np.sin(theta) / np.sqrt(lams[:, None] - u)) @ weights)
+    channel, model = shooter.channel, shooter.model
+    a, b = classical_edges(channel, model, lams)
+    potential = lambda r: effective_potential(channel, model, r)
+    period = allowed_integrals(potential, a, b, lams)[1]
     return grid.h**4 * fifth / (240.0 * period)
 
 
@@ -555,7 +547,7 @@ def shoot_mismatch(
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")
     shooter = _Shooter(channel, model, grid)
-    return shooter.probe(lam, shooter.match_index(lam))
+    return shooter._shoot(lam, shooter.match_index(lam)).result
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Truncated channel kernels of the propagator and sphere combinatorics.
+"""Truncated channel kernels of the propagator.
 
 The level-L channel kernel is
 
@@ -10,28 +10,16 @@ additional weight (r s)^(-(d-1)/2), exported alongside the raw values.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "sphere_dim",
-    "channel_kernel",
     "kernel_matrix",
     "gram_matrix",
     "parseval_check",
     "export_kernel_grid",
 ]
-
-
-def sphere_dim(d: int, n: int) -> int:
-    """Dimension of the degree-``n`` spherical harmonic space on S^(d-1)."""
-    if d < 3:
-        raise ValueError("d must be at least 3")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return math.comb(d + n - 1, d - 1) - math.comb(d + n - 3, d - 1)
 
 
 def _levels(table, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,11 +30,6 @@ def _levels(table, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
             f"truncation level {level_cap} outside the solved range 0..{count - 1}"
         )
     return table.eigenvalues[: level_cap + 1], table.samples[: level_cap + 1]
-
-
-def channel_kernel(table, t: float, r: float, s: float, level_cap: int) -> complex:
-    """Truncated kernel value at one (t, r, s); ``r`` and ``s`` grid radii."""
-    return complex(kernel_matrix(table, t, [r, s], level_cap)[0, 1])
 
 
 def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> np.ndarray:

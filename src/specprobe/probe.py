@@ -34,7 +34,6 @@ __all__ = [
     "isolation_check",
     "probe_sequence",
     "probe_rows",
-    "export_probe_csv",
     "PROBE_CSV_HEADER",
 ]
 
@@ -288,9 +287,3 @@ def probe_rows(table, sequence: ProbeSequence) -> list:
             ]
         )
     return rows
-
-
-def export_probe_csv(table, sequence: ProbeSequence, path):
-    from .formats import write_csv
-
-    return write_csv(path, PROBE_CSV_HEADER, probe_rows(table, sequence))

@@ -6,8 +6,9 @@ each element summed until it converges) so the package needs no
 special-function library.  Also: the turning-point profile from
 ``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over many
 segments at once (square-root endpoints substituted away), the
-Anderson-Bjorck regula falsi factor, and a log-log power-law fitter used
-by all of the scaling certificates.
+Gauss-Legendre nodes it shares with the fixed rule between turning points
+of ``wkb.allowed_integrals``, and a log-log power-law fitter used by all
+of the scaling certificates.
 """
 
 from __future__ import annotations
@@ -159,7 +160,9 @@ def _gl_segments(f: Callable, edges: np.ndarray, rel_tol: float) -> np.ndarray:
     at most per call.  A segment that must be split again although it spans
     at most 4096 ulps of its midpoint raises ``QuadratureError``: its
     halves' outer nodes would sit within 11 ulps of their ends, placed by
-    rounding rather than by the rule.
+    rounding rather than by the rule.  A non-finite sample of ``f`` raises
+    ``QuadratureError`` without numpy's floating-point warning: next to a
+    non-integrable singularity the splitting reaches samples that overflow.
     """
     nodes, weights = _gl_rule(16)
 
@@ -168,7 +171,8 @@ def _gl_segments(f: Callable, edges: np.ndarray, rel_tol: float) -> np.ndarray:
         for i in range(0, a.size, _SEGMENT_CHUNK):
             mid = 0.5 * (a[i : i + _SEGMENT_CHUNK] + b[i : i + _SEGMENT_CHUNK])
             half = 0.5 * (b[i : i + _SEGMENT_CHUNK] - a[i : i + _SEGMENT_CHUNK])
-            y = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
+            with np.errstate(all="ignore"):
+                y = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
             if not np.all(np.isfinite(y)):
                 raise QuadratureError("integrand returned a non-finite value")
             out[i : i + _SEGMENT_CHUNK] = (y.reshape(-1, nodes.size) @ weights) * half
@@ -224,17 +228,6 @@ def integrate_sqrt_singular(
     else:
         g = lambda u: 2.0 * u * np.asarray(f(b - u * u), dtype=float)
     return float(_gl_segments(g, np.array([0.0, math.sqrt(b - a)]), rel_tol)[0])
-
-
-def _retained_scale(g_new: float, g_replaced: float) -> float:
-    """Anderson-Bjorck factor for a bracket end that regula falsi kept twice.
-
-    The Illinois rule halves the kept end's value; this factor does the
-    same when it is not positive and otherwise shrinks it by how much the
-    moving end's value fell.
-    """
-    f = 1.0 - g_new / g_replaced
-    return f if f > 0.0 else 0.5
 
 
 @dataclass(frozen=True)

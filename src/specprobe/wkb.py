@@ -5,11 +5,16 @@ amplitudes, profile residuals, and the scaling fits that certify how they
 grow with the spectral parameter.  Turning points and the edges of allowed
 regions come from one Newton iteration over an array of levels
 (``_newton_edge``); ``U`` is convex, so started on the far side of each
-root it converges monotonically.  Phase and turning-point coordinate come
-from one cumulative integral of ``sqrt|lam - U|`` over sorted radii
-(``_zeta``).  Tables are read only through ``eigenvalues`` and
-``eigenpairs``, and eigenpairs through ``lam``, ``level``, ``samples``,
-``f_at_1``, ``fprime_at_1``, so this module needs no solver.
+root it converges monotonically.  Every integral from one edge of an
+allowed region to the other (the action, its exact derivative in ``lam``
+and the solver's level spacing) comes from one fixed Gauss-Legendre rule
+in an angle that takes out the square roots at both edges
+(``allowed_integrals``); the inverse of the action is Newton's method on
+it.  Phase and turning-point coordinate come from one cumulative integral
+of ``sqrt|lam - U|`` over sorted radii (``_zeta``).  Tables are read only
+through ``eigenvalues`` and ``eigenpairs``, and eigenpairs through
+``lam``, ``level``, ``samples``, ``f_at_1``, ``fprime_at_1``, so this
+module needs no solver.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
 from .specfun import (
     PowerLawFit,
+    _gl_rule,
     _gl_segments,
-    _retained_scale,
     fit_power_law,
     integrate_sqrt_singular,
     langer_profile,
@@ -39,6 +44,7 @@ __all__ = [
     "WkbSummary",
     "turning_points",
     "classical_edges",
+    "allowed_integrals",
     "action_integral",
     "quantization_target",
     "bs_residual",
@@ -65,7 +71,8 @@ _END_TOL = 1e-11  # relative accuracy of the segment of _zeta that reaches T
 # rounding noise at that accuracy, and the segment quadrature grinds
 # (seconds at a relative depth of 1e-8, minutes at 1e-12).
 _MIN_WELL_DEPTH = _END_NOISE / _END_TOL  # relative to lam, about 3.6e-4
-# cap on the steps of _newton_edge; from its starts ten have sufficed
+# cap on the steps of _newton_edge and inverse_action; from their starts
+# ten have sufficed
 _NEWTON_ITERS = 100
 # half-width, relative to T, of the window where appendix_error_integral
 # interpolates (r - T) g instead of evaluating it
@@ -215,17 +222,57 @@ def turning_points(channel: Channel, model: PotentialModel, lam: float) -> Turni
     )
 
 
+def allowed_integrals(potential, a, b, lams):
+    """Integrals of ``sqrt(lam - U)`` and ``(lam - U)^(-1/2)`` over ``[a, b]``, per ``lam``.
+
+    ``potential`` evaluates ``U`` over an array of radii; ``a``, ``b`` and
+    ``lams`` are arrays of one shape with ``U <= lam`` on each ``[a, b]``,
+    whose ends may be simple roots of ``lam - U``.  With
+    ``r = a + (b - a)(1 - cos theta)/2`` both integrands, ``dr`` included,
+    are smooth in ``theta`` on ``[0, pi]``: ``sin theta`` takes out the
+    inverse square roots at both ends.  One 48-node Gauss-Legendre rule in
+    ``theta`` then gives both integrals to rounding for the polynomial
+    potentials of this package, all levels from one array of nodes.
+    """
+    nodes, weights = _gl_rule(48)
+    theta = 0.5 * math.pi * (nodes + 1.0)
+    half = (0.5 * (b - a))[:, None]
+    u = potential(a[:, None] + half * (1.0 - np.cos(theta)))
+    ds = half * np.sin(theta)
+    root = np.sqrt(lams[:, None] - u)
+    return 0.5 * math.pi * ((ds * root) @ weights), 0.5 * math.pi * ((ds / root) @ weights)
+
+
+def _bare_action(model: PotentialModel, lams: np.ndarray, big_x=None):
+    """Action ``(1/pi) int_0^X sqrt(lam - V)`` and its exact ``lam``-derivative
+    ``(1/(2 pi)) int_0^X (lam - V)^(-1/2)``, per ``lam``; ``X`` is computed
+    when not given."""
+    if big_x is None:
+        big_x = _bare_edges(model, lams)
+    potential = lambda r: eval_potential(model, r)
+    root, inverse = allowed_integrals(potential, np.zeros_like(lams), big_x, lams)
+    return root / math.pi, inverse / (2.0 * math.pi)
+
+
+def _checked_lam(lam: float) -> np.ndarray:
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("lam must be positive and finite")
+    return np.array([lam], dtype=float)
+
+
 def action_integral(model: PotentialModel, lam: float, big_x: float | None = None) -> float:
     """Semiclassical action ``(1/pi) * int_0^X sqrt(lam - V)`` of the bare potential.
 
     ``big_x``, the root of ``V = lam``, is computed when not given.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive and finite")
-    if big_x is None:
-        big_x = float(_bare_edges(model, np.array([lam]))[0])
-    integrand = lambda r: np.sqrt(np.maximum(lam - eval_potential(model, r), 0.0))
-    return integrate_sqrt_singular(integrand, 0.0, big_x, "right", rel_tol=1e-11) / math.pi
+    lams = _checked_lam(lam)
+    edges = None if big_x is None else np.array([big_x], dtype=float)
+    return float(_bare_action(model, lams, edges)[0][0])
+
+
+def level_density(model: PotentialModel, lam: float) -> float:
+    """Derivative of the action in ``lam``; reciprocal of the local gap."""
+    return float(_bare_action(model, _checked_lam(lam))[1][0])
 
 
 def _single_term_inverse(term, target: float) -> float:
@@ -241,53 +288,24 @@ def inverse_action(model: PotentialModel, target: float) -> float:
     """Spectral parameter at which the action reaches ``target`` (> 0).
 
     Closed form for one term.  A sum of terms is at least each of them, so
-    the largest single-term inverse bounds the root from below;
-    ``lam A'/A >= (c+1)/(2c)`` for the largest ``c`` (integrate ``A`` by
-    parts) bounds it from above.  Regula falsi with the Anderson-Bjorck
-    end scaling on ``log(A/target)``, nearly linear in ``log lam``, closes
-    the bracket to 1e-10 in ``log lam``.
+    the largest single-term inverse is a lower bound, and Newton's method
+    on ``log A`` in ``log lam`` starts there.  That function is nearly
+    linear: integrating ``A`` by parts puts its slope ``lam A'/A`` between
+    the terms' ``(c+1)/(2c)``.  A step of at most 1e-8 leaves an error of
+    the order of its square, below rounding, and ends the iteration.
     """
-    if target <= 0.0:
+    if not (math.isfinite(target) and target > 0.0):
         raise ValueError("target action must be positive")
     lam = max(_single_term_inverse(term, target) for term in model.terms)
     if len(model.terms) == 1:
         return lam
-    g = lambda x: math.log(action_integral(model, math.exp(x)) / target)
-    a = math.log(lam)
-    ga = g(a)
-    if ga >= 0.0:  # the lower bound is the root, to rounding
-        return lam
-    c = model.terms[-1].exponent / 2.0
-    b = a - ga * 2.0 * c / (c + 1.0)
-    gb = g(b)
-    moved = 0  # +1 after a new upper end, -1 after a new lower end
-    for _ in range(60):
-        if gb <= 0.0 or b - a <= 1e-10:  # gb <= 0: b is the root, to rounding
-            return math.exp(b)
-        x = b - gb * (b - a) / (gb - ga)
-        if not a < x < b:
-            return math.exp(b)
-        gx = g(x)
-        if gx < 0.0:
-            if moved < 0:
-                gb *= _retained_scale(gx, ga)
-            a, ga, moved = x, gx, -1
-        else:
-            if moved > 0:
-                ga *= _retained_scale(gx, gb)
-            b, gb, moved = x, gx, 1
+    for _ in range(_NEWTON_ITERS):
+        action, density = _bare_action(model, np.array([lam]))
+        step = math.log(target / action[0]) * action[0] / (lam * density[0])
+        lam *= math.exp(step)
+        if abs(step) <= 1e-8:
+            return lam
     raise ValueError(f"inverse action did not converge for target {target}")
-
-
-def level_density(model: PotentialModel, lam: float) -> float:
-    """Derivative of the action in ``lam``; reciprocal of the local gap."""
-    if len(model.terms) == 1:
-        c = model.terms[0].exponent / 2.0
-        return (c + 1.0) / (2.0 * c) * action_integral(model, lam) / lam
-    delta = 1e-4 * lam
-    return (
-        action_integral(model, lam + delta) - action_integral(model, lam - delta)
-    ) / (2.0 * delta)
 
 
 def quantization_target(channel: Channel, level: int) -> float:
@@ -624,9 +642,10 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     edge_a, edge_b = _allowed_edges(channel, model, lams, r_c)
     u1 = effective_potential(channel, model, 1.0)
     u1p = effective_potential(channel, model, 1.0, 1)
+    actions = _bare_action(model, lams, big_x)[0].tolist()
     out = []
     for i, pair in enumerate(pairs):
-        action = action_integral(model, pair.lam, float(big_x[i]))
+        action = actions[i]
         residual = action - quantization_target(channel, pair.level)
         if pair.lam > u1:
             c_lam = amplitude_from_boundary(pair.f_at_1, pair.fprime_at_1, pair.lam, u1, u1p)

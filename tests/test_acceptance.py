@@ -25,6 +25,7 @@ import pytest
 from specprobe import probe as pr
 from specprobe import wkb
 from specprobe.eigensolve import solve_spectrum
+from specprobe.formats import write_csv
 from specprobe.kernel import export_kernel_grid, kernel_matrix, parseval_check
 from specprobe.potential import Channel, PotentialModel
 from specprobe.probe import make_bump, overlap, predicted_overlap, probe_sequence
@@ -296,7 +297,7 @@ def test_criterion_13_determinism(tmp_path):
         phi = make_bump(1.0, 0.2, table.grid)
         psi = make_bump(1.5, 0.2, table.grid)
         seq = probe_sequence(table, phi, psi, pr.WindowSpec(1.0), (10, 20))
-        pr.export_probe_csv(table, seq, out / "probe.csv")
+        write_csv(out / "probe.csv", pr.PROBE_CSV_HEADER, pr.probe_rows(table, seq))
         radii = [1.0, float(table.grid.r[table.grid.index_of(1.0) + 200])]
         export_kernel_grid(table, [0.0, 0.5], radii, radii, 20, out / "kernel.csv")
         blobs.append(

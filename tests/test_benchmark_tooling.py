@@ -6,13 +6,19 @@ no longer exists as absent, without failing.  ``specbench/make_reference.py``
 reads the eigenvalues through ``table.eigenpairs``, and ``specbench/run.py``
 resolves each workload's configuration with the program's own parser.
 These tests fail instead when the package drops what those scripts read.
+The traced run also calls ``cli.main`` in its own process under redirected
+streams and then prints its result, which must stay the last line.
 The scripts are read as text and run in fresh namespaces, so nothing is
 written next to them.
 """
 
 import importlib
+import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -66,3 +72,36 @@ def test_workload_configs_carry_what_time_layers_reads(monkeypatch, tmp_path):
         assert [a for a in sorted(read) if not hasattr(cfg, a)] == []
         assert cfg.model.spec_string == workload.model
         assert cfg.l_max == workload.lmax and cfg.l_range == workload.lrange
+
+
+# The seven subcommands in one process, each under redirect_stdout and
+# redirect_stderr as the traced benchmark run calls them, then one result
+# line.  Output written past the redirect (to fd 1, to a stream bound at
+# import, or from an exit hook) would land next to that line.
+IN_PROCESS_RUN = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    from specprobe import cli
+
+    rcs = []
+    for command in ("validate", "spectrum", "gaps", "wkb", "probe", "kernel", "report"):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rcs.append(cli.main([command, *sys.argv[1:]]))
+    print(json.dumps({"result": "in-process run", "rcs": rcs}))
+    """
+)
+
+
+def test_in_process_run_prints_only_its_result(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("SPECPROBE_OUT", None)
+    argv = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--lrange", "2:12",
+            "--t", "0,0.5", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS_RUN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1, proc.stdout
+    assert json.loads(lines[0]) == {"result": "in-process run", "rcs": [0] * 7}

@@ -1,5 +1,5 @@
-"""Truncated kernel tests: sphere harmonic counts, Hermitian symmetry,
-positivity at t=0, the Parseval sum, and the export grid."""
+"""Truncated kernel tests: Hermitian symmetry, positivity at t=0, the
+Parseval sum, and the export grid."""
 
 import math
 
@@ -7,33 +7,6 @@ import numpy as np
 import pytest
 
 from specprobe import kernel as ke
-
-
-class TestSphereDim:
-    def test_examples(self):
-        assert ke.sphere_dim(3, 0) == 1
-        assert ke.sphere_dim(3, 2) == 5
-        assert ke.sphere_dim(4, 3) == 16
-
-    def test_d3_law(self):
-        for n in range(12):
-            assert ke.sphere_dim(3, n) == 2 * n + 1
-
-    def test_d4_law(self):
-        for n in range(12):
-            assert ke.sphere_dim(4, n) == (n + 1) ** 2
-
-    def test_d3_partial_sums_square(self):
-        total = 0
-        for n in range(9):
-            total += ke.sphere_dim(3, n)
-            assert total == (n + 1) ** 2
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            ke.sphere_dim(2, 0)
-        with pytest.raises(ValueError):
-            ke.sphere_dim(3, -1)
 
 
 @pytest.fixture(scope="module")
@@ -45,31 +18,41 @@ def radii(quartic_n0):
     return [float(grid.r[i]) for i in idx]
 
 
+def kernel_entry(table, t, r, s, level_cap):
+    """Truncated kernel value at one (t, r, s): an entry of ``kernel_matrix``."""
+    return complex(ke.kernel_matrix(table, t, [r, s], level_cap)[0, 1])
+
+
 class TestChannelKernel:
     def test_t0_real_and_symmetric(self, quartic_n0, radii):
         r, s = radii[3], radii[20]
-        k_rs = ke.channel_kernel(quartic_n0, 0.0, r, s, 20)
-        k_sr = ke.channel_kernel(quartic_n0, 0.0, s, r, 20)
+        k_rs = kernel_entry(quartic_n0, 0.0, r, s, 20)
+        k_sr = kernel_entry(quartic_n0, 0.0, s, r, 20)
         assert k_rs.imag == 0.0
         assert k_rs == pytest.approx(k_sr, rel=1e-12)
 
     def test_single_level_modulus_static(self, quartic_n0):
         truncated = quartic_n0.truncated(1)
-        vals = [abs(ke.channel_kernel(truncated, t, 1.0, 1.0, 0)) for t in (0.0, 0.7, 2.3)]
+        vals = [abs(kernel_entry(truncated, t, 1.0, 1.0, 0)) for t in (0.0, 0.7, 2.3)]
         assert vals[1] == pytest.approx(vals[0], rel=1e-13)
         assert vals[2] == pytest.approx(vals[0], rel=1e-13)
 
     def test_matches_matrix_entry(self, quartic_n0, radii):
+        # the defining sum over levels, against the matrix entry
         sub = radii[:4]
         m = ke.kernel_matrix(quartic_n0, 0.8, sub, 15)
-        direct = ke.channel_kernel(quartic_n0, 0.8, sub[1], sub[3], 15)
+        i, j = (quartic_n0.grid.index_of(sub[k]) for k in (1, 3))
+        direct = sum(
+            np.exp(-0.8j * lam) * f[i] * f[j]
+            for lam, f in zip(quartic_n0.eigenvalues[:16], quartic_n0.samples[:16])
+        )
         assert m[1, 3] == pytest.approx(direct, rel=1e-10)
 
     def test_level_out_of_range(self, quartic_n0):
         with pytest.raises(ValueError):
-            ke.channel_kernel(quartic_n0, 0.0, 1.0, 1.0, -1)
+            ke.kernel_matrix(quartic_n0, 0.0, [1.0], -1)
         with pytest.raises(ValueError):
-            ke.channel_kernel(quartic_n0, 0.0, 1.0, 1.0, len(quartic_n0.eigenpairs))
+            ke.kernel_matrix(quartic_n0, 0.0, [1.0], len(quartic_n0.eigenpairs))
 
 
 class TestMatrixStructure:
@@ -96,9 +79,9 @@ class TestMatrixStructure:
         assert np.all(hi >= lo - 1e-15)
 
     def test_no_recurrence_on_sampled_times(self, quartic_n0):
-        base = abs(ke.channel_kernel(quartic_n0, 0.0, 1.0, 1.0, 20))
+        base = abs(kernel_entry(quartic_n0, 0.0, 1.0, 1.0, 20))
         peak = max(
-            abs(ke.channel_kernel(quartic_n0, float(t), 1.0, 1.0, 20))
+            abs(kernel_entry(quartic_n0, float(t), 1.0, 1.0, 20))
             for t in np.linspace(0.5, 3.0, 26)
         )
         assert peak < 0.99 * base
@@ -166,7 +149,7 @@ class TestExport:
     def test_round_trip_against_direct(self, written, quartic_n0):
         path, _, _, _ = written
         row = path.read_text().splitlines()[4].split(",")
-        direct = ke.channel_kernel(
+        direct = kernel_entry(
             quartic_n0, float(row[0]), float(row[1]), float(row[2]), 20
         )
         assert complex(float(row[3]), float(row[4])) == pytest.approx(direct, rel=1e-12)

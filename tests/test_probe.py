@@ -14,6 +14,7 @@ import pytest
 from specprobe import probe as pr
 from specprobe import wkb
 from specprobe.errors import TruncationError
+from specprobe.formats import write_csv
 from specprobe.potential import Channel, PotentialModel
 
 BUMP_UNIT_MASS = 0.4439938161680794
@@ -300,7 +301,7 @@ class TestProbeSequence:
 
     def test_csv_export(self, sequence, quartic_n0, tmp_path):
         out = tmp_path / "probe.csv"
-        pr.export_probe_csv(quartic_n0, sequence, out)
+        write_csv(out, pr.PROBE_CSV_HEADER, pr.probe_rows(quartic_n0, sequence))
         lines = out.read_text().splitlines()
         assert lines[0] == "n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
         assert len(lines) == 32

@@ -156,7 +156,7 @@ def test_probe_bit_identical_to_indexed_loop(case):
     u = effective_potential(channel, model, shooter.grid.r)
     for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
         m = shooter.match_index(lam)
-        got = shooter.probe(lam, m)
+        got = shooter._shoot(lam, m).result
         assert (got.node_count, got.mismatch) == reference_sweep(
             channel, lam, shooter.grid, u, m
         )

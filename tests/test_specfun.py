@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_integrate_errors():
         integrate_sqrt_singular(np.sin, 0.0, 1.0, "both")
     with pytest.raises(QuadratureError):
         integrate_sqrt_singular(lambda x: 1.0 / (x - 0.5), 0.0, 1.0, "none")
+
+
+def test_integrate_non_integrable_end_raises_without_warning():
+    # splitting towards the pole at 0 reaches samples that overflow; the
+    # result is a QuadratureError, not numpy's overflow warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError):
+            integrate_sqrt_singular(lambda x: 1.0 / x, 0.0, 1.0)
+        assert integrate_sqrt_singular(lambda x: x**-0.9, 0.0, 1.0) == pytest.approx(
+            10.0, rel=1e-9
+        )
 
 
 @settings(max_examples=25, deadline=None)

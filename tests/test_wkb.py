@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from specprobe import wkb
 from specprobe.eigensolve import solve_spectrum
 from specprobe.errors import ThresholdError
-from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
+from specprobe.potential import (
+    Channel,
+    PotentialModel,
+    PowerTerm,
+    effective_potential,
+    eval_potential,
+)
 from specprobe.specfun import fit_power_law, integrate_sqrt_singular, langer_profile
 
 QUARTIC_PLATEAU = 0.8740191847640399368216132
@@ -200,6 +206,96 @@ class TestAction:
                 - wkb.action_integral(model, lam * 0.999)
             ) / (0.002 * lam)
             assert d == pytest.approx(fd, rel=1e-5)
+
+
+def adaptive_allowed_integrals(channel, model, a, b, lam):
+    """Reference for ``wkb.allowed_integrals`` of ``U`` at one ``lam``: the
+    adaptive rule on each half of ``[a, b]``.
+
+    A half that ends at a root ``e`` of ``lam - U`` is integrated in ``u``,
+    with ``r = e + s u^2`` (``s`` points into the half).  There
+    ``lam - U = U(e) - U(r) = u^2 |q|`` to rounding, with ``q`` the divided
+    difference ``(U(r) - U(e)) / (r - e)``, so the integrands are
+    ``2 u^2 |q|^(1/2)`` and ``2 |q|^(-1/2)``: smooth, and free of the
+    cancellation of ``lam - U(r)`` near ``e``.  ``a = 0``, not a root, takes
+    ``lam - U`` itself.
+    """
+
+    def q(e, r):
+        out = -channel.gamma * (r + e) / (r * e) ** 2
+        for term in model.terms:
+            p = term.exponent
+            out = out + term.coefficient * sum(r**j * e ** (p - 1 - j) for j in range(p))
+        return np.abs(out)
+
+    mid = 0.5 * (a + b)
+    total = np.zeros(2)
+    ends = [(b, -1.0)]
+    if a > 0.0:
+        ends.append((a, 1.0))
+    else:
+        gap = lambda r: lam - effective_potential(channel, model, r)
+        total += [
+            integrate_sqrt_singular(lambda r: np.sqrt(gap(r)), a, mid, "none", 1e-13),
+            integrate_sqrt_singular(lambda r: 1.0 / np.sqrt(gap(r)), a, mid, "none", 1e-13),
+        ]
+    for e, s in ends:
+        span = math.sqrt(abs(mid - e))
+        qe = lambda u: q(e, e + s * u * u)
+        total += [
+            integrate_sqrt_singular(lambda u: 2.0 * u * u * np.sqrt(qe(u)), 0.0, span, "none", 1e-13),
+            integrate_sqrt_singular(lambda u: 2.0 / np.sqrt(qe(u)), 0.0, span, "none", 1e-13),
+        ]
+    return total
+
+
+even_models = st.lists(
+    st.tuples(st.sampled_from([4, 6, 8, 10, 12]), st.floats(min_value=-2.0, max_value=2.0)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda t: t[0],
+).map(lambda terms: PotentialModel(tuple(PowerTerm(e, 10.0**x) for e, x in terms)))
+
+
+class TestActionOverModels:
+    """The validator's model space: one to three even terms, exponents 4 to
+    12, coefficients 1e-2 to 1e2, actions from 0.3 to 300."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=even_models, target=st.floats(min_value=0.3, max_value=300.0))
+    def test_inverse_round_trip(self, model, target):
+        lam = wkb.inverse_action(model, target)
+        assert wkb.action_integral(model, lam) == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=even_models, target=st.floats(min_value=0.3, max_value=300.0))
+    def test_level_density_is_the_derivative(self, model, target):
+        lam = wkb.inverse_action(model, target)
+        h = 1e-3 * lam
+        a = [wkb.action_integral(model, lam + k * h) for k in (-2, -1, 1, 2)]
+        fourth_order = (a[0] - 8.0 * a[1] + 8.0 * a[2] - a[3]) / (12.0 * h)
+        assert wkb.level_density(model, lam) == pytest.approx(fourth_order, rel=1e-8)
+
+    @settings(max_examples=25, deadline=None)
+    @given(model=even_models, target=st.floats(min_value=0.3, max_value=300.0))
+    def test_rule_matches_adaptive_reference(self, model, target):
+        # The bare action's interval [0, X] to rounding.  On a channel's
+        # [a, T] the pole of gamma/r^2 at r = 0 sits at theta ~ i (2a/T)^(1/2),
+        # which slows the rule as a/T falls: this space reaches a/T ~ 1.3e-3,
+        # where the error measured 1.5e-11 (pure quartic, action 301).
+        lam = wkb.inverse_action(model, target)
+        lam_ch = wkb.inverse_action(model, target + wkb.quantization_target(CH31, 0))
+        (a,), (b,) = wkb.classical_edges(CH31, model, [lam_ch])
+        cases = [
+            (CH30, 0.0, wkb.turning_points(CH30, model, lam).X, lam, 1e-12),
+            (CH31, a, b, lam_ch, 1e-10),
+        ]
+        for channel, lo, hi, at, tol in cases:
+            potential = lambda r: effective_potential(channel, model, r)
+            got = wkb.allowed_integrals(potential, np.array([lo]), np.array([hi]), np.array([at]))
+            want = adaptive_allowed_integrals(channel, model, lo, hi, at)
+            assert got[0][0] == pytest.approx(want[0], rel=tol)
+            assert got[1][0] == pytest.approx(want[1], rel=tol)
 
 
 class TestQuantization:
