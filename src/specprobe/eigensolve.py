@@ -6,7 +6,9 @@ array of ``g`` per spectral parameter (``_sweep``).  Integration starts
 outward from a small-radius seed built from the regular free solution
 ``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed at the far
 boundary, and the two branches are matched at the outer turning point
-through their logarithmic derivatives.
+through their logarithmic derivatives.  Through a barrier of more than
+``BARRIER_EXPONENT`` of decay either sweep starts where that much is
+left, and the samples beyond its start are 0.
 
 One probe sweep at a spectral parameter gives the node count of the full
 outward sweep (which jumps at each eigenvalue), the mismatch at a match
@@ -255,6 +257,10 @@ class _Shooter:
         self.u = effective_potential(channel, model, grid.r)
         self.i_min = int(np.argmin(self.u))
         self.floor = float(self.u[self.i_min]) * (1.0 + 1e-12) + 1e-12
+        # past the minimum of U the weights 1 + h^2 (lam - U)/12 fall to the
+        # grid end; this keeps the last one positive for every lam above it
+        if grid.h**2 * (self.u[-1] - self.u[self.i_min]) / 12.0 >= 1.0:
+            raise ValueError("grid step too coarse for its far end: h^2 (U - min U)/12 >= 1")
 
     def match_index(self, lam: float) -> int:
         """Grid node nearest the outer turning point of ``lam``."""
@@ -320,28 +326,19 @@ class _Shooter:
         g = memoryview(2.0 - 12.0 * t / w)
         return g, w, i0, z0, z1, barrier
 
-    def _tail_nodes(self, g, w, lam: float, m: int, z0: float, z1: float) -> int:
+    def _tail_nodes(self, g, lam: float, m: int, z0: float, z1: float) -> int:
         """Sign changes of the outward samples past ``m + 1``, continuing
         the sweep from its values at ``m`` and ``m + 1``.
 
-        Where the weights stay positive to the grid end (they fall past
-        ``T``), ``sign z = sign y`` and the sweep stops early from the first
-        node with ``U > lam`` on.  Otherwise it runs to the end, and at the
-        one step where ``w`` turns negative ``y`` changes sign exactly when
-        ``z`` does not.
+        The weights stay positive to the grid end (``_Shooter`` checks the
+        last one), so ``sign z = sign y``, and the sweep stops early from
+        the first node with ``U > lam`` on.
         """
         n = self.grid.n_points
-        if w[n - 1] > 0.0:
-            k_t = self.i_min + int(np.searchsorted(self.u[self.i_min :], lam, side="right"))
-            s = max(m + 1, k_t - 1)
-            z0, z1, nodes, _ = _sweep(g[m + 1 : s], z0, z1)
-            z0, z1, k, _ = _sweep(g[s : n - 1], z0, z1, stop=True)
-        else:
-            j = m + 2 + int(np.argmax(w[m + 2 :] <= 0.0))  # first weight <= 0
-            z0, z1, nodes, _ = _sweep(g[m + 1 : j], z0, z1)
-            turn = z0 * z1
-            nodes += (turn > 0.0) - (turn < 0.0)
-            z0, z1, k, _ = _sweep(g[j : n - 1], z0, z1)
+        k_t = self.i_min + int(np.searchsorted(self.u[self.i_min :], lam, side="right"))
+        s = max(m + 1, k_t - 1)
+        z0, z1, nodes, _ = _sweep(g[m + 1 : s], z0, z1)
+        z0, z1, k, _ = _sweep(g[s : n - 1], z0, z1, stop=True)
         if not (math.isfinite(z0) and math.isfinite(z1)):
             raise ConsistencyError("outward sweep overflowed; increase decay margin headroom")
         return nodes + k
@@ -366,16 +363,22 @@ class _Shooter:
         zo_p = g[m] * zo_c - zo_m
         if zo_c * zo_p < 0.0:
             nodes += 1
-        nodes += self._tail_nodes(g, w, lam, m, zo_c, zo_p)
+        nodes += self._tail_nodes(g, lam, m, zo_c, zo_p)
 
-        # the decaying solution from the far boundary, its seeds scaled by a
-        # power of two against the growth up to m, as the outward ones are
-        theta = h * 0.5 * (math.sqrt(max(u[n - 2] - lam, 0.0)) + math.sqrt(max(u[n - 1] - lam, 0.0)))
-        e = -int(h * float(np.sqrt(np.maximum(u[m:] - lam, 0.0)).sum()) / _LN2)
-        z0 = math.ldexp(float(w[n - 1]) * math.exp(-theta), e)
-        z1 = math.ldexp(float(w[n - 2]), e)
+        # the decaying solution from the far boundary, or, as the outward
+        # sweep does through a barrier, from where BARRIER_EXPONENT of decay
+        # from m is reached (the samples beyond are 0); its seeds are scaled
+        # by a power of two against the growth up to m, as the outward ones are
+        decay = np.sqrt(np.maximum(u[m:] - lam, 0.0))
+        end = n - 1
+        if h * float(decay.sum()) > BARRIER_EXPONENT:
+            end = m + int(np.searchsorted(h * np.cumsum(decay), BARRIER_EXPONENT))
+        theta = h * 0.5 * (float(decay[end - m - 1]) + float(decay[end - m]))
+        e = -int(h * float(decay[: end - m + 1].sum()) / _LN2)
+        z0 = math.ldexp(float(w[end]) * math.exp(-theta), e)
+        z1 = math.ldexp(float(w[end - 1]), e)
         inward = [z0, z1] if keep else None
-        zi_p, zi_c, _, s_in = _sweep(g[n - 2 : m : -1], z0, z1, inward.append if keep else None)
+        zi_p, zi_c, _, s_in = _sweep(g[end - 1 : m : -1], z0, z1, inward.append if keep else None)
         s_in += z0 * z0 + z1 * z1
         zi_m = g[m] * zi_c - zi_p
         if not (math.isfinite(zi_m) and math.isfinite(s_in) and math.isfinite(s_out)):
@@ -394,8 +397,9 @@ class _Shooter:
 
         f = np.empty(n)
         f[i0 : m + 1] = np.asarray(outward) / w[i0 : m + 1]
-        inward.reverse()  # now the values at m .. n-1
-        f[m + 1 :] = np.asarray(inward[1:]) * (f[m] / inward[0]) * (w[m] / w[m + 1 :])
+        inward.reverse()  # now the values at m .. end
+        f[m + 1 : end + 1] = np.asarray(inward[1:]) * (f[m] / inward[0]) * (w[m] / w[m + 1 : end + 1])
+        f[end + 1 :] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at m
         if barrier:
             f[:i0] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at i0
         elif i0 > 0:

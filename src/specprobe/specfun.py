@@ -4,10 +4,10 @@ Bessel functions of the first kind are computed here over whole arrays
 (ascending series below a crossover, Hankel asymptotic expansion above,
 each element summed until it converges) so the package needs no
 special-function library.  Also: the turning-point profile from
-``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over many
-segments at once (square-root endpoints substituted away), the
-Gauss-Legendre nodes it shares with the fixed rule between turning points
-of ``wkb.allowed_integrals``, and a log-log power-law fitter used by all
+``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over an
+interval (square-root endpoints substituted away), the Gauss-Legendre
+nodes it shares with the fixed rule between turning points of
+``wkb.allowed_integrals``, and a log-log power-law fitter used by all
 of the scaling certificates.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _SERIES_MAX_TERMS = 500
-_SEGMENT_CHUNK = 1024
 
 
 def _bessel_series(nu: float, x):
@@ -149,56 +148,6 @@ def _gl_rule(order: int):
     return nodes, weights
 
 
-def _gl_segments(f: Callable, edges: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Integrals of ``f`` over ``[edges[i], edges[i+1]]``, 16-point Gauss-Legendre.
-
-    A segment whose halves disagree with it by more than ``rel_tol``
-    relative plus 1e-15 of the whole span is split, so only segments next
-    to a singularity of ``f`` are refined, and rounding noise in ``f``
-    (near a root of ``lam - U``) cannot split forever.  Both halves of
-    every split segment go to ``f`` together, ``_SEGMENT_CHUNK`` segments
-    at most per call.  A segment that must be split again although it spans
-    at most 4096 ulps of its midpoint raises ``QuadratureError``: its
-    halves' outer nodes would sit within 11 ulps of their ends, placed by
-    rounding rather than by the rule.  A non-finite sample of ``f`` raises
-    ``QuadratureError`` without numpy's floating-point warning: next to a
-    non-integrable singularity the splitting reaches samples that overflow.
-    """
-    nodes, weights = _gl_rule(16)
-
-    def rule(a, b):
-        out = np.empty(a.size)
-        for i in range(0, a.size, _SEGMENT_CHUNK):
-            mid = 0.5 * (a[i : i + _SEGMENT_CHUNK] + b[i : i + _SEGMENT_CHUNK])
-            half = 0.5 * (b[i : i + _SEGMENT_CHUNK] - a[i : i + _SEGMENT_CHUNK])
-            with np.errstate(all="ignore"):
-                y = np.asarray(f((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
-            if not np.all(np.isfinite(y)):
-                raise QuadratureError("integrand returned a non-finite value")
-            out[i : i + _SEGMENT_CHUNK] = (y.reshape(-1, nodes.size) @ weights) * half
-        return out
-
-    a, b = edges[:-1], edges[1:]
-    owner = np.arange(a.size)
-    out = np.zeros(a.size)
-    whole = rule(a, b)
-    floor = 1e-15 * np.sum(np.abs(whole))
-    while True:
-        m = 0.5 * (a + b)
-        left, right = np.split(rule(np.concatenate([a, m]), np.concatenate([m, b])), 2)
-        halves = left + right
-        ok = np.abs(halves - whole) <= rel_tol * np.abs(halves) + floor
-        np.add.at(out, owner[ok], halves[ok])
-        if ok.all():
-            return out
-        split = ~ok
-        if np.any(b[split] - a[split] <= 4096.0 * np.spacing(np.abs(m[split]))):
-            raise QuadratureError(f"quadrature did not converge to rel_tol={rel_tol}")
-        owner = np.tile(owner[split], 2)
-        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
-        whole = np.concatenate([left[split], right[split]])
-
-
 def integrate_sqrt_singular(
     f: Callable,
     a: float,
@@ -214,20 +163,59 @@ def integrate_sqrt_singular(
     root so that plain Gauss panels converge at full order.  ``f`` is
     called with arrays of sample points.
 
-    Returns the integral to the requested relative tolerance, raising
-    ``QuadratureError`` on non-finite samples or non-convergence.
+    The rule is locally adaptive 16-point Gauss-Legendre.  A segment whose
+    halves disagree with it by more than ``rel_tol`` relative plus 1e-15 of
+    the first estimate of the whole is split, so only segments next to a
+    singularity of ``f`` are refined, and rounding noise in ``f`` (near a
+    root of ``lam - U``) cannot split forever; both halves of every live
+    segment go to ``f`` in one call.  A segment that must be split again
+    although it spans at most 4096 ulps of its midpoint raises
+    ``QuadratureError``: its halves' outer nodes would sit within 11 ulps
+    of their ends, placed by rounding rather than by the rule.  A
+    non-finite sample of ``f`` raises ``QuadratureError`` without numpy's
+    floating-point warning: next to a non-integrable singularity the
+    splitting reaches samples that overflow.
     """
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError("need finite a < b")
     if singular_end not in ("none", "left", "right"):
         raise ValueError("singular_end must be 'none', 'left', or 'right'")
-    if singular_end == "none":
-        return float(_gl_segments(f, np.array([a, b]), rel_tol)[0])
     if singular_end == "left":
         g = lambda u: 2.0 * u * np.asarray(f(a + u * u), dtype=float)
-    else:
+    elif singular_end == "right":
         g = lambda u: 2.0 * u * np.asarray(f(b - u * u), dtype=float)
-    return float(_gl_segments(g, np.array([0.0, math.sqrt(b - a)]), rel_tol)[0])
+    else:
+        g = f
+    lo, hi = (a, b) if g is f else (0.0, math.sqrt(b - a))
+    lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    nodes, weights = _gl_rule(16)
+
+    def rule(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        with np.errstate(all="ignore"):
+            y = np.asarray(g((mid[:, None] + half[:, None] * nodes).ravel()), dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise QuadratureError("integrand returned a non-finite value")
+        return (y.reshape(-1, nodes.size) @ weights) * half
+
+    whole = rule(lo, hi)
+    floor = 1e-15 * abs(float(whole[0]))
+    total = 0.0
+    while True:
+        m = 0.5 * (lo + hi)
+        left, right = np.split(rule(np.concatenate([lo, m]), np.concatenate([m, hi])), 2)
+        halves = left + right
+        ok = np.abs(halves - whole) <= rel_tol * np.abs(halves) + floor
+        for value in halves[ok].tolist():  # left to right; np.sum would round otherwise
+            total += value
+        if ok.all():
+            return total
+        split = ~ok
+        if np.any(hi[split] - lo[split] <= 4096.0 * np.spacing(np.abs(m[split]))):
+            raise QuadratureError(f"quadrature did not converge to rel_tol={rel_tol}")
+        lo, hi = np.concatenate([lo[split], m[split]]), np.concatenate([m[split], hi[split]])
+        whole = np.concatenate([left[split], right[split]])
 
 
 @dataclass(frozen=True)

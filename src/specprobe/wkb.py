@@ -10,11 +10,11 @@ allowed region to the other (the action, its exact derivative in ``lam``
 and the solver's level spacing) comes from one fixed Gauss-Legendre rule
 in an angle that takes out the square roots at both edges
 (``allowed_integrals``); the inverse of the action is Newton's method on
-it.  Phase and turning-point coordinate come from one cumulative integral
-of ``sqrt|lam - U|`` over sorted radii (``_zeta``).  Tables are read only
-through ``eigenvalues`` and ``eigenpairs``, and eigenpairs through
-``lam``, ``level``, ``samples``, ``f_at_1``, ``fprime_at_1``, so this
-module needs no solver.
+it.  Phase and turning-point coordinate are integrals of ``sqrt|lam - U|``
+between a radius and ``T`` by the same rule (``_root_integrals``).
+Tables are read only through ``eigenvalues`` and ``eigenpairs``, and
+eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
+``fprime_at_1``, so this module needs no solver.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .potential import Channel, PotentialModel, effective_potential, eval_potent
 from .specfun import (
     PowerLawFit,
     _gl_rule,
-    _gl_segments,
     fit_power_law,
     integrate_sqrt_singular,
     langer_profile,
@@ -63,14 +62,11 @@ __all__ = [
 ]
 
 
-_END_NOISE = 16.0 * float(np.finfo(float).eps)  # per unit of lam / |lam - U|
-_END_TOL = 1e-11  # relative accuracy of the segment of _zeta that reaches T
-# _zeta holds _END_TOL only where |lam - U| >= _END_NOISE lam / _END_TOL,
-# the rounding noise of lam - U below _END_TOL of it.  A lam with
-# lam - min U under that depth has no such radius: the whole well is
-# rounding noise at that accuracy, and the segment quadrature grinds
-# (seconds at a relative depth of 1e-8, minutes at 1e-12).
-_MIN_WELL_DEPTH = _END_NOISE / _END_TOL  # relative to lam, about 3.6e-4
+# least depth lam - min U, relative to lam, of a well in which the rounding
+# noise of lam - U (16 ulps of lam) falls below 1e-11 of it; about 3.6e-4
+_MIN_WELL_DEPTH = 16.0 * float(np.finfo(float).eps) / 1e-11
+# radii per evaluation of the rule in _root_integrals; bounds its arrays
+_BLOCK = 256
 # cap on the steps of _newton_edge and inverse_action; from their starts
 # ten have sufficed
 _NEWTON_ITERS = 100
@@ -234,13 +230,32 @@ def allowed_integrals(potential, a, b, lams):
     ``theta`` then gives both integrals to rounding for the polynomial
     potentials of this package, all levels from one array of nodes.
     """
+    r, dr, weights = _theta_rule(a, b)
+    root = np.sqrt(lams[:, None] - potential(r))
+    return 0.5 * math.pi * ((dr * root) @ weights), 0.5 * math.pi * ((dr / root) @ weights)
+
+
+def _theta_rule(a, b):
+    """Radii, ``dr/dtheta`` and weights of the rule of ``allowed_integrals``,
+    one row per ``[a, b]``; ``pi/2`` times the weighted sum of ``f dr`` over
+    a row integrates ``f``."""
     nodes, weights = _gl_rule(48)
     theta = 0.5 * math.pi * (nodes + 1.0)
     half = (0.5 * (b - a))[:, None]
-    u = potential(a[:, None] + half * (1.0 - np.cos(theta)))
-    ds = half * np.sin(theta)
-    root = np.sqrt(lams[:, None] - u)
-    return 0.5 * math.pi * ((ds * root) @ weights), 0.5 * math.pi * ((ds / root) @ weights)
+    return a[:, None] + half * (1.0 - np.cos(theta)), half * np.sin(theta), weights
+
+
+def _root_integrals(channel, model, lams, a, b) -> np.ndarray:
+    """``int_a^b sqrt|lam - U|`` for arrays of ``lam``, ``a`` and ``b``, by the
+    rule of ``allowed_integrals``, ``_BLOCK`` intervals at a time.  Each row
+    is summed on its own, so equal intervals give equal bits wherever they sit."""
+    out = np.empty(a.shape)
+    for i in range(0, a.size, _BLOCK):
+        block = slice(i, i + _BLOCK)
+        r, dr, weights = _theta_rule(a[block], b[block])
+        root = np.sqrt(np.abs(lams[block, None] - effective_potential(channel, model, r)))
+        out[block] = 0.5 * math.pi * np.sum(dr * root * weights, axis=1)
+    return out
 
 
 def _bare_action(model: PotentialModel, lams: np.ndarray, big_x=None):
@@ -333,6 +348,12 @@ def phase_and_zeta(
     requires ``U < lam`` at both ``1`` and ``r``; it stops at ``T``, so
     above ``T`` it is ``S(T)``.  ``r`` may be a scalar or an array, and
     the fields take its shape.
+
+    Both come from the rule of ``allowed_integrals`` between ``r`` and
+    ``T``; it does not take out the square root at a channel's inner edge
+    ``a``, so at ``a + delta (T - a)`` it holds 2e-13 relative at ``delta =
+    1e-3`` but 5e-9 at 1e-6.  The package's windows start at 0.5, ``T/2``
+    or 0.8, clear of that.
     """
     rs = np.asarray(r, dtype=float)
     big_t = turning_points(channel, model, lam).T
@@ -350,33 +371,12 @@ def phase_and_zeta(
 
 
 def _zeta(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
-    # Signed zeta of phase_and_zeta at every radius, from one cumulative
-    # integral of sqrt|lam - U| over the sorted distinct radii on each side
-    # of T: Gauss-Legendre panels between neighbours, and the square-root
-    # substitution on the one segment that reaches T.  Radii within 1e-12
-    # relative of T get 0.  lam - U carries rounding noise of about ulp(lam),
-    # about 1.5 ulp(lam) / |lam - U(r)| of the segment from r to T, so that
-    # segment converges to the larger of _END_TOL and a multiple of its noise
-    # (at most 1, where |lam - U(r)| itself is rounding noise).
-    kernel = lambda r: np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
-    noise = _END_NOISE * lam
-    end_tol = lambda r: max(_END_TOL, noise / (float(kernel(r)) ** 2 + noise))
-    off_t = np.abs(rs - big_t) > 1e-12 * np.maximum(rs, big_t)
-    out = np.zeros(rs.shape)
-    for side in (-1.0, 1.0):
-        mask = off_t & (side * (rs - big_t) > 0.0)
-        if not np.any(mask):
-            continue
-        pts, where = np.unique(rs[mask], return_inverse=True)
-        segs = _gl_segments(kernel, pts, 1e-13)
-        if side < 0.0:
-            end = integrate_sqrt_singular(kernel, pts[-1], big_t, "right", end_tol(pts[-1]))
-            dist = end + np.append(np.cumsum(segs[::-1])[::-1], 0.0)
-        else:
-            end = integrate_sqrt_singular(kernel, big_t, pts[0], "left", end_tol(pts[0]))
-            dist = end + np.append(0.0, np.cumsum(segs))
-        out[mask] = side * dist[where]
-    return out
+    # Signed zeta of phase_and_zeta at every radius: the integral of
+    # sqrt|lam - U| between r and T, signed as r - T.  Radii within 1e-12
+    # relative of T get 0.
+    lo, hi = np.minimum(rs, big_t), np.maximum(rs, big_t)
+    dist = _root_integrals(channel, model, np.full(rs.shape, lam), lo, hi)
+    return np.where(hi - lo > 1e-12 * hi, np.sign(rs - big_t) * dist, 0.0)
 
 
 def _allowed_edges(channel, model, lams: np.ndarray, r_c: float):
@@ -632,7 +632,8 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     """Build per-level summaries for every eigenpair of a table.
 
     The turning points and the edges of the allowed intervals of all levels
-    come from one array iteration each, on the potential minimum found once.
+    come from one array iteration each, on the potential minimum found once,
+    and the phases from 1 to the turning points from one call of the rule.
     """
     pairs = table.eigenpairs
     lams = np.array([pair.lam for pair in pairs], dtype=float)
@@ -643,13 +644,14 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     u1 = effective_potential(channel, model, 1.0)
     u1p = effective_potential(channel, model, 1.0, 1)
     actions = _bare_action(model, lams, big_x)[0].tolist()
+    phases = _root_integrals(channel, model, lams, np.ones_like(lams), big_t).tolist()
     out = []
     for i, pair in enumerate(pairs):
         action = actions[i]
         residual = action - quantization_target(channel, pair.level)
         if pair.lam > u1:
             c_lam = amplitude_from_boundary(pair.f_at_1, pair.fprime_at_1, pair.lam, u1, u1p)
-            phase_z = -float(_zeta(channel, model, pair.lam, big_t[i], np.array([1.0]))[0])
+            phase_z = phases[i]
         else:
             c_lam = complex(math.nan, math.nan)
             phase_z = math.nan

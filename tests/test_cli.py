@@ -498,3 +498,30 @@ class TestDeterminism:
                          "--r", "1.0", "--s", "1.0"] + base) == 0
             blobs[label] = {name: (out / name).read_bytes() for name in csvs}
         assert blobs["one"] == blobs["two"]
+
+
+class TestWkbCounters:
+    def test_quartic_wkb_quadrature_and_potential_calls(self, tmp_path, monkeypatch):
+        # counters, unlike seconds, do not vary from run to run; the phase
+        # integral makes no adaptive call, so these are the appendix ladder's
+        # (96 and 1,837 measured; 484 and 3,320 with an adaptive phase integral)
+        from specprobe import wkb
+
+        base = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "60", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        counts = dict.fromkeys(("integrate_sqrt_singular", "effective_potential"), 0)
+
+        def counted(name):
+            fn = getattr(wkb, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(wkb, name, call)
+
+        for name in counts:
+            counted(name)
+        assert main(["wkb"] + base) == 0
+        assert counts["integrate_sqrt_singular"] <= 110
+        assert counts["effective_potential"] <= 2000

@@ -384,6 +384,42 @@ class TestSolveSpectrum:
         reference = es.solve_spectrum(CH30, QUARTIC, 3)
         assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-9, atol=0.0)
 
+    def test_deeper_decay_margin_starts_inward_inside_the_barrier(self):
+        # 500 units of decay past T: seeds at the grid end, scaled down
+        # against the growth to the match point, would underflow to 0 past a
+        # decay of about 745, so the inward sweep starts BARRIER_EXPONENT out
+        table = es.solve_spectrum(CH30, QUARTIC, 6, decay_margin=500.0)
+        reference = es.solve_spectrum(CH30, QUARTIC, 6)
+        assert [p.node_count for p in table.eigenpairs] == list(range(7))
+        assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("l_max", [450, 700])
+    def test_low_levels_on_a_high_level_grid(self, l_max):
+        # the default grid of a high l_max puts the far end a decay of 755
+        # (l_max 450) or more past the match point of level 0
+        grid = es._default_grid(
+            CH30, QUARTIC, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN
+        )
+        for level in (0, 3, 6):
+            pair = es.solve_level(CH30, QUARTIC, level, grid=grid)
+            reference = es.solve_level(CH30, QUARTIC, level)
+            assert pair.node_count == level
+            assert pair.lam == pytest.approx(reference.lam, rel=5e-11, abs=0.0)
+            assert np.all(pair.samples[-10:] == 0.0)
+
+    def test_far_weight_must_stay_positive(self):
+        # Numerov's weight 1 + h^2 (lam - U)/12 at the grid end: at r_max
+        # 8.2 (0.06) level 0 solves; at r_max 9.0 (-0.36) the sign of z no
+        # longer follows that of y, and the grid is rejected up front
+        rough = lambda r_max: es.RadialGrid(
+            r_min=0.1, r_max=r_max, h=0.05, n_points=round((r_max - 0.1) / 0.05) + 1
+        )
+        pair = es.solve_level(CH30, QUARTIC, 0, grid=rough(8.2))
+        assert pair.node_count == 0
+        assert pair.lam == pytest.approx(QUARTIC_L0, rel=1e-6)
+        with pytest.raises(ValueError, match="too coarse for its far end"):
+            es.solve_level(CH30, QUARTIC, 0, grid=rough(9.0))
+
     def test_pair_lookup_guard(self, quartic_table):
         assert quartic_table.pair(3).level == 3
         with pytest.raises(IndexError):

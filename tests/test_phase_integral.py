@@ -1,14 +1,15 @@
-"""The vectorised phase integral and Bessel kernels against the per-point
-and per-element loops they replaced.
+"""The phase integral and the vectorised Bessel kernels against per-point
+and per-element references.
 
-``reference_zeta`` is the nested quadrature the error-control integral
-used before: one adaptive ``integrate_sqrt_singular`` call from each
-radius to the turning point.  ``reference_series`` and
-``reference_hankel`` are the scalar Bessel loops, unchanged.  The array
-kernels do the same arithmetic except that numpy's ``exp``/``log`` start
-the ascending series and may differ from the C library's by one ulp; the
-series then rounds along another path, so the two agree to a few ulps of
-the sum of the absolute terms, ``I_nu(x)``, and not better.
+``reference_zeta`` is one adaptive ``integrate_sqrt_singular`` call from
+each radius to the turning point; ``wkb._zeta`` runs the fixed rule in
+``theta`` of ``allowed_integrals`` on the same interval.
+``reference_series`` and ``reference_hankel`` are the scalar Bessel loops,
+unchanged.  The array kernels do the same arithmetic except that numpy's
+``exp``/``log`` start the ascending series and may differ from the C
+library's by one ulp; the series then rounds along another path, so the
+two agree to a few ulps of the sum of the absolute terms, ``I_nu(x)``,
+and not better.
 """
 
 import math
@@ -100,14 +101,59 @@ def test_zeta_matches_per_point_quadrature(case, seed):
         assert len(set(mine[rs == r].tolist())) == 1
 
 
+def theta_rule_row(channel, model, lam, lo, hi):
+    """The rule of ``allowed_integrals`` applied to ``sqrt|lam - U|`` on one interval."""
+    r, dr, weights = wkb._theta_rule(np.array([lo]), np.array([hi]))
+    root = np.sqrt(np.abs(lam - effective_potential(channel, model, r)))
+    return 0.5 * math.pi * np.sum(dr * root * weights)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_zeta_single_point_is_the_one_quadrature(case):
+    # the one quadrature is the theta rule between r and T, to the bit
     channel, model, lam = CASES[case]
     big_t = wkb.turning_points(channel, model, lam).T
-    for r in (0.5 * big_t, 1.5 * big_t):
-        mine = wkb._zeta(channel, model, lam, big_t, np.array([r]))
-        assert mine[0] == reference_zeta(channel, model, lam, big_t, [r])[0]
+    for r, sign in ((0.5 * big_t, -1.0), (1.5 * big_t, 1.0)):
+        mine = wkb._zeta(channel, model, lam, big_t, np.array([r]))[0]
+        lo, hi = min(r, big_t), max(r, big_t)
+        assert mine == sign * theta_rule_row(channel, model, lam, lo, hi)
+        ref = reference_zeta(channel, model, lam, big_t, [r])[0]
+        assert mine == pytest.approx(ref, rel=1e-13, abs=0)
     assert wkb._zeta(channel, model, lam, big_t, np.array([big_t]))[0] == 0.0
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_zeta_blocks_agree_with_single_radii(case):
+    # more radii than one block of the rule: each row is summed on its own,
+    # so neither the block a radius falls in nor its row changes a bit
+    channel, model, lam = CASES[case]
+    big_t = wkb.turning_points(channel, model, lam).T
+    rng = np.random.default_rng(5)
+    rs = rng.uniform(0.2 * big_t, 3.0 * big_t, 1400)
+    rs = rs[(rs > big_t) | (effective_potential(channel, model, rs) < lam)][:1000]
+    assert rs.size == 1000 > wkb._BLOCK
+    rs = np.concatenate([rs, rs[::97]])
+    mine = wkb._zeta(channel, model, lam, big_t, rs)
+    single = np.array([wkb._zeta(channel, model, lam, big_t, np.array([r]))[0] for r in rs])
+    np.testing.assert_array_equal(mine, single)
+    np.testing.assert_array_equal(mine[1000:], mine[:1000:97])
+
+
+@pytest.mark.parametrize("channel, model, lam", [
+    (Channel(5, 2), MIXED, 90.0),
+    (Channel(3, 1), QUARTIC, 150.0),
+])
+def test_zeta_next_to_the_inner_edge(channel, model, lam):
+    # the theta rule does not take out the square root at the inner edge a,
+    # which lies outside [r, T]: at a + 1e-3 (T - a) it still holds 1e-13
+    # (3e-14 and 6e-14 measured; 4e-11 and 9e-11 at 1e-4, 6e-10 and 1e-9
+    # at 1e-6), where the adaptive reference is at rounding
+    a, big_t = (float(x[0]) for x in wkb.classical_edges(channel, model, np.array([lam])))
+    assert a > 0.0
+    r = a + 1e-3 * (big_t - a)
+    mine = wkb._zeta(channel, model, lam, big_t, np.array([r]))[0]
+    ref = reference_zeta(channel, model, lam, big_t, [r])[0]
+    assert mine == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
