@@ -16,12 +16,20 @@ Values come from the defaults, then an optional flat ``key = value`` file
 (``[section]`` headers optional and ignored; an unknown key is an error),
 then the flags, in increasing priority.  The default output directory can
 also be set via the ``SPECPROBE_OUT`` environment variable.
+
+numpy and the solver modules load only for a numeric command whose
+config has passed its checks (``_load_solver``): ``--version``, ``--help``,
+an argument or config error and ``report`` import only the standard
+library and the numpy-free ``defaults``, ``errors``, ``formats`` and
+``model``.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import functools
+import importlib
 import json
 import math
 import os
@@ -32,37 +40,59 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
-from .eigensolve import (
+from .defaults import (
     DEFAULT_DECAY_MARGIN,
     DEFAULT_POINTS_PER_WAVELENGTH,
     DEFAULT_REL_TOL,
     MIN_DECAY_MARGIN,
     MIN_POINTS_PER_WAVELENGTH,
     MIN_REL_TOL,
-    SpectrumFormatError,
-    SpectrumTable,
-    export_spectrum_csv,
-    load_spectrum,
-    save_spectrum,
-    solve_spectrum,
 )
 from .errors import NumericsError
 from .formats import write_csv
-from .kernel import export_kernel_grid, kernel_matrix, parseval_check
-from .potential import Channel, PotentialModel, effective_potential, validate_assumptions
-from .probe import PROBE_CSV_HEADER, WindowSpec, make_bump, probe_rows, probe_sequence
-from .specfun import fit_power_law
-from .wkb import (
-    amplitude_scaling,
-    appendix_error_integral,
-    export_wkb_csv,
-    gap_scaling,
-    langer_residual,
-    summarize,
-)
+from .model import Channel, PotentialModel
+
+# submodule -> the names the numeric commands read from it; each needs numpy
+_SOLVER = {
+    "eigensolve": ("SpectrumFormatError", "SpectrumTable", "export_spectrum_csv",
+                   "load_spectrum", "save_spectrum", "solve_spectrum"),
+    "kernel": ("export_kernel_grid", "kernel_matrix", "parseval_check"),
+    "potential": ("effective_potential", "validate_assumptions"),
+    "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence"),
+    "specfun": ("fit_power_law",),
+    "wkb": ("amplitude_scaling", "appendix_error_integral", "export_wkb_csv", "gap_scaling",
+            "langer_residual", "summarize"),
+}
+
+
+@functools.cache
+def _load_solver() -> None:
+    """Bind numpy and the ``_SOLVER`` names into this module, once.
+
+    Parsing, config checks and ``report`` need none of them, so ``main``
+    loads them only for a numeric command that has a valid config.  The
+    names stay module attributes that the commands look up at call time,
+    and they are never bound again, so a wrapper set on one of them from
+    outside (a tracer) serves every later command.
+    """
+    global np
+    import numpy as np
+
+    for module, names in _SOLVER.items():
+        source = importlib.import_module(f".{module}", __package__)
+        globals().update({name: getattr(source, name) for name in names})
+
+
+def __getattr__(name: str):
+    # a solver name read off the module before any command has run; private
+    # and dunder lookups never load numpy
+    if not name.startswith("_"):
+        _load_solver()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = ["RunConfig", "resolve_config", "main"]
 
@@ -280,6 +310,7 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 def _meta_dict() -> dict:
+    _load_solver()  # report calls this when run.json has no meta
     return {
         "package": "specprobe",
         "version": __version__,
@@ -695,7 +726,7 @@ def cmd_report(cfg: RunConfig) -> int:
     run_path = cfg.out_dir / "run.json"
     doc = json.loads(run_path.read_text()) if run_path.exists() else {}
     stored_cfg = doc.get("config", _config_dict(cfg))
-    meta = doc.get("meta", _meta_dict())
+    meta = doc["meta"] if "meta" in doc else _meta_dict()
     results = doc.get("results", {})
     c = float(stored_cfg.get("growth_index", cfg.model.growth_index))
 
@@ -785,6 +816,8 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         cfg = resolve_config(args)
+        if args.cmd != "report":  # report renders run.json without numpy
+            _load_solver()
         return _COMMANDS[args.cmd][0](cfg)
     except (ValueError, configparser.Error) as exc:  # a malformed config file too
         print(f"error: {exc}", file=sys.stderr)

@@ -50,6 +50,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
+    DEFAULT_DECAY_MARGIN,
+    DEFAULT_POINTS_PER_WAVELENGTH,
+    DEFAULT_REL_TOL,
+    MIN_DECAY_MARGIN,
+    MIN_POINTS_PER_WAVELENGTH,
+    MIN_REL_TOL,
+)
 from .errors import BracketError, ConsistencyError
 from .potential import Channel, PotentialModel, effective_potential
 from .specfun import integrate_sqrt_singular
@@ -80,13 +88,7 @@ __all__ = [
 
 SPECTRUM_FORMAT_VERSION = 3
 
-DEFAULT_POINTS_PER_WAVELENGTH = 180.0
-DEFAULT_DECAY_MARGIN = 35.0
 DEFAULT_MIN_POINTS = 1000
-DEFAULT_REL_TOL = 1e-10
-MIN_POINTS_PER_WAVELENGTH = 40.0
-MIN_DECAY_MARGIN = 5.0
-MIN_REL_TOL = 1e-15  # a few ulps: the bracket cannot shrink much further
 BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
 MAX_SWEEPS = 60  # probe sweeps per level before the refinement gives up
 # Newton's steps shrink like step^2/gap once a step is this small against

@@ -105,3 +105,49 @@ def test_in_process_run_prints_only_its_result(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 1, proc.stdout
     assert json.loads(lines[0]) == {"result": "in-process run", "rcs": [0] * 7}
+
+
+# In a fresh interpreter, where nothing has bound cli's solver names yet:
+# the program's own config resolution works without ``main`` and without
+# numpy, every cli boundary resolves, and a tracer installed before any
+# command still counts the calls of the commands that follow (a command
+# that bound the names again would leave the wrappers uncalled).
+TRACED_FROM_COLD = textwrap.dedent(
+    """
+    import contextlib, io, json, sys, types
+    tracing = types.ModuleType("tracing")
+    exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), tracing.__dict__)
+    from specprobe import cli
+
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["gaps", *sys.argv[2:]]))
+    cold = "numpy" not in sys.modules
+    unresolved = [attr for module, attr, _, _ in tracing.BOUNDARIES
+                  if module == "cli" and not callable(getattr(cli, attr, None))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    rcs = []
+    for command in ("spectrum", "gaps"):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rcs.append(cli.main([command, *sys.argv[2:]]))
+    print(json.dumps({"cold": cold, "model": cfg.model.spec_string, "unresolved": unresolved,
+                      "missing": tracer.missing, "rcs": rcs, "counts": tracer.counts}))
+    """
+)
+
+
+def test_tracer_installed_before_any_command_counts_its_calls(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    env.pop("SPECPROBE_OUT", None)
+    argv = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--fit-top", "10",
+            "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", TRACED_FROM_COLD, str(TRACING), *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["cold"] and got["model"] == "1*r^4"
+    assert got["unresolved"] == [] and got["missing"] == []
+    assert got["rcs"] == [0, 0]
+    assert got["counts"]["cli>eigensolve.solve_spectrum"] == 1
+    assert got["counts"]["cli>eigensolve.load_spectrum"] == 1
