@@ -38,6 +38,11 @@ _EXPORTS = {
         "ThresholdError",
         "TruncationError",
     ),
+    "fitting": (
+        "PowerLawFit",
+        "fit_power_law",
+        "gap_scaling",
+    ),
     "kernel": (
         "export_kernel_grid",
         "gram_matrix",
@@ -45,15 +50,15 @@ _EXPORTS = {
         "parseval_check",
     ),
     "model": (
+        "AssumptionReport",
         "Channel",
         "PotentialModel",
         "PowerTerm",
+        "validate_assumptions",
     ),
     "potential": (
-        "AssumptionReport",
         "effective_potential",
         "eval_potential",
-        "validate_assumptions",
     ),
     "probe": (
         "ProbePoint",
@@ -69,9 +74,7 @@ _EXPORTS = {
         "window_hat",
     ),
     "specfun": (
-        "PowerLawFit",
         "bessel_j",
-        "fit_power_law",
         "integrate_sqrt_singular",
         "langer_profile",
     ),
@@ -84,7 +87,6 @@ _EXPORTS = {
         "bs_residual",
         "export_wkb_csv",
         "extract_C_lambda",
-        "gap_scaling",
         "langer_residual",
         "quantization_target",
         "rephased_amplitude",

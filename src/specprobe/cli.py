@@ -17,11 +17,14 @@ Values come from the defaults, then an optional flat ``key = value`` file
 then the flags, in increasing priority.  The default output directory can
 also be set via the ``SPECPROBE_OUT`` environment variable.
 
-numpy and the solver modules load only for a numeric command whose
-config has passed its checks (``_load_solver``): ``--version``, ``--help``,
-an argument or config error and ``report`` import only the standard
-library and the numpy-free ``defaults``, ``errors``, ``formats`` and
-``model``.
+numpy and the solver modules load only where a command first needs
+numbers (``_load_solver``): in ``_tables``, for a command that reads the
+samples or solves a spectrum.  ``--version``, ``--help``, an argument or
+config error, ``validate``, ``report`` and ``gaps`` on a cache hit import
+only the standard library and the numpy-free ``defaults``, ``errors``,
+``fitting``, ``formats`` and ``model``: the assumption checks are exact
+from the edges of their window, and a cache is checked, and its
+eigenvalues fitted, from its JSON record alone.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import importlib
 import json
 import math
 import os
-import platform
 import sys
 import time
 from dataclasses import dataclass
@@ -50,18 +52,18 @@ from .defaults import (
     MIN_REL_TOL,
 )
 from .errors import NumericsError
-from .formats import write_csv
-from .model import Channel, PotentialModel
+from .fitting import fit_power_law, gap_scaling
+from .formats import SpectrumFormatError, SpectrumRecord, read_spectrum_record, write_csv
+from .model import Channel, PotentialModel, validate_assumptions
 
 # submodule -> the names the numeric commands read from it; each needs numpy
 _SOLVER = {
-    "eigensolve": ("SpectrumFormatError", "SpectrumTable", "export_spectrum_csv",
-                   "load_spectrum", "save_spectrum", "solve_spectrum"),
+    "eigensolve": ("SpectrumTable", "export_spectrum_csv", "load_spectrum", "save_spectrum",
+                   "solve_spectrum"),
     "kernel": ("export_kernel_grid", "kernel_matrix", "parseval_check"),
-    "potential": ("effective_potential", "validate_assumptions"),
+    "potential": ("effective_potential",),
     "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence"),
-    "specfun": ("fit_power_law",),
-    "wkb": ("amplitude_scaling", "appendix_error_integral", "export_wkb_csv", "gap_scaling",
+    "wkb": ("amplitude_scaling", "appendix_error_integral", "export_wkb_csv",
             "langer_residual", "summarize"),
 }
 
@@ -70,11 +72,12 @@ _SOLVER = {
 def _load_solver() -> None:
     """Bind numpy and the ``_SOLVER`` names into this module, once.
 
-    Parsing, config checks and ``report`` need none of them, so ``main``
-    loads them only for a numeric command that has a valid config.  The
-    names stay module attributes that the commands look up at call time,
-    and they are never bound again, so a wrapper set on one of them from
-    outside (a tracer) serves every later command.
+    Parsing, config checks, ``validate``, ``report`` and a cache hit of
+    ``gaps`` need none of them, so ``_tables`` loads them where a command
+    first needs the samples or a solve.  The names stay module attributes
+    that the commands look up at call time, and they are never bound
+    again, so a wrapper set on one of them from outside (a tracer) serves
+    every later command.
     """
     global np
     import numpy as np
@@ -181,18 +184,30 @@ def _level_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _grid_values(text: str) -> tuple[float, ...]:
-    """Either ``a:b:step`` (inclusive of b up to rounding) or ``v1,v2,...``."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"must look like start:stop:step, got {text!r}")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0.0 or b < a:
-            raise ValueError("need stop >= start and step > 0")
-        count = int(math.floor((b - a) / step + 1e-9)) + 1
-        return tuple(a + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(","))
+def _grid_values(positive: bool) -> Callable[[str], tuple[float, ...]]:
+    """Parser of ``a:b:step`` (inclusive of b up to rounding) or ``v1,v2,...``,
+    every value finite, and above 0 if ``positive``."""
+
+    def parse(text: str) -> tuple[float, ...]:
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"must look like start:stop:step, got {text!r}")
+            a, b, step = (float(p) for p in parts)
+            if not all(map(math.isfinite, (a, b, step))):
+                raise ValueError("start, stop and step must be finite")
+            if step <= 0.0 or b < a:
+                raise ValueError("need stop >= start and step > 0")
+            count = int(math.floor((b - a) / step + 1e-9)) + 1
+            values = tuple(a + i * step for i in range(count))
+        else:
+            values = tuple(float(p) for p in text.split(","))
+        bad = [v for v in values if not (math.isfinite(v) and (v > 0.0 or not positive))]
+        if bad:
+            raise ValueError(f"{bad[0]!r} is not {'positive and ' if positive else ''}finite")
+        return values
+
+    return parse
 
 
 def _channel_list(text: str) -> list[tuple[int, int]]:
@@ -244,11 +259,11 @@ _KEYS = (
     _Key("appendix_base", "--appendix-base", "400", _number(float, 0.0, above=True)),
     # five rungs at least, to fit a slope
     _Key("appendix_doublings", "--appendix-doublings", "6", _number(int, 5)),
-    _Key("kernel_t", "--t", "0:1:0.25", _grid_values,
+    _Key("kernel_t", "--t", "0:1:0.25", _grid_values(positive=False),
          "kernel times, start:stop:step or comma list"),
-    _Key("kernel_r", "--r", "0.6:1.4:0.2", _grid_values,
+    _Key("kernel_r", "--r", "0.6:1.4:0.2", _grid_values(positive=True),
          "kernel radii, start:stop:step or comma list"),
-    _Key("kernel_s", "--s", "0.6:1.4:0.2", _grid_values,
+    _Key("kernel_s", "--s", "0.6:1.4:0.2", _grid_values(positive=True),
          "kernel radii, start:stop:step or comma list"),
     _Key("kernel_levels", "--levels", "20", _number(int, 0), "kernel truncation level"),
     _Key("out", "--out", "", lambda text: Path(
@@ -309,21 +324,27 @@ def _config_dict(cfg: RunConfig) -> dict:
     return doc
 
 
-def _meta_dict() -> dict:
-    _load_solver()  # report calls this when run.json has no meta
-    return {
+def _meta_dict(found: dict) -> dict:
+    """Versions for run.json's ``meta``: numpy's where it is loaded, else
+    the one in ``found``, the meta read from run.json, if any."""
+    meta = {
         "package": "specprobe",
         "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
+        "python": sys.version.split()[0],  # platform.python_version(), without its import
     }
+    numpy = globals().get("np")
+    if numpy is not None:
+        meta["numpy"] = numpy.__version__
+    elif "numpy" in found:
+        meta["numpy"] = found["numpy"]
+    return meta
 
 
 def _update_run_json(cfg: RunConfig, section: str, payload: dict) -> Path:
     path = cfg.out_dir / "run.json"
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc["config"] = _config_dict(cfg)
-    doc["meta"] = _meta_dict()
+    doc["meta"] = _meta_dict(doc.get("meta", {}))
     doc.setdefault("results", {})[section] = payload
     path.write_text(
         json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=True) + "\n"
@@ -340,40 +361,54 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
 
 
 def _cached(
-    cfg: RunConfig, path: Path, channel: Channel, solver: dict
-) -> tuple[SpectrumTable | None, str]:
-    """The cached table at ``path`` if it serves ``cfg``, else None, and why not."""
+    cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool
+) -> tuple[SpectrumTable | SpectrumRecord | None, str]:
+    """The cached spectrum at ``path`` if it serves ``cfg``, else None, and
+    why not.  The check reads the JSON record alone; a hit is the table,
+    samples loaded, or without ``samples`` the record."""
     if not path.exists():
         return None, "missing"
     try:
-        table = load_spectrum(path)
+        record = read_spectrum_record(path)
     except SpectrumFormatError:
         return None, "format"
+    except (ValueError, KeyError, TypeError, OSError):
+        return None, "unreadable"
+    if record.model.spec_string != cfg.model.spec_string:
+        return None, "model"
+    if record.channel != channel:
+        return None, "channel"
+    if any(record.tolerances.get(k) != v for k, v in solver.items()):
+        return None, "tolerances"
+    if len(record.eigenvalues) < cfg.l_max + 1:
+        return None, "too short"
+    if not samples:
+        return record.truncated(cfg.l_max + 1), "hit"
+    try:
+        return load_spectrum(path).truncated(cfg.l_max + 1), "hit"
     except (ValueError, KeyError, OSError, EOFError):
         return None, "unreadable"
-    if table.model.spec_string != cfg.model.spec_string:
-        return None, "model"
-    if table.channel != channel:
-        return None, "channel"
-    if any(table.tolerances.get(k) != v for k, v in solver.items()):
-        return None, "tolerances"
-    if len(table.eigenvalues) < cfg.l_max + 1:
-        return None, "too short"
-    return table.truncated(cfg.l_max + 1), "hit"
 
 
-def _tables(cfg: RunConfig) -> tuple[dict[tuple[int, int], SpectrumTable], dict]:
+def _tables(
+    cfg: RunConfig, samples: bool = True
+) -> tuple[dict[tuple[int, int], SpectrumTable | SpectrumRecord], dict]:
     """Every channel's table, reused from its cache when that matches the
     config, else solved and cached; and per channel, whether the cache hit
     or why it missed (also one line on stderr) and, on a miss, the wall
-    seconds of the solve."""
+    seconds of the solve.  Without ``samples`` a hit is the cache's record,
+    its eigenvalues, counters and corrections, and numpy loads only for a
+    solve."""
+    if samples:
+        _load_solver()
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
     tables, cache = {}, {}
     for d, n in cfg.channels:
         path = _cache_path(cfg, d, n)
-        table, why = _cached(cfg, path, Channel(d, n), solver)
+        table, why = _cached(cfg, path, Channel(d, n), solver, samples)
         entry = {"hit": True}
         if table is None:
+            _load_solver()
             start = time.perf_counter()
             table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
             entry = {"hit": False, "reason": why, "solve_s": time.perf_counter() - start}
@@ -486,13 +521,13 @@ _CERTIFICATES = {
 
 
 def cmd_gaps(cfg: RunConfig) -> int:
-    tables, cache = _tables(cfg)
+    tables, cache = _tables(cfg, samples=False)
     theory = _CERTIFICATES["gaps"].exponent(cfg.model.growth_index)
     channels_payload = {}
     for (d, n), table in tables.items():
         n_gaps = len(table.eigenvalues) - 1
         top = min(cfg.fit_top, n_gaps)
-        fit = gap_scaling(table, window=(n_gaps - top, n_gaps))
+        fit = gap_scaling(table.eigenvalues, window=(n_gaps - top, n_gaps))
         channels_payload[_channel_key(d, n)] = {
             "exponent": fit.exponent,
             "r_squared": fit.r_squared,
@@ -671,7 +706,10 @@ def cmd_kernel(cfg: RunConfig) -> int:
         forward = kernel_matrix(table, t, radii, cap)
         backward = kernel_matrix(table, -t, radii, cap)
         scale = float(np.abs(forward).max())
-        herm = max(herm, float(np.abs(backward - forward.conj()).max()) / scale)
+        deviation = float(np.abs(backward - forward.conj()).max()) / scale
+        if not math.isfinite(deviation):
+            raise NumericsError(f"kernel at t = {t:g}: hermitian deviation is {deviation}")
+        herm = max(herm, deviation)
     m0 = kernel_matrix(table, 0.0, radii, cap).real
     eigs = np.linalg.eigvalsh(m0)
     payload = {
@@ -726,7 +764,7 @@ def cmd_report(cfg: RunConfig) -> int:
     run_path = cfg.out_dir / "run.json"
     doc = json.loads(run_path.read_text()) if run_path.exists() else {}
     stored_cfg = doc.get("config", _config_dict(cfg))
-    meta = doc["meta"] if "meta" in doc else _meta_dict()
+    meta = doc["meta"] if "meta" in doc else _meta_dict({})
     results = doc.get("results", {})
     c = float(stored_cfg.get("growth_index", cfg.model.growth_index))
 
@@ -815,10 +853,7 @@ def main(argv=None) -> int:
         if args.cmd is None:
             parser.print_help()
             return 1
-        cfg = resolve_config(args)
-        if args.cmd != "report":  # report renders run.json without numpy
-            _load_solver()
-        return _COMMANDS[args.cmd][0](cfg)
+        return _COMMANDS[args.cmd][0](resolve_config(args))
     except (ValueError, configparser.Error) as exc:  # a malformed config file too
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,13 +35,13 @@ A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
 and the per-level solver counters and corrections; an ``EigenPair``'s node
 count and value and slope at ``r = 1`` are derived from its row.  The
 cache, format version 3, lists eigenvalues, counters and corrections in
-JSON beside one ``.npy`` of samples.
+a JSON record (``formats.SpectrumRecord``) beside one ``.npy`` of
+samples.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,6 +59,7 @@ from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
     MIN_REL_TOL,
 )
 from .errors import BracketError, ConsistencyError
+from .formats import SpectrumFormatError, SpectrumRecord, read_spectrum_record  # error re-exported
 from .potential import Channel, PotentialModel, effective_potential
 from .specfun import integrate_sqrt_singular
 from .wkb import (
@@ -85,8 +86,6 @@ __all__ = [
     "SpectrumFormatError",
     "export_spectrum_csv",
 ]
-
-SPECTRUM_FORMAT_VERSION = 3
 
 DEFAULT_MIN_POINTS = 1000
 BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
@@ -745,66 +744,38 @@ def solve_spectrum(
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:
-    """Persist a table as JSON metadata plus a binary sample sidecar."""
+    """Persist a table as its JSON record plus a binary sample sidecar."""
     path = Path(path)
     sidecar = path.with_suffix(".npy")
     np.save(sidecar, table.samples)
-    doc = {
-        "format_version": SPECTRUM_FORMAT_VERSION,
-        "model": table.model.spec_string,
-        "threshold_radius": table.model.threshold_radius,
-        "harmonic": table.model.harmonic,
-        "d": table.channel.d,
-        "n": table.channel.n,
-        "grid": {
-            "r_min": table.grid.r_min,
-            "r_max": table.grid.r_max,
-            "h": table.grid.h,
-            "n_points": table.grid.n_points,
-        },
-        "tolerances": table.tolerances,
-        "samples_file": sidecar.name,
-        "levels": {
-            "lambda": table.eigenvalues.tolist(),
-            "sweeps": list(table.sweeps),
-            "bisections": list(table.bisections),
-            "shift": list(table.shifts),
-        },
-    }
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="ascii")
-    return path
-
-
-class SpectrumFormatError(ValueError):
-    """A saved table in a format version other than ``SPECTRUM_FORMAT_VERSION``."""
+    g = table.grid
+    return SpectrumRecord(
+        channel=table.channel,
+        model=table.model,
+        grid=(g.r_min, g.r_max, g.h, g.n_points),
+        tolerances=table.tolerances,
+        samples_file=sidecar.name,
+        eigenvalues=tuple(table.eigenvalues.tolist()),
+        sweeps=table.sweeps,
+        bisections=table.bisections,
+        shifts=table.shifts,
+    ).write(path)
 
 
 def load_spectrum(path) -> SpectrumTable:
+    """The table saved at ``path``: its record and its samples."""
     path = Path(path)
-    doc = json.loads(path.read_text(encoding="ascii"))
-    if doc.get("format_version") != SPECTRUM_FORMAT_VERSION:
-        raise SpectrumFormatError(
-            f"unsupported spectrum format version {doc.get('format_version')}"
-        )
-    model = PotentialModel.from_spec(
-        doc["model"],
-        threshold_radius=doc["threshold_radius"],
-        harmonic=doc["harmonic"],
-    )
-    channel = Channel(doc["d"], doc["n"])
-    g = doc["grid"]
-    grid = RadialGrid(g["r_min"], g["r_max"], g["h"], g["n_points"])
-    levels = doc["levels"]
+    record = read_spectrum_record(path)
     return SpectrumTable(
-        channel=channel,
-        model=model,
-        grid=grid,
-        eigenvalues=np.array(levels["lambda"], dtype=float),
-        samples=np.load(path.parent / doc["samples_file"]),
-        sweeps=tuple(levels["sweeps"]),
-        bisections=tuple(levels["bisections"]),
-        shifts=tuple(levels["shift"]),
-        tolerances=doc["tolerances"],
+        channel=record.channel,
+        model=record.model,
+        grid=RadialGrid(*record.grid),
+        eigenvalues=np.array(record.eigenvalues, dtype=float),
+        samples=np.load(path.parent / record.samples_file),
+        sweeps=record.sweeps,
+        bisections=record.bisections,
+        shifts=record.shifts,
+        tolerances=record.tolerances,
     )
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import TruncationError
-from .specfun import PowerLawFit, fit_power_law
+from .fitting import PowerLawFit, fit_power_law
 from .wkb import allowed_interval, extract_C_lambda, rephased_amplitude
 
 __all__ = [

@@ -7,20 +7,21 @@ special-function library.  Also: the turning-point profile from
 ``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over an
 interval (square-root endpoints substituted away), the Gauss-Legendre
 nodes it shares with the fixed rule between turning points of
-``wkb.allowed_integrals``, and a log-log power-law fitter used by all
-of the scaling certificates.
+``wkb.allowed_integrals``; and, re-exported from the numpy-free
+``fitting``, the log-log power-law fitter of all the scaling
+certificates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import QuadratureError
+from .fitting import PowerLawFit, fit_power_law  # re-exported
 
 __all__ = [
     "bessel_j",
@@ -216,59 +217,3 @@ def integrate_sqrt_singular(
             raise QuadratureError(f"quadrature did not converge to rel_tol={rel_tol}")
         lo, hi = np.concatenate([lo[split], m[split]]), np.concatenate([m[split], hi[split]])
         whole = np.concatenate([left[split], right[split]])
-
-
-@dataclass(frozen=True)
-class PowerLawFit:
-    """Least-squares fit of ``y = exp(log_intercept) * x**exponent``."""
-
-    exponent: float
-    log_intercept: float
-    r_squared: float
-    index_window: tuple[int, int]
-    value_window: tuple[float, float]
-    n_points: int
-
-
-def fit_power_law(
-    points: Sequence[tuple[float, float]],
-    window: tuple[int, int] | None = None,
-) -> PowerLawFit:
-    """Fit a power law through ``(x, y)`` pairs on log-log axes.
-
-    ``window`` restricts the fit to the half-open index range
-    ``[window[0], window[1])`` of the supplied sequence.  All used points
-    must have positive coordinates and there must be at least five of them.
-    """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be a sequence of (x, y) pairs")
-    if window is None:
-        i0, i1 = 0, pts.shape[0]
-    else:
-        i0, i1 = int(window[0]), int(window[1])
-        if not (0 <= i0 < i1 <= pts.shape[0]):
-            raise ValueError("window out of range")
-    used = pts[i0:i1]
-    if used.shape[0] < 5:
-        raise ValueError("need at least five points to fit")
-    if np.any(used <= 0.0) or not np.all(np.isfinite(used)):
-        raise ValueError("power-law fit needs positive finite points")
-    lx = np.log(used[:, 0])
-    ly = np.log(used[:, 1])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
-    if ss_tot <= 1e-30:
-        r_squared = 1.0 if ss_res <= 1e-24 else 0.0
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-    return PowerLawFit(
-        exponent=float(slope),
-        log_intercept=float(intercept),
-        r_squared=r_squared,
-        index_window=(i0, i1),
-        value_window=(float(used[:, 0].min()), float(used[:, 0].max())),
-        n_points=int(used.shape[0]),
-    )

@@ -28,13 +28,8 @@ import numpy as np
 
 from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
-from .specfun import (
-    PowerLawFit,
-    _gl_rule,
-    fit_power_law,
-    integrate_sqrt_singular,
-    langer_profile,
-)
+from .fitting import PowerLawFit, fit_power_law, gap_scaling  # gap_scaling re-exported
+from .specfun import _gl_rule, integrate_sqrt_singular, langer_profile
 
 __all__ = [
     "TurningPoints",
@@ -588,16 +583,6 @@ def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float)
         lo *= 2.0
         if piece <= 1e-12 * total:
             return total
-
-
-def gap_scaling(table, window: tuple[int, int] | None = None) -> PowerLawFit:
-    """Power-law fit of consecutive eigenvalue gaps against the eigenvalue."""
-    lams = table.eigenvalues
-    if lams.size < 6:
-        raise ValueError("need at least six levels to fit gap growth")
-    gaps = np.diff(lams)
-    points = list(zip(lams[:-1], gaps))
-    return fit_power_law(points, window)
 
 
 def amplitude_scaling(

@@ -122,8 +122,8 @@ def test_criterion_04_quantization_residual(quartic_n0, osc_n0, osc_n1):
 
 
 def test_criterion_05_gap_growth(quartic_n0, sextic_n0):
-    fit4 = wkb.gap_scaling(quartic_n0, window=(30, 60))
-    fit6 = wkb.gap_scaling(sextic_n0, window=(30, 60))
+    fit4 = wkb.gap_scaling(quartic_n0.eigenvalues, window=(30, 60))
+    fit6 = wkb.gap_scaling(sextic_n0.eigenvalues, window=(30, 60))
     ok = abs(fit4.exponent - 0.25) <= 0.03 and abs(fit6.exponent - 1.0 / 3.0) <= 0.03
     _report(
         5,

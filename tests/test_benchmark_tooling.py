@@ -126,7 +126,7 @@ TRACED_FROM_COLD = textwrap.dedent(
     tracer = tracing.Tracer()
     tracer.install()
     rcs = []
-    for command in ("spectrum", "gaps"):
+    for command in ("spectrum", "probe"):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             rcs.append(cli.main([command, *sys.argv[2:]]))
@@ -140,7 +140,7 @@ def test_tracer_installed_before_any_command_counts_its_calls(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("SPECPROBE_OUT", None)
-    argv = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--fit-top", "10",
+    argv = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--lrange", "2:12",
             "--out", str(tmp_path)]
     proc = subprocess.run([sys.executable, "-c", TRACED_FROM_COLD, str(TRACING), *argv], env=env,
                           capture_output=True, text=True, timeout=300)

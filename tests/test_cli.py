@@ -281,7 +281,7 @@ class TestCaching:
         assert len(rewritten["levels"]["lambda"]) == 6
         assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
 
-    @pytest.mark.parametrize(
+    MISS_REASONS = pytest.mark.parametrize(
         "reason, spoil, flags",
         [
             ("format", lambda doc: doc.update(format_version=2), []),
@@ -292,30 +292,52 @@ class TestCaching:
             ("too short", None, ["--lmax", "6"]),
         ],
     )
+
+    @MISS_REASONS
     def test_miss_reason_recorded(self, tmp_path, capsys, reason, spoil, flags):
-        base = ["--lmax", "4", "--out", str(tmp_path)]
-        assert main(["spectrum"] + base) == 0
+        self.check_miss_reason("spectrum", tmp_path, capsys, reason, spoil, flags)
+
+    @MISS_REASONS
+    def test_gaps_miss_reason_recorded(self, tmp_path, capsys, reason, spoil, flags):
+        # gaps checks the record alone, spectrum loads the samples too
+        self.check_miss_reason("gaps", tmp_path, capsys, reason, spoil, flags)
+
+    @staticmethod
+    def check_miss_reason(command, tmp_path, capsys, reason, spoil, flags):
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main([command] + base) == 0
         first = capsys.readouterr()
         assert first.err == "cache: d3_n0 miss (missing)\n"
-        assert main(["spectrum"] + base) == 0
+        assert main([command] + base) == 0
         second = capsys.readouterr()
         assert second.err == "cache: d3_n0 hit\n"
         assert second.out == first.out
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["results"]["spectrum"]["cache"] == {"d3_n0": {"hit": True}}
+        assert doc["results"][command]["cache"] == {"d3_n0": {"hit": True}}
 
         json_path = tmp_path / "spectrum_d3_n0.json"
         if spoil is not None:
             cache = json.loads(json_path.read_text())
             spoil(cache)
             json_path.write_text(json.dumps(cache))
-        assert main(["spectrum"] + base + flags) == 0
+        assert main([command] + base + flags) == 0
         assert capsys.readouterr().err == f"cache: d3_n0 miss ({reason})\n"
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["results"]["spectrum"]["cache"] == {
-            "d3_n0": {"hit": False, "reason": reason}
-        }
+        entry = doc["results"][command]["cache"]["d3_n0"]
+        assert (entry["hit"], entry["reason"]) == (False, reason)
         assert json.loads(json_path.read_text())["format_version"] == 3
+
+    def test_missing_samples_miss_only_where_read(self, tmp_path, capsys):
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        (tmp_path / "spectrum_d3_n0.npy").unlink()
+        capsys.readouterr()
+        assert main(["gaps"] + base) == 0  # the eigenvalues are in the record
+        assert capsys.readouterr().err == "cache: d3_n0 hit\n"
+        assert not (tmp_path / "spectrum_d3_n0.npy").exists()
+        assert main(["spectrum"] + base) == 0
+        assert capsys.readouterr().err == "cache: d3_n0 miss (unreadable)\n"
+        assert (tmp_path / "spectrum_d3_n0.npy").exists()
 
     def test_cache_record_in_each_reading_section(self, workspace):
         results = json.loads((workspace / "run.json").read_text())["results"]
@@ -460,6 +482,39 @@ class TestConfigFile:
         monkeypatch.setenv("SPECPROBE_OUT", str(tmp_path / "envout"))
         assert main(["report"]) == 0
         assert (tmp_path / "envout" / "report.md").exists()
+
+
+class TestKernelGrid:
+    @pytest.mark.parametrize("flags", [
+        ["--t", "0,nan,inf"],
+        ["--t", "0:inf:1"],
+        ["--r=-1,nan,1"],
+        ["--r", "0:1:0.5"],
+        ["--s", "1,inf"],
+        ["--s", "nan:1:0.1"],
+    ])
+    def test_bad_values_rejected_up_front(self, tmp_path, capsys, flags):
+        rc = main(["kernel", "--lmax", "4", "--levels", "3", "--out", str(tmp_path)] + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: kernel_")
+        assert not (tmp_path / "kernel.csv").exists()
+
+    def test_negative_times_accepted(self, tmp_path):
+        base = ["kernel", "--lmax", "4", "--levels", "3", "--r", "1", "--s", "1"]
+        assert main(base + ["--t=-0.5,0,0.5", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "kernel.csv").read_text().splitlines()) == 4
+
+    def test_non_finite_deviation_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        from specprobe import cli
+
+        cli._load_solver()
+        exact = cli.kernel_matrix
+        monkeypatch.setattr(cli, "kernel_matrix", lambda table, t, radii, cap: (
+            exact(table, t, radii, cap) * (math.nan if t < 0.0 else 1.0)))
+        rc = main(["kernel", "--lmax", "4", "--levels", "3", "--t", "0,0.5",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "hermitian deviation is nan" in capsys.readouterr().err
 
 
 class TestExitCodes:

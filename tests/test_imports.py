@@ -1,6 +1,7 @@
 """What loads when: the package's names load their submodule on first
-access, and the command line loads numpy and the solver only for a
-numeric command whose config has passed its checks.
+access, and the command line loads numpy and the solver only where a
+command first needs numbers: never for ``validate`` and ``report``, and
+for ``gaps`` only on a cache miss.
 
 The start-up checks run ``python -X importtime -m specprobe.cli`` in a
 fresh interpreter and read its import log, since this process has long
@@ -35,7 +36,12 @@ def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 
 def imported_modules(argv: list[str], cwd=None) -> tuple[int, list[str]]:
-    """Exit code of ``specprobe argv`` and every module its interpreter imported."""
+    """Exit code of ``specprobe argv`` and every module its interpreter imported.
+
+    The log leaves out a module loaded through ``importlib.import_module``
+    (the solver modules ``cli`` binds by name), but not what such a module
+    imports in turn, numpy among it.
+    """
     proc = python("-X", "importtime", "-m", "specprobe.cli", *argv, cwd=cwd)
     # "import time: <self us> | <cumulative us> | <indented module name>"
     names = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
@@ -63,18 +69,49 @@ def test_quick_invocations_load_no_numpy_and_no_solver(argv, rc, tmp_path):
     assert numeric(names) == []
 
 
-def test_report_loads_numpy_only_when_run_json_has_no_meta(tmp_path):
-    # the meta the numeric commands record holds numpy's version; without
-    # it, report loads numpy to read that version itself
+def test_report_never_loads_numpy(tmp_path):
+    # report renders run.json as it finds it; numpy's version is in its
+    # meta when a command that computed with numpy wrote it, else absent
     code, names = imported_modules(["report", "--out", str(tmp_path)])
-    assert code == 0 and "numpy" in names
-    meta = (tmp_path / "report.md").read_text().split("## Versions")[1]
-    run_json = tmp_path / "run.json"
-    run_json.write_text(json.dumps({"meta": {"numpy": "recorded"}}))
+    assert code == 0 and numeric(names) == []
+    assert (tmp_path / "report.md").read_text().split("## Versions")[1].count("- numpy") == 0
+    (tmp_path / "run.json").write_text(json.dumps({"meta": {"numpy": "recorded"}}))
     code, names = imported_modules(["report", "--out", str(tmp_path)])
     assert code == 0 and numeric(names) == []
     assert (tmp_path / "report.md").read_text().split("## Versions")[1] == "\n\n- numpy: recorded\n"
-    assert "- numpy: " in meta
+
+
+def test_validate_and_cached_gaps_load_no_numpy(tmp_path):
+    base = ["--lmax", "8", "--fit-top", "6", "--out", str(tmp_path)]
+    code, names = imported_modules(["validate", *base])
+    assert code == 0 and {"specprobe.model", "specprobe.fitting"} <= set(names)
+    assert numeric(names) == []
+    # numpy's version is recorded by the first command that computed with it
+    run_json = tmp_path / "run.json"
+    assert "numpy" not in json.loads(run_json.read_text())["meta"]
+    assert python("-m", "specprobe.cli", "spectrum", *base).returncode == 0
+    version = json.loads(run_json.read_text())["meta"]["numpy"]
+    for argv in (["gaps", *base], ["validate", *base], ["report", *base]):
+        code, names = imported_modules(argv)
+        assert code == 0 and numeric(names) == [], argv
+        assert json.loads(run_json.read_text())["meta"]["numpy"] == version
+    gaps = json.loads(run_json.read_text())["results"]["gaps"]
+    assert gaps["cache"] == {"d3_n0": {"hit": True}}
+    assert gaps["channels"]["d3_n0"]["gaps_used"] == 6
+
+
+def test_gaps_on_a_cache_miss_solves_and_caches(tmp_path):
+    code, names = imported_modules(["gaps", "--lmax", "8", "--fit-top", "6",
+                                    "--out", str(tmp_path)])
+    assert code == 0
+    # what eigensolve imports: cli loads it by name, which the log leaves out
+    assert {"numpy", "specprobe.potential", "specprobe.wkb"} <= set(names)
+    gaps = json.loads((tmp_path / "run.json").read_text())["results"]["gaps"]
+    assert gaps["cache"]["d3_n0"]["hit"] is False
+    assert gaps["cache"]["d3_n0"]["reason"] == "missing"
+    record = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
+    assert len(record["levels"]["lambda"]) == 9
+    assert (tmp_path / "spectrum_d3_n0.npy").is_file()
 
 
 def test_every_package_name_is_its_submodules_object():

@@ -164,7 +164,68 @@ def test_validate_window_argument_errors():
     with pytest.raises(ValueError):
         validate_assumptions(model, 0.5, 10.0)  # undercuts threshold radius
     with pytest.raises(ValueError):
-        validate_assumptions(model, 1.0, 10.0, samples=4)
+        validate_assumptions(model, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("exponent", [2, 4, 6, 10])
+def test_pure_power_infimum_sits_at_the_left_edge(exponent):
+    # r V'/(2V) is constant, so only the left edge is the exact argmin;
+    # a sampled minimum lands wherever the rounding noise is least
+    model = PotentialModel.pure(exponent, 0.7, threshold_radius=1.3, harmonic=True)
+    report = validate_assumptions(model)
+    assert report.admissible_argmin == 1.3 and report.window == (1.3, 130.0)
+    assert report.max_admissible_c == exponent / 2.0
+
+
+def test_validate_survives_windows_whose_powers_overflow():
+    # r^10 overflows past about 1e30; the exact ratios never form a power of r
+    report = validate_assumptions(PotentialModel.from_spec("1*r^4+2*r^10"), 1e40, 1e300)
+    assert report.passed
+    assert report.max_admissible_c == pytest.approx(5.0, rel=1e-15)
+    assert report.worst_ratios == pytest.approx((10.0, 9.0, 8.0), rel=1e-15)
+
+
+def sampled_assumptions(model, r_lo, r_hi, samples=400):
+    """The dense geometric sampling the exact check replaced, kept as its reference."""
+    r = np.geomspace(r_lo, r_hi, samples)
+    v, dv, d2v, d3v = (eval_potential(model, r, j) for j in range(4))
+    admissible = r * dv / (2.0 * v)
+    c = model.terms[0].exponent / 2.0
+    inf_c = float(admissible.min())
+    ratios = (
+        float(np.max(r * np.abs(dv) / np.abs(v))),
+        float(np.max(r * np.abs(d2v) / np.abs(dv))),
+        float(np.max(r * np.abs(d3v) / np.abs(d2v))),
+    )
+    return {
+        "convexity_ok": bool(np.all(d2v > 0.0)),
+        "growth_ok": bool(np.all(v > 0.0)) and inf_c >= c * (1.0 - 1e-12),
+        "superquadratic_ok": inf_c > 1.0,
+        "max_admissible_c": inf_c,
+        "worst_ratios": ratios,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exponents=st.lists(st.sampled_from([2, 4, 6, 8, 10]), min_size=1, max_size=3, unique=True),
+    coeffs=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=3, max_size=3),
+    threshold=st.floats(min_value=0.05, max_value=20.0),
+    offset=st.floats(min_value=0.0, max_value=3.0),
+    span=st.floats(min_value=1e-3, max_value=4.0),
+)
+def test_exact_check_matches_dense_sampling(exponents, coeffs, threshold, offset, span):
+    terms = tuple(PowerTerm(e, c) for e, c in zip(exponents, coeffs))
+    model = PotentialModel(terms, threshold_radius=threshold, harmonic=True)
+    r_lo = threshold * 10.0**offset
+    r_hi = r_lo * 10.0**span
+    report = validate_assumptions(model, r_lo, r_hi)
+    sampled = sampled_assumptions(model, r_lo, r_hi)
+    for flag in ("convexity_ok", "growth_ok", "superquadratic_ok"):
+        assert getattr(report, flag) == sampled[flag], flag
+    assert report.max_admissible_c == pytest.approx(sampled["max_admissible_c"], rel=1e-12)
+    assert report.worst_ratios == pytest.approx(sampled["worst_ratios"], rel=1e-12, abs=1e-12)
+    assert report.admissible_argmin == r_lo and report.window == (r_lo, r_hi)
 
 
 @settings(max_examples=30, deadline=None)
@@ -181,7 +242,7 @@ def test_validate_window_argument_errors():
 def test_positive_even_sums_always_validate(exponents, coeffs):
     terms = tuple(PowerTerm(e, c) for e, c in zip(exponents, coeffs))
     model = PotentialModel(terms)
-    report = validate_assumptions(model, 1.0, 50.0, samples=64)
+    report = validate_assumptions(model, 1.0, 50.0)
     assert report.passed
     # the infimum of r V'/(2V) lies between the smallest c_m and deg(V)/2
     assert report.min_term_c == min(exponents) / 2.0

@@ -233,3 +233,42 @@ def test_fit_power_law_recovers_parameters(exponent, scale):
     fit = fit_power_law(list(zip(x, scale * x**exponent)))
     assert fit.exponent == pytest.approx(exponent, abs=1e-9)
     assert math.exp(fit.log_intercept) == pytest.approx(scale, rel=1e-9)
+
+
+def polyfit_power_law(points):
+    """The numpy least-squares line the pure-Python fit replaced, kept as its reference."""
+    pts = np.asarray(points, dtype=float)
+    lx, ly = np.log(pts[:, 0]), np.log(pts[:, 1])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    ss_res = float(np.dot(resid, resid))
+    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
+    if ss_tot <= 1e-30:
+        return float(slope), float(intercept), 1.0 if ss_res <= 1e-24 else 0.0
+    return float(slope), float(intercept), 1.0 - ss_res / ss_tot
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x0=st.floats(min_value=1e-3, max_value=1e4),
+    ratio=st.floats(min_value=1.01, max_value=3.0),
+    exponent=st.floats(min_value=-3.0, max_value=3.0),
+    noise=st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=5, max_size=40),
+)
+def test_fit_power_law_matches_polyfit(x0, ratio, exponent, noise):
+    points = [(x0 * ratio**i, x0**exponent * ratio ** (i * exponent) * math.exp(e))
+              for i, e in enumerate(noise)]
+    slope, intercept, r_squared = polyfit_power_law(points)
+    fit = fit_power_law(points)
+    scale = 1.0 + abs(math.log(x0)) + len(noise) * math.log(ratio)  # of the log abscissae
+    assert fit.exponent == pytest.approx(slope, rel=1e-12, abs=1e-12 * abs(exponent) + 1e-13)
+    assert fit.log_intercept == pytest.approx(intercept, rel=1e-12, abs=1e-12 * scale)
+    if max(noise) - min(noise) > 1e-3:  # without scatter r^2 is rounding noise over 0
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=1e-12)
+
+
+def test_fit_power_law_needs_two_abscissae():
+    with pytest.raises(ValueError):
+        fit_power_law([(2.0, y) for y in (1.0, 2.0, 3.0, 4.0, 5.0)])
+    with pytest.raises(ValueError):
+        fit_power_law([(1.0, 1.0, 1.0)] * 5)

@@ -438,14 +438,12 @@ class TestAmplitude:
 class TestGapScaling:
     def test_recovers_power_law_gaps(self):
         lams = [(l + 0.75) ** (4.0 / 3.0) * 3.0 for l in range(80)]
-        table = types.SimpleNamespace(eigenvalues=np.array(lams))
-        fit = wkb.gap_scaling(table, window=(40, 79))
+        fit = wkb.gap_scaling(np.array(lams), window=(40, 79))
         assert fit.exponent == pytest.approx(0.25, abs=0.01)
 
     def test_needs_enough_levels(self):
-        table = types.SimpleNamespace(eigenvalues=np.array([3.0, 7.0]))
         with pytest.raises(ValueError):
-            wkb.gap_scaling(table)
+            wkb.gap_scaling(np.array([3.0, 7.0]))
 
 
 def synthetic_grid(r_lo, r_hi, h):
