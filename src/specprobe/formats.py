@@ -76,7 +76,6 @@ class SpectrumRecord(NamedTuple):
         doc = {
             "format_version": SPECTRUM_FORMAT_VERSION,
             "model": self.model.spec_string,
-            "threshold_radius": self.model.threshold_radius,
             "harmonic": self.model.harmonic,
             "d": self.channel.d,
             "n": self.channel.n,
@@ -98,23 +97,29 @@ class SpectrumRecord(NamedTuple):
 def read_spectrum_record(path) -> SpectrumRecord:
     """The record at ``path``; ``SpectrumFormatError`` for another format
     version, and ``ValueError``, ``KeyError`` or ``TypeError`` for a
-    malformed one."""
+    malformed one: not a JSON object, or per-level lists of unequal
+    lengths.  Keys it does not read, such as the ``threshold_radius`` of
+    older records, are ignored."""
     doc = json.loads(Path(path).read_text(encoding="ascii"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the record is not a JSON object")
     if doc.get("format_version") != SPECTRUM_FORMAT_VERSION:
         raise SpectrumFormatError(
             f"unsupported spectrum format version {doc.get('format_version')}"
         )
     g, levels = doc["grid"], doc["levels"]
+    per_level = [levels[key] for key in ("lambda", "sweeps", "bisections", "shift")]
+    if len({len(values) for values in per_level}) != 1:
+        raise ValueError(f"{path}: the per-level lists differ in length")
+    lams, sweeps, bisections, shifts = per_level
     return SpectrumRecord(
         channel=Channel(doc["d"], doc["n"]),
-        model=PotentialModel.from_spec(
-            doc["model"], threshold_radius=doc["threshold_radius"], harmonic=doc["harmonic"]
-        ),
+        model=PotentialModel.from_spec(doc["model"], harmonic=doc["harmonic"]),
         grid=(g["r_min"], g["r_max"], g["h"], g["n_points"]),
         tolerances=doc["tolerances"],
         samples_file=doc["samples_file"],
-        eigenvalues=tuple(float(lam) for lam in levels["lambda"]),
-        sweeps=tuple(levels["sweeps"]),
-        bisections=tuple(levels["bisections"]),
-        shifts=tuple(levels["shift"]),
+        eigenvalues=tuple(float(lam) for lam in lams),
+        sweeps=tuple(sweeps),
+        bisections=tuple(bisections),
+        shifts=tuple(shifts),
     )

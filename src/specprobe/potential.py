@@ -5,7 +5,7 @@ The operators studied here act on the half line and have the form
 even powers ``r^(2c_m)`` and ``gamma`` encodes the angular momentum sector
 of a rotationally symmetric problem in ``d`` space dimensions.  This module
 evaluates the model of ``V`` and the channel's effective potential on
-arrays.  The model, the channel and the exact check of the structural
+arrays.  The model, the channel and the closed forms of the structural
 assumptions (convexity, super-quadratic growth, derivative ratios) that
 the rest of the package relies on are declared in the numpy-free
 ``model`` and re-exported here.

@@ -61,6 +61,25 @@ class TestValidate:
         assert rc == 1
         assert "c>1 violated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, low, high, bounds, superquadratic", [
+        (["--model", "1*r^4"], 2, 2, "4, 3, 2", "yes"),
+        (["--model", "1*r^4+0.5*r^6"], 2, 3, "6, 5, 4", "yes"),
+        (["--model", "1*r^2", "--allow-harmonic"], 1, 1, "2, 1, 0", "no"),
+    ])
+    def test_prints_the_closed_forms(self, tmp_path, capsys, flags, low, high, bounds,
+                                     superquadratic):
+        assert main(["validate", *flags, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"r V'/(2V) runs from {low} (r -> 0) to {high} (r -> inf)" in out
+        assert f"j = 1, 2, 3: {bounds}\n" in out
+        assert f"super-quadratic c > 1: {superquadratic}" in out
+        section = json.loads((tmp_path / "run.json").read_text())["results"]["validate"]
+        assert section == {
+            "passed": True, "min_term_c": low, "c": high,
+            "ratio_bounds": [float(x) for x in bounds.split(", ")],
+            "superquadratic": superquadratic == "yes",
+        }
+
 
 class TestArgumentErrors:
     def test_bad_integer_flag(self, tmp_path, capsys):
@@ -78,6 +97,16 @@ class TestArgumentErrors:
     def test_signed_exponent_coefficient_accepted(self, tmp_path, capsys, model):
         assert main(["validate", "--model", model, "--out", str(tmp_path)]) == 0
         assert "validation passed" in capsys.readouterr().out
+
+    def test_threshold_radius_is_unknown(self, tmp_path, capsys):
+        # the assumptions hold on all of r > 0, so no radius bounds them
+        assert main(["validate", "--threshold-radius", "2", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --threshold-radius" in capsys.readouterr().err
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text("threshold_radius = 1.0\n")
+        assert main(["validate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "unknown config key(s) threshold_radius" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
 
     def test_malformed_model(self, tmp_path, capsys):
         rc = main(["validate", "--model", "r**4", "--out", str(tmp_path)])
@@ -250,11 +279,38 @@ class TestCaching:
         assert main(base) == 0
         section = json.loads(run_json.read_text())["results"]["spectrum"]
         for key in ("d3_n0", "d4_n1"):
-            assert section["channels"][key]["solve_s"] > 0.0
-            assert section["cache"][key] == {"hit": False, "reason": "missing"}
+            entry = section["cache"][key]
+            assert entry == {"hit": False, "reason": "missing", "solve_s": entry["solve_s"]}
+            assert entry["solve_s"] > 0.0
+            assert "solve_s" not in section["channels"][key]
         assert main(base) == 0
         section = json.loads(run_json.read_text())["results"]["spectrum"]
-        assert [entry["solve_s"] for entry in section["channels"].values()] == [None, None]
+        assert section["cache"] == {"d3_n0": {"hit": True}, "d4_n1": {"hit": True}}
+
+    def test_every_command_records_a_miss_alike(self, tmp_path):
+        entries = {}
+        for command in ("spectrum", "gaps"):
+            out = tmp_path / command
+            assert main([command, "--lmax", "6", "--fit-top", "6", "--out", str(out)]) == 0
+            doc = json.loads((out / "run.json").read_text())
+            entries[command] = doc["results"][command]["cache"]["d3_n0"]
+        for entry in entries.values():
+            assert entry["solve_s"] > 0.0
+            entry["solve_s"] = "seconds"
+        assert entries["gaps"] == entries["spectrum"]
+
+    def test_record_with_a_threshold_radius_still_hits(self, tmp_path, capsys):
+        # records written while the model had a threshold radius carry the key
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        json_path = tmp_path / "spectrum_d3_n0.json"
+        doc = json.loads(json_path.read_text())
+        assert "threshold_radius" not in doc
+        json_path.write_text(json.dumps(dict(doc, threshold_radius=1.0)))
+        capsys.readouterr()
+        for command in ("gaps", "spectrum"):
+            assert main([command] + base) == 0
+            assert capsys.readouterr().err == "cache: d3_n0 hit\n"
 
     def test_version_1_cache_is_solved_again(self, tmp_path):
         base = ["--lmax", "5", "--out", str(tmp_path)]
@@ -281,15 +337,19 @@ class TestCaching:
         assert len(rewritten["levels"]["lambda"]) == 6
         assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
 
+    # spoil: the cache record's JSON -> the JSON written over it
     MISS_REASONS = pytest.mark.parametrize(
         "reason, spoil, flags",
         [
-            ("format", lambda doc: doc.update(format_version=2), []),
-            ("unreadable", lambda doc: doc.pop("levels"), []),
-            ("channel", lambda doc: doc.update(n=1), []),
+            ("format", lambda doc: dict(doc, format_version=2), []),
+            ("unreadable", lambda doc: {k: v for k, v in doc.items() if k != "levels"}, []),
+            ("channel", lambda doc: dict(doc, n=1), []),
             ("model", None, ["--model", "2*r^4"]),
             ("tolerances", None, ["--rel-tol", "1e-9"]),
             ("too short", None, ["--lmax", "6"]),
+            ("unreadable", lambda doc: [], []),
+            ("unreadable", lambda doc: dict(doc, levels=dict(
+                doc["levels"], sweeps=doc["levels"]["sweeps"][:-1])), []),
         ],
     )
 
@@ -317,9 +377,7 @@ class TestCaching:
 
         json_path = tmp_path / "spectrum_d3_n0.json"
         if spoil is not None:
-            cache = json.loads(json_path.read_text())
-            spoil(cache)
-            json_path.write_text(json.dumps(cache))
+            json_path.write_text(json.dumps(spoil(json.loads(json_path.read_text()))))
         assert main([command] + base + flags) == 0
         assert capsys.readouterr().err == f"cache: d3_n0 miss ({reason})\n"
         doc = json.loads((tmp_path / "run.json").read_text())
@@ -356,7 +414,6 @@ class TestCaching:
 # every run setting: config-file key, flag, a value other than the default
 SETTINGS = [
     ("model", "--model", "1*r^4+0.5*r^6"),
-    ("threshold_radius", "--threshold-radius", "1.5"),
     ("channels", "--channels", "3:0,5:2"),
     ("d", "--d", "4"),
     ("n", "--n", "1,2"),
@@ -430,7 +487,7 @@ class TestSurface:
             "kernel_t": [0.0, 0.25, 0.5, 0.75, 1.0], "l_max": 60, "l_range": [20, 50],
             "model": "1*r^4", "out": str(tmp_path), "phi": [1.0, 0.2],
             "points_per_wavelength": 180.0, "psi": [1.5, 0.2], "rel_tol": 1e-10,
-            "sigma": 1.0, "threshold_radius": 1.0,
+            "sigma": 1.0,
         }
         # the text pins the types too: 400.0, not 400
         assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,108 +122,101 @@ def test_effective_potential_adds_centrifugal_term():
     assert effective_potential(Channel(3, 0), model, 2.0) == eval_potential(model, 2.0)
 
 
+def sampled_assumptions(model, r_lo, r_hi, samples=400):
+    """The assumptions on a dense geometric sample of ``[r_lo, r_hi]``: the
+    least and greatest ``r V'/(2V)``, the least ``V''`` and the greatest of
+    each ratio ``r V^(j)/V^(j-1)``.  The reference for the closed forms."""
+    r = np.geomspace(r_lo, r_hi, samples)
+    v = [eval_potential(model, r, j) for j in range(4)]
+    growth = r * v[1] / (2.0 * v[0])
+    return {
+        "growth": (float(growth.min()), float(growth.max())),
+        "least_d2v": float(v[2].min()),
+        "ratios": tuple(float(np.max(r * v[j] / v[j - 1])) for j in (1, 2, 3)),
+    }
+
+
 def test_validate_pure_quartic():
-    report = validate_assumptions(PotentialModel.pure(4), 1.0, 100.0)
-    assert report.passed
-    assert report.convexity_ok and report.growth_ok and report.superquadratic_ok
+    report = validate_assumptions(PotentialModel.pure(4))
+    assert report.superquadratic
     # r V'/(2V) = 2 identically for a pure quartic
-    assert report.max_admissible_c == pytest.approx(2.0, abs=1e-12)
+    assert report.min_term_c == report.c == 2.0
     # r V'/V = 4, r V''/V' = 3, r V'''/V'' = 2 identically
-    assert report.worst_ratios[0] == pytest.approx(4.0, rel=1e-12)
-    assert report.worst_ratios[1] == pytest.approx(3.0, rel=1e-12)
-    assert report.worst_ratios[2] == pytest.approx(2.0, rel=1e-12)
+    assert report.ratio_bounds == (4.0, 3.0, 2.0)
+    sampled = sampled_assumptions(PotentialModel.pure(4), 1e-3, 1e3)
+    assert sampled["ratios"] == pytest.approx((4.0, 3.0, 2.0), rel=1e-12)
 
 
 def test_validate_harmonic_fails_superquadratic():
-    report = validate_assumptions(PotentialModel.pure(2, harmonic=True), 1.0, 100.0)
-    assert not report.passed
-    assert not report.superquadratic_ok
-    assert report.max_admissible_c == pytest.approx(1.0, abs=1e-12)
-    assert report.convexity_ok
+    report = validate_assumptions(PotentialModel.pure(2, harmonic=True))
+    assert not report.superquadratic
+    assert report.min_term_c == report.c == 1.0
+    assert report.ratio_bounds == (2.0, 1.0, 0.0)
 
 
 def test_validate_sum_binds_at_window_left_edge():
-    # r V'/(2V) = (2 + 3 r^2)/(1 + r^2) is increasing, so the sampled
-    # infimum sits at the left edge of the window: 2.5 at r = 1.
+    # r V'/(2V) = (2 + 3 r^2)/(1 + r^2) rises on all of r > 0: its infimum,
+    # the smallest c_m, binds at the left edge r -> 0, and its supremum,
+    # the growth index deg(V)/2, as r -> inf
     model = PotentialModel.from_spec("1*r^4+1*r^6")
-    report = validate_assumptions(model, 1.0, 100.0)
-    assert report.passed
-    assert report.max_admissible_c == pytest.approx(2.5, rel=1e-12)
-    assert report.admissible_argmin == pytest.approx(1.0, rel=1e-12)
-    # the check binds at the smallest c_m; the growth index is deg(V)/2
-    assert report.min_term_c == 2.0
-    assert model.growth_index == 3.0
+    report = validate_assumptions(model)
+    assert (report.min_term_c, report.c) == (2.0, 3.0) == (2.0, model.growth_index)
+    assert report.ratio_bounds == (6.0, 5.0, 4.0)
+    low, high = sampled_assumptions(model, 1e-3, 1e3)["growth"]
+    assert low == pytest.approx(2.0 + 1e-6, rel=1e-9)
+    assert high == pytest.approx(3.0 - 1e-6, rel=1e-9)
+    assert sampled_assumptions(model, 1.0, 1.0, samples=1)["growth"][0] == 2.5
 
 
 def test_validate_window_argument_errors():
+    # the assumptions hold on all of r > 0: there is no window to pass
     model = PotentialModel.pure(4)
-    with pytest.raises(ValueError):
-        validate_assumptions(model, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        validate_assumptions(model, 0.5, 10.0)  # undercuts threshold radius
-    with pytest.raises(ValueError):
-        validate_assumptions(model, 1.0, math.inf)
+    with pytest.raises(TypeError):
+        validate_assumptions(model, 1.0, 100.0)
+    with pytest.raises(TypeError):
+        validate_assumptions(model, r_lo=1.0)
 
 
 @pytest.mark.parametrize("exponent", [2, 4, 6, 10])
 def test_pure_power_infimum_sits_at_the_left_edge(exponent):
-    # r V'/(2V) is constant, so only the left edge is the exact argmin;
-    # a sampled minimum lands wherever the rounding noise is least
-    model = PotentialModel.pure(exponent, 0.7, threshold_radius=1.3, harmonic=True)
+    # r V'/(2V) is constant, so its infimum as r -> 0 is its value everywhere
+    model = PotentialModel.pure(exponent, 0.7, harmonic=True)
     report = validate_assumptions(model)
-    assert report.admissible_argmin == 1.3 and report.window == (1.3, 130.0)
-    assert report.max_admissible_c == exponent / 2.0
+    assert report.min_term_c == report.c == exponent / 2.0
+    sampled = sampled_assumptions(model, 1e-3, 1e3)
+    assert sampled["growth"] == pytest.approx((exponent / 2.0,) * 2, rel=1e-12)
 
 
 def test_validate_survives_windows_whose_powers_overflow():
-    # r^10 overflows past about 1e30; the exact ratios never form a power of r
-    report = validate_assumptions(PotentialModel.from_spec("1*r^4+2*r^10"), 1e40, 1e300)
-    assert report.passed
-    assert report.max_admissible_c == pytest.approx(5.0, rel=1e-15)
-    assert report.worst_ratios == pytest.approx((10.0, 9.0, 8.0), rel=1e-15)
-
-
-def sampled_assumptions(model, r_lo, r_hi, samples=400):
-    """The dense geometric sampling the exact check replaced, kept as its reference."""
-    r = np.geomspace(r_lo, r_hi, samples)
-    v, dv, d2v, d3v = (eval_potential(model, r, j) for j in range(4))
-    admissible = r * dv / (2.0 * v)
-    c = model.terms[0].exponent / 2.0
-    inf_c = float(admissible.min())
-    ratios = (
-        float(np.max(r * np.abs(dv) / np.abs(v))),
-        float(np.max(r * np.abs(d2v) / np.abs(dv))),
-        float(np.max(r * np.abs(d3v) / np.abs(d2v))),
-    )
-    return {
-        "convexity_ok": bool(np.all(d2v > 0.0)),
-        "growth_ok": bool(np.all(v > 0.0)) and inf_c >= c * (1.0 - 1e-12),
-        "superquadratic_ok": inf_c > 1.0,
-        "max_admissible_c": inf_c,
-        "worst_ratios": ratios,
-    }
+    # r^400 overflows past r of about 6; the closed forms form no power of r
+    report = validate_assumptions(PotentialModel.from_spec("1*r^4+1e300*r^400"))
+    assert report.superquadratic
+    assert (report.min_term_c, report.c) == (2.0, 200.0)
+    assert report.ratio_bounds == (400.0, 399.0, 398.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     exponents=st.lists(st.sampled_from([2, 4, 6, 8, 10]), min_size=1, max_size=3, unique=True),
     coeffs=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=3, max_size=3),
-    threshold=st.floats(min_value=0.05, max_value=20.0),
-    offset=st.floats(min_value=0.0, max_value=3.0),
-    span=st.floats(min_value=1e-3, max_value=4.0),
+    edges=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2, max_size=2),
 )
-def test_exact_check_matches_dense_sampling(exponents, coeffs, threshold, offset, span):
+def test_exact_check_matches_dense_sampling(exponents, coeffs, edges):
     terms = tuple(PowerTerm(e, c) for e, c in zip(exponents, coeffs))
-    model = PotentialModel(terms, threshold_radius=threshold, harmonic=True)
-    r_lo = threshold * 10.0**offset
-    r_hi = r_lo * 10.0**span
-    report = validate_assumptions(model, r_lo, r_hi)
+    model = PotentialModel(terms, harmonic=True)
+    r_lo, r_hi = (10.0**x for x in sorted(edges))
+    report = validate_assumptions(model)
+    assert (report.min_term_c, report.c) == (min(exponents) / 2.0, max(exponents) / 2.0)
     sampled = sampled_assumptions(model, r_lo, r_hi)
-    for flag in ("convexity_ok", "growth_ok", "superquadratic_ok"):
-        assert getattr(report, flag) == sampled[flag], flag
-    assert report.max_admissible_c == pytest.approx(sampled["max_admissible_c"], rel=1e-12)
-    assert report.worst_ratios == pytest.approx(sampled["worst_ratios"], rel=1e-12, abs=1e-12)
-    assert report.admissible_argmin == r_lo and report.window == (r_lo, r_hi)
+    low, high = sampled["growth"]
+    tol = 1.0 + 1e-12
+    assert report.min_term_c <= low * tol and high <= report.c * tol
+    assert sampled["least_d2v"] > 0.0
+    for ratio, bound in zip(sampled["ratios"], report.ratio_bounds):
+        assert ratio <= bound * tol
+    if len(exponents) == 1:  # a single term meets every bound at every r
+        assert (low, high) == pytest.approx((report.c, report.c), rel=1e-12)
+        assert sampled["ratios"] == pytest.approx(report.ratio_bounds, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,12 +233,12 @@ def test_exact_check_matches_dense_sampling(exponents, coeffs, threshold, offset
 def test_positive_even_sums_always_validate(exponents, coeffs):
     terms = tuple(PowerTerm(e, c) for e, c in zip(exponents, coeffs))
     model = PotentialModel(terms)
-    report = validate_assumptions(model, 1.0, 50.0)
-    assert report.passed
-    # the infimum of r V'/(2V) lies between the smallest c_m and deg(V)/2
+    report = validate_assumptions(model)
+    assert report.superquadratic
+    # r V'/(2V) runs from the smallest c_m to deg(V)/2
     assert report.min_term_c == min(exponents) / 2.0
-    assert model.growth_index == max(exponents) / 2.0
-    assert report.min_term_c - 1e-9 <= report.max_admissible_c <= model.growth_index + 1e-9
+    assert report.c == model.growth_index == max(exponents) / 2.0
+    assert report.ratio_bounds == (2.0 * report.c, 2.0 * report.c - 1.0, 2.0 * report.c - 2.0)
 
 
 @settings(max_examples=20, deadline=None)
