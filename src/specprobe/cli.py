@@ -585,7 +585,23 @@ def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
     return payload
 
 
+def _check_appendix_base(cfg: RunConfig) -> None:
+    """Reject a ladder whose base does not exceed ``U(1/2)`` on the first
+    channel before anything is solved: ``U(1/2) = 4 gamma + V(1/2)``, summed
+    as ``effective_potential`` sums it, bit for bit."""
+    d, n = cfg.channels[0]
+    u_half = 4.0 * Channel(d, n).gamma + sum(
+        t.coefficient * 0.5**t.exponent for t in cfg.model.terms
+    )
+    if not cfg.appendix_base > u_half:
+        raise ValueError(
+            f"appendix_base: {cfg.appendix_base:g} does not exceed U(1/2) = {u_half!r} on "
+            f"channel {d}:{n}; the least admissible base is {math.nextafter(u_half, math.inf)!r}"
+        )
+
+
 def cmd_wkb(cfg: RunConfig) -> int:
+    _check_appendix_base(cfg)
     tables, cache = _tables(cfg)
     summaries = []
     channels_payload = {}

@@ -4,11 +4,15 @@ The discrete problem is the standard fourth-order three-term recurrence,
 run on Numerov's ``z = w y`` as ``z[i+1] = g[i] z[i] - z[i-1]`` over one
 array of ``g`` per spectral parameter (``_sweep``).  Integration starts
 outward from a small-radius seed built from the regular free solution
-``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed at the far
-boundary, and the two branches are matched at the outer turning point
-through their logarithmic derivatives.  Through a barrier of more than
-``BARRIER_EXPONENT`` of decay either sweep starts where that much is
-left, and the samples beyond its start are 0.
+``sqrt(r) J_nu(r sqrt(lam))``, inward from a decaying seed where the
+decay ``h sum sqrt(U - lam)`` from the match point reaches
+``INWARD_DECAY`` (40; at the far boundary if it never does), and the two
+branches are matched at the outer turning point through their
+logarithmic derivatives.  The samples beyond the inward start are 0:
+``e^-40`` is below half an ulp of the samples at the match point.
+Through a centrifugal barrier of more than ``BARRIER_EXPONENT`` of decay
+the outward sweep starts where that much is left, and the samples below
+its start are 0 too.
 
 One probe sweep at a spectral parameter gives the node count of the full
 outward sweep (which jumps at each eigenvalue), the mismatch at a match
@@ -19,11 +23,13 @@ grows with one sign, after which the recurrence admits no sign change.
 A level is refined by safeguarded Newton steps on the mismatch: the node
 counts bracket it, a step off the level's branch becomes a bisection, and
 where rounding stalls Newton above the tolerance the node counts close
-the bracket.  Levels from 3 on start from the polynomial through the
-levels below (quadratic for level 3, cubic from level 4), about 2.6
-sweeps per level on the quartic; the WKB action is inverted only for the
-grid and the first three levels.  The sweep expected to be a level's
-last stores its values, which are the level's samples.
+the bracket.  Levels from 3 on start from the polynomial in ``lam^p``,
+``p = (c + 1)/(2c)``, through the levels below (quadratic for level 3,
+cubic from level 4): the action grows like ``lam^p``, so ``lam^p`` is
+nearly linear in the level.  That takes about 2.2 sweeps per level on
+the quartic; the WKB action is inverted only for the grid and the first
+three levels.  The sweep expected to be a level's last stores its
+values, which are the level's samples.
 
 Each eigenvalue is the discrete one plus the asymptotic correction of
 Numerov's ``h^4`` dispersion (``_dispersion_shifts``, one call for all
@@ -61,8 +67,11 @@ from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
 from .errors import BracketError, ConsistencyError
 from .formats import SpectrumFormatError, SpectrumRecord, read_spectrum_record  # error re-exported
 from .potential import Channel, PotentialModel, effective_potential
+# not called here any more; the name stays because specbench/tracing.py
+# wraps it, and test_benchmark_tooling requires every wrapped name to resolve
 from .specfun import integrate_sqrt_singular
 from .wkb import (
+    _root_integrals,
     allowed_integrals,
     classical_edges,
     inverse_action,
@@ -88,7 +97,11 @@ __all__ = [
 ]
 
 DEFAULT_MIN_POINTS = 1000
+_DECAY_PIECES = 8  # pieces of build_grid's decay integral per call of the rule
 BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
+# decay from the match point at which the inward sweep starts: e^-40 ~ 4.2e-18
+# is below half an ulp of the samples there, so the zeros beyond lose nothing
+INWARD_DECAY = 40.0
 MAX_SWEEPS = 60  # probe sweeps per level before the refinement gives up
 # Newton's steps shrink like step^2/gap once a step is this small against
 # the gap, so a step that does not shrink there is rounding noise
@@ -158,15 +171,21 @@ def build_grid(
         raise ValueError("decay_margin must be at least 5")
     big_t = turning_points(channel, model, lam_max).T  # validates lam_max
 
-    kernel = lambda r: np.sqrt(
-        np.maximum(effective_potential(channel, model, np.asarray(r)) - lam_max, 0.0)
-    )
-    lo, hi = big_t, big_t * 1.05 + 0.5
-    acc = integrate_sqrt_singular(kernel, lo, hi, "left", rel_tol=1e-8)
+    # the decay int sqrt(U - lam_max) past T, over the pieces
+    # [T, 1.05 T + 0.5] and then each 1.2 times the last, summed in order
+    # up to the piece that reaches decay_margin; _DECAY_PIECES at a time
+    edges = [big_t, big_t * 1.05 + 0.5]
+    acc, done = 0.0, 0
     while acc < decay_margin:
-        lo, hi = hi, hi * 1.2
-        acc += integrate_sqrt_singular(kernel, lo, hi, "none", rel_tol=1e-8)
-    r_far = hi
+        while len(edges) < done + _DECAY_PIECES + 1:
+            edges.append(edges[-1] * 1.2)
+        lo, hi = np.array(edges[done:-1]), np.array(edges[done + 1 :])
+        for piece in _root_integrals(channel, model, np.full(lo.shape, lam_max), lo, hi).tolist():
+            acc += piece
+            done += 1
+            if acc >= decay_margin:
+                break
+    r_far = edges[done]
 
     r_min = min(1e-3, 0.1 * lam_max**-0.25)
     h_wave = 2.0 * math.pi / (points_per_wavelength * math.sqrt(lam_max))
@@ -366,14 +385,13 @@ class _Shooter:
             nodes += 1
         nodes += self._tail_nodes(g, lam, m, zo_c, zo_p)
 
-        # the decaying solution from the far boundary, or, as the outward
-        # sweep does through a barrier, from where BARRIER_EXPONENT of decay
-        # from m is reached (the samples beyond are 0); its seeds are scaled
-        # by a power of two against the growth up to m, as the outward ones are
+        # the decaying solution from where INWARD_DECAY of decay from m is
+        # reached, or from the far boundary (the samples beyond are 0); its
+        # seeds are scaled by a power of two against the growth up to m, as
+        # the outward ones are
         decay = np.sqrt(np.maximum(u[m:] - lam, 0.0))
-        end = n - 1
-        if h * float(decay.sum()) > BARRIER_EXPONENT:
-            end = m + int(np.searchsorted(h * np.cumsum(decay), BARRIER_EXPONENT))
+        depth = int(np.searchsorted(h * np.cumsum(decay), INWARD_DECAY))
+        end = min(m + max(depth, 2), n - 1)
         theta = h * 0.5 * (float(decay[end - m - 1]) + float(decay[end - m]))
         e = -int(h * float(decay[: end - m + 1].sum()) / _LN2)
         z0 = math.ldexp(float(w[end]) * math.exp(-theta), e)
@@ -400,7 +418,7 @@ class _Shooter:
         f[i0 : m + 1] = np.asarray(outward) / w[i0 : m + 1]
         inward.reverse()  # now the values at m .. end
         f[m + 1 : end + 1] = np.asarray(inward[1:]) * (f[m] / inward[0]) * (w[m] / w[m + 1 : end + 1])
-        f[end + 1 :] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at m
+        f[end + 1 :] = 0.0  # below exp(-INWARD_DECAY) of the samples at m
         if barrier:
             f[:i0] = 0.0  # below exp(-BARRIER_EXPONENT) of the samples at i0
         elif i0 > 0:
@@ -697,9 +715,10 @@ def solve_spectrum(
 ) -> SpectrumTable:
     """All eigenpairs of levels ``0 .. l_max`` on one shared grid.
 
-    Levels 0 to 2 start from the WKB guess; level 3 from the quadratic
-    through the three below, each later level from the cubic through the
-    four below, whose last finite difference is the expected first step.
+    Levels 0 to 2 start from the WKB guess; level 3 from the quadratic in
+    ``lam^p``, ``p = (c + 1)/(2c)`` with ``c`` the growth index, through
+    the three below, each later level from the cubic through the four
+    below, whose last finite difference is the expected first step.
     The dispersion shifts of all levels are taken in one call at the end.
     """
     if l_max < 0:
@@ -707,6 +726,8 @@ def solve_spectrum(
     if grid is None:
         grid = _default_grid(channel, model, l_max, points_per_wavelength, decay_margin)
     shooter = _Shooter(channel, model, grid)
+    c = model.growth_index
+    power = (c + 1.0) / (2.0 * c)
     samples = np.empty((l_max + 1, grid.n_points))
     lams, sweeps, bisections = [], [], []
     for level in range(l_max + 1):
@@ -714,9 +735,12 @@ def solve_spectrum(
             guess, gap = _action_guess(channel, model, level)
             expect = math.inf
         else:
-            below = np.array(lams[-4:])
+            below = np.array(lams[-4:]) ** power
             diffs = [float(np.diff(below, j)[-1]) for j in range(below.size)]
-            guess, gap, expect = sum(diffs), sum(diffs[1:]), abs(diffs[-1])
+            ahead = sum(diffs)
+            guess = ahead ** (1.0 / power)
+            # d lam / d(lam^p) = lam / (p lam^p) carries the last difference over
+            gap, expect = guess - lams[-1], abs(diffs[-1]) * guess / (power * ahead)
         pair = shooter.solve(level, guess, gap, rel_tol, expect)
         if lams and pair.lam <= lams[-1]:
             raise ConsistencyError(f"level {level}: eigenvalues not increasing")

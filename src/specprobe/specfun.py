@@ -4,12 +4,13 @@ Bessel functions of the first kind are computed here over whole arrays
 (ascending series below a crossover, Hankel asymptotic expansion above,
 each element summed until it converges) so the package needs no
 special-function library.  Also: the turning-point profile from
-``J_{1/3} + J_{-1/3}``, one locally adaptive quadrature over an
-interval (square-root endpoints substituted away), the Gauss-Legendre
-nodes it shares with the fixed rule between turning points of
-``wkb.allowed_integrals``; and, re-exported from the numpy-free
-``fitting``, the log-log power-law fitter of all the scaling
-certificates.
+``J_{1/3} + J_{-1/3}``, the Gauss-Legendre nodes of the fixed rule
+between turning points of ``wkb.allowed_integrals``, by which every
+integral of the package is taken; one locally adaptive quadrature over
+an interval (square-root endpoints substituted away), which no package
+code calls any more and the tests keep as a reference; and,
+re-exported from the numpy-free ``fitting``, the log-log power-law
+fitter of all the scaling certificates.
 """
 
 from __future__ import annotations

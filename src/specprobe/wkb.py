@@ -11,7 +11,9 @@ and the solver's level spacing) comes from one fixed Gauss-Legendre rule
 in an angle that takes out the square roots at both edges
 (``allowed_integrals``); the inverse of the action is Newton's method on
 it.  Phase and turning-point coordinate are integrals of ``sqrt|lam - U|``
-between a radius and ``T`` by the same rule (``_root_integrals``).
+between a radius and ``T`` by the same rule (``_root_integrals``), and
+the error-control integral runs on it too, its pieces split at the zeros
+of its integrand (``_kinked_integrals``).  No integral here is adaptive.
 Tables are read only through ``eigenvalues`` and ``eigenpairs``, and
 eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
 ``fprime_at_1``, so this module needs no solver.
@@ -29,7 +31,10 @@ import numpy as np
 from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
 from .fitting import PowerLawFit, fit_power_law, gap_scaling  # gap_scaling re-exported
-from .specfun import _gl_rule, integrate_sqrt_singular, langer_profile
+from .specfun import _gl_rule, langer_profile
+# not called here any more; the name stays because specbench/tracing.py
+# wraps it, and test_benchmark_tooling requires every wrapped name to resolve
+from .specfun import integrate_sqrt_singular
 
 __all__ = [
     "TurningPoints",
@@ -68,6 +73,16 @@ _NEWTON_ITERS = 100
 # half-width, relative to T, of the window where appendix_error_integral
 # interpolates (r - T) g instead of evaluating it
 _NEAR_T = 0.1
+# intervals per piece of the sign scan for the zeros of (r - T) g; two zeros
+# within one interval go unseen.  On the package's test models and channels
+# the zeros lie 0.3 T apart or more, all below 2 T
+_SCAN = 128
+# bracket width, relative to the zero, at which _refine_zeros stops; a part
+# cut that far off a kink of |(r - T) g| is off by about its square
+_ZERO_TOL = 1e-10
+# doubling pieces of appendix_error_integral per batch: the quartic ladder
+# takes 14 at each rung, the sextic 10 and the harmonic 20
+_DOUBLINGS = 16
 
 
 class TurningPoints(NamedTuple):
@@ -497,25 +512,38 @@ def langer_residual(pair, channel: Channel, model: PotentialModel, grid) -> Lang
     scaled = pair.samples[mask] * (lam - u) ** 0.25
     profile = langer_profile(-_zeta(channel, model, lam, big_t, rs))
 
-    dot = float(np.dot(profile, profile))
-    alpha0 = float(np.dot(scaled, profile)) / dot if dot > 0 else 0.0
-    sup = lambda alpha: float(np.max(np.abs(scaled - alpha * profile)))
-    vmax = float(np.max(np.abs(profile)))
-    width = 2.0 * sup(alpha0) / vmax if vmax > 0 else 1.0
-    a, b = alpha0 - width, alpha0 + width
-    for _ in range(200):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if sup(m1) <= sup(m2):
-            b = m2
-        else:
-            a = m1
-    alpha = 0.5 * (a + b)
+    alpha = _minimax_scale(scaled, profile)
     if alpha == 0.0:
         raise ValueError("profile match degenerate: alpha = 0")
-    return LangerFit(
-        residual=sup(alpha) / abs(alpha), alpha=alpha, window=(float(lo), float(hi))
-    )
+    sup = float(np.max(np.abs(scaled - alpha * profile)))
+    return LangerFit(residual=sup / abs(alpha), alpha=alpha, window=(float(lo), float(hi)))
+
+
+def _minimax_scale(s: np.ndarray, p: np.ndarray) -> float:
+    """The ``alpha`` that minimizes ``max_i |s_i - alpha p_i|``, to two ulps.
+
+    The function is convex and piecewise linear, and a subgradient at
+    ``alpha`` is ``-p_i sign(s_i - alpha p_i)`` at the ``i`` where the
+    maximum is taken, so the minimum is found by bisection on its sign,
+    one array pass per halving.  It lies within ``2 F(alpha0) / max |p|``
+    of any ``alpha0``, since ``F(alpha) >= |alpha - alpha0| max |p| -
+    F(alpha0)``; the least-squares ``alpha0`` starts the bracket.
+    """
+    dot = float(np.dot(p, p))
+    if dot == 0.0:
+        return 0.0
+    alpha0 = float(np.dot(s, p)) / dot
+    width = 2.0 * float(np.max(np.abs(s - alpha0 * p))) / float(np.max(np.abs(p)))
+    a, b = alpha0 - width, alpha0 + width
+    while b - a > 2.0 * math.ulp(max(abs(a), abs(b))):
+        mid = 0.5 * (a + b)
+        diff = s - mid * p
+        i = int(np.argmax(np.abs(diff)))
+        if p[i] * diff[i] < 0.0:  # F rises with alpha: the minimum is below
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
 
 
 def _scaled_g(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
@@ -552,11 +580,11 @@ def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float)
     Functions*, ch. 11), but its two terms each grow like ``|r - T|^-3``
     and cancel.  Within ``_NEAR_T T`` of ``T`` it is therefore read off
     ``_scaled_g_near``.  The integrand ``|(r - T) g| |lam - U|^(1/2) /
-    |r - T|`` behaves like ``|r - T|^(-1/2)`` at ``T``, which the
-    square-root substitution of ``integrate_sqrt_singular`` removes, so
-    the integral runs through ``T``: one piece below it, one on
-    ``[T, 2T]``, and doubling pieces above until one adds at most 1e-12
-    of the total.
+    |r - T|`` behaves like ``|r - T|^(-1/2)`` at ``T``, which the rule of
+    ``allowed_integrals`` takes out at the ends of each piece: one piece
+    below ``T``, one on ``[T, 2T]``, and doubling pieces above until one
+    adds at most 1e-12 of the total, ``_DOUBLINGS`` pieces at a time
+    (``_kinked_integrals``).
     """
     big_t = turning_points(channel, model, lam).T
     if effective_potential(channel, model, 0.5) >= lam:
@@ -565,24 +593,96 @@ def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float)
         )
     near = _scaled_g_near(channel, model, lam, big_t)
 
-    def weighted(rs) -> np.ndarray:
-        dist = rs - big_t
-        close = np.abs(dist) < _NEAR_T * big_t
+    def scaled(rs) -> np.ndarray:
+        close = np.abs(rs - big_t) < _NEAR_T * big_t
         h = np.empty(rs.shape)
         h[close] = near(rs[close])
         h[~close] = _scaled_g(channel, model, lam, big_t, rs[~close])
-        gap = lam - effective_potential(channel, model, rs)
-        return np.abs(h) * np.sqrt(np.abs(gap)) / np.abs(dist)
+        return h
 
-    total = integrate_sqrt_singular(weighted, 0.5, big_t, "right", 1e-7)
-    total += integrate_sqrt_singular(weighted, big_t, 2.0 * big_t, "left", 1e-7)
-    lo = 2.0 * big_t
+    def weight(rs) -> np.ndarray:
+        gap = lam - effective_potential(channel, model, rs)
+        return np.sqrt(np.abs(gap)) / np.abs(rs - big_t)
+
+    # [1/2, T], [T, 2T] and the first doublings, then doublings only; a
+    # power of two times T is the same float however it is reached
+    lo = np.concatenate(([0.5], big_t * 2.0 ** np.arange(_DOUBLINGS + 1)))
+    hi = np.append(lo[1:], 2.0 * lo[-1])
+    pieces = _kinked_integrals(scaled, weight, lo, hi).tolist()
+    total = pieces[0] + pieces[1]
+    pieces = pieces[2:]
     while True:
-        piece = integrate_sqrt_singular(weighted, lo, 2.0 * lo, "none", 1e-7)
-        total += piece
-        lo *= 2.0
-        if piece <= 1e-12 * total:
-            return total
+        for piece in pieces:
+            total += piece
+            if piece <= 1e-12 * total:
+                return total
+        lo = hi[-1] * 2.0 ** np.arange(_DOUBLINGS)
+        hi = 2.0 * lo
+        pieces = _kinked_integrals(scaled, weight, lo, hi).tolist()
+
+
+def _kinked_integrals(scaled, weight, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``int |scaled(r)| weight(r) dr`` over each ``[lo, hi]``.
+
+    ``scaled`` is smooth, so ``|scaled|`` has a kink at each of its zeros;
+    ``weight`` is smooth inside each piece but may have an inverse square
+    root at its ends.  The zeros are bracketed by the signs of ``scaled`` at
+    ``_SCAN + 1`` equispaced radii per piece and refined by regula falsi
+    (``_refine_zeros``), all pieces at once; each piece is split at them,
+    and each part integrated by the rule of ``allowed_integrals``.  Every
+    node goes to ``scaled`` and ``weight`` in one array call.
+    """
+    frac = np.linspace(0.0, 1.0, _SCAN + 1)
+    scan = lo[:, None] + (hi - lo)[:, None] * frac
+    signs = scaled(scan.ravel()).reshape(scan.shape)
+    rows, cols = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+    zeros = _refine_zeros(
+        scaled, scan[rows, cols], scan[rows, cols + 1], signs[rows, cols], signs[rows, cols + 1]
+    )
+    # the parts of each piece, in order: np.nonzero lists the brackets by row
+    cuts = [[x] for x in lo.tolist()]
+    for row, z in zip(rows.tolist(), zeros.tolist()):
+        cuts[row].append(z)
+    for row, x in enumerate(hi.tolist()):
+        cuts[row].append(x)
+    owner = np.array([row for row, c in enumerate(cuts) for _ in c[1:]])
+    a = np.array([x for c in cuts for x in c[:-1]])
+    b = np.array([x for c in cuts for x in c[1:]])
+    r, dr, weights = _theta_rule(a, b)
+    rs = r.ravel()
+    f = (np.abs(scaled(rs)) * weight(rs)).reshape(r.shape)
+    parts = 0.5 * math.pi * np.sum(dr * f * weights, axis=1)
+    return np.bincount(owner, weights=parts, minlength=lo.size)
+
+
+def _refine_zeros(fun, a, b, fa, fb) -> np.ndarray:
+    """A zero of ``fun`` in each bracket ``[a, b]``, where ``fa`` and ``fb``
+    differ in sign, by the Illinois variant of regula falsi over all
+    brackets at once, until each is at most ``_ZERO_TOL`` of its end wide
+    or its secant stops moving."""
+    a, b, fa, fb = (np.array(x, dtype=float) for x in (a, b, fa, fb))
+    side = np.zeros(a.shape, dtype=int)  # the end kept last: -1 a, +1 b
+    live = np.ones(a.shape, dtype=bool)
+    x = 0.5 * (a + b)
+    for _ in range(_NEWTON_ITERS):
+        live &= b - a > _ZERO_TOL * np.abs(b)
+        if not live.any():
+            break
+        i = np.flatnonzero(live)
+        xi = (a[i] * fb[i] - b[i] * fa[i]) / (fb[i] - fa[i])
+        xi = np.where((xi > a[i]) & (xi < b[i]), xi, 0.5 * (a[i] + b[i]))
+        stalled = xi == x[i]
+        x[i] = xi
+        fx = fun(xi)
+        left = np.sign(fx) == np.sign(fa[i])  # x replaces a, and b is kept
+        # Illinois: the value at an end kept twice in a row is halved
+        fb[i] = np.where(left & (side[i] == 1), 0.5 * fb[i], fb[i])
+        fa[i] = np.where(~left & (side[i] == -1), 0.5 * fa[i], fa[i])
+        a[i], fa[i] = np.where(left, xi, a[i]), np.where(left, fx, fa[i])
+        b[i], fb[i] = np.where(left, b[i], xi), np.where(left, fb[i], fx)
+        side[i] = np.where(left, 1, -1)
+        live[i[stalled | (fx == 0.0)]] = False
+    return x
 
 
 def amplitude_scaling(

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from specprobe import cli
 from specprobe.cli import build_parser, main, resolve_config
 
 
@@ -156,6 +157,28 @@ class TestArgumentErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {flags[0][2:]}: ")
         assert not list(tmp_path.glob("spectrum_*"))
+
+    @pytest.mark.parametrize(
+        "model, channels, base, u_half",
+        [
+            ("1*r^4", "3:12", "400", 624.0625),  # 4 gamma = 624, V(1/2) = 1/16
+            # U(1/2) itself, on the first channel; 3:0 alone would pass
+            ("1*r^4+0.5*r^6", "5:2,3:0", "48.0703125", 48.0703125),
+        ],
+    )
+    def test_appendix_base_not_above_u_half_rejected_before_any_solve(
+        self, tmp_path, capsys, model, channels, base, u_half
+    ):
+        flags = ["--model", model, "--channels", channels, "--lmax", "10", "--out", str(tmp_path)]
+        assert main(["wkb", "--appendix-base", base] + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: appendix_base: ")
+        least = math.nextafter(u_half, math.inf)
+        assert f"U(1/2) = {u_half!r} on channel {channels[:3]}" in err
+        assert f"the least admissible base is {least!r}" in err
+        assert not list(tmp_path.iterdir())  # nothing solved, nothing cached
+        args = build_parser().parse_args(["wkb", "--appendix-base", repr(least)] + flags)
+        cli._check_appendix_base(resolve_config(args))
 
 
 class TestArtifacts:
@@ -614,9 +637,9 @@ class TestDeterminism:
 
 class TestWkbCounters:
     def test_quartic_wkb_quadrature_and_potential_calls(self, tmp_path, monkeypatch):
-        # counters, unlike seconds, do not vary from run to run; the phase
-        # integral makes no adaptive call, so these are the appendix ladder's
-        # (96 and 1,837 measured; 484 and 3,320 with an adaptive phase integral)
+        # counters, unlike seconds, do not vary from run to run; no integral
+        # of the stage is adaptive, and 543 effective_potential calls were
+        # measured
         from specprobe import wkb
 
         base = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "60", "--out", str(tmp_path)]
@@ -635,5 +658,5 @@ class TestWkbCounters:
         for name in counts:
             counted(name)
         assert main(["wkb"] + base) == 0
-        assert counts["integrate_sqrt_singular"] <= 110
-        assert counts["effective_potential"] <= 2000
+        assert counts["integrate_sqrt_singular"] == 0
+        assert counts["effective_potential"] <= 597

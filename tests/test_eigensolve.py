@@ -92,6 +92,41 @@ class TestBuildGrid:
         )
         assert (grid.n_points, grid.h) == (n_points, h)
 
+    @pytest.mark.parametrize(
+        "spec, d, n, l_max",
+        [("1*r^4", 3, 0, 60), ("1*r^4+0.5*r^6", 3, 0, 24), ("1*r^4+0.5*r^6", 5, 2, 24)],
+    )
+    @pytest.mark.parametrize("decay_margin", [es.DEFAULT_DECAY_MARGIN, 500.0])
+    def test_grid_bits_match_adaptive_decay(self, monkeypatch, spec, d, n, l_max, decay_margin):
+        # the benchmark's channels: the rule sums the decay pieces to the
+        # same far end as one adaptive call per piece (rel_tol 1e-8, the
+        # square root at T substituted away), so every grid keeps its bits
+        channel, model = Channel(d, n), PotentialModel.from_spec(spec)
+        lam_max = 1.1 * es.inverse_action(model, es.quantization_target(channel, l_max) + 2.0)
+        grid = es.build_grid(channel, model, lam_max, decay_margin=decay_margin)
+
+        kernel = lambda r: np.sqrt(
+            np.maximum(effective_potential(channel, model, np.asarray(r)) - lam_max, 0.0)
+        )
+        big_t = es.turning_points(channel, model, lam_max).T
+        lo, hi = big_t, big_t * 1.05 + 0.5
+        decay = integrate_sqrt_singular(kernel, lo, hi, "left", 1e-8)
+        while decay < decay_margin:
+            lo, hi = hi, hi * 1.2
+            decay += integrate_sqrt_singular(kernel, lo, hi, "none", 1e-8)
+        # the point count is the first even one that reaches the far end
+        assert grid.r_max - 2.0 * grid.h < hi <= grid.r_max
+
+        def adaptive(channel, model, lams, a, b):
+            return np.array([
+                integrate_sqrt_singular(kernel, x, y, "left" if x == big_t else "none", 1e-8)
+                for x, y in zip(a.tolist(), b.tolist())
+            ])
+
+        monkeypatch.setattr(es, "_root_integrals", adaptive)
+        ref = es.build_grid(channel, model, lam_max, decay_margin=decay_margin)
+        assert (grid.n_points, grid.h, grid.r_max) == (ref.n_points, ref.h, ref.r_max)
+
     def test_oscillator_example(self):
         grid = es.build_grid(CH30, HARMONIC, 43.0)
         big_t = math.sqrt(43.0)
@@ -377,9 +412,8 @@ class TestSolveSpectrum:
         assert np.all(np.abs(norms - 1.0) <= 1e-8)
 
     def test_deep_decay_margin_solves(self):
-        # a far boundary 400 units of decay out: the inward values grow by
-        # e^400 and their squares by e^800, past the float range unless the
-        # seeds are scaled down
+        # a far boundary 400 units of decay out; the inward sweep starts
+        # INWARD_DECAY from the match point, and the samples beyond are 0
         table = es.solve_spectrum(CH30, QUARTIC, 3, decay_margin=400.0)
         reference = es.solve_spectrum(CH30, QUARTIC, 3)
         assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-9, atol=0.0)
@@ -387,7 +421,7 @@ class TestSolveSpectrum:
     def test_deeper_decay_margin_starts_inward_inside_the_barrier(self):
         # 500 units of decay past T: seeds at the grid end, scaled down
         # against the growth to the match point, would underflow to 0 past a
-        # decay of about 745, so the inward sweep starts BARRIER_EXPONENT out
+        # decay of about 745, and the inward sweep starts INWARD_DECAY out
         table = es.solve_spectrum(CH30, QUARTIC, 6, decay_margin=500.0)
         reference = es.solve_spectrum(CH30, QUARTIC, 6)
         assert [p.node_count for p in table.eigenpairs] == list(range(7))

@@ -482,7 +482,52 @@ class TestAllowedRegionResidual:
             wkb.allowed_region_residual(pair, 1.0, CH30, QUARTIC, grid, window=(0.8, 1.3))
 
 
+def ternary_langer_residual(pair, channel, model, grid):
+    """``langer_residual``'s residual and ``alpha`` by a 200-step ternary
+    search over ``alpha``, on the same window, samples and profile."""
+    lam = pair.lam
+    big_t = wkb.turning_points(channel, model, lam).T
+    mask = (grid.r >= max(1.0, 0.5 * big_t)) & (grid.r <= 0.98 * big_t)
+    rs = grid.r[mask]
+    scaled = pair.samples[mask] * (lam - effective_potential(channel, model, rs)) ** 0.25
+    profile = langer_profile(-wkb._zeta(channel, model, lam, big_t, rs))
+    alpha0 = float(np.dot(scaled, profile)) / float(np.dot(profile, profile))
+    sup = lambda alpha: float(np.max(np.abs(scaled - alpha * profile)))
+    width = 2.0 * sup(alpha0) / float(np.max(np.abs(profile)))
+    a, b = alpha0 - width, alpha0 + width
+    for _ in range(200):
+        m1 = a + (b - a) / 3.0
+        m2 = b - (b - a) / 3.0
+        if sup(m1) <= sup(m2):
+            b = m2
+        else:
+            a = m1
+    alpha = 0.5 * (a + b)
+    return sup(alpha) / abs(alpha), alpha
+
+
 class TestLangerResidual:
+    @pytest.mark.parametrize("table", ["quartic_n0", "quartic_n1", "sextic_n0"])
+    def test_matches_ternary_search_on_solved_tables(self, table, request):
+        # the levels of the report's ladder: eigenvalues doubling from level 4
+        table = request.getfixturevalue(table)
+        for level in (4, 8, 16, 32, len(table.eigenvalues) - 1):
+            pair = table.pair(level)
+            fit = wkb.langer_residual(pair, table.channel, table.model, table.grid)
+            residual, alpha = ternary_langer_residual(
+                pair, table.channel, table.model, table.grid
+            )
+            assert fit.residual == pytest.approx(residual, rel=1e-12, abs=0.0)
+            assert fit.alpha == pytest.approx(alpha, rel=1e-14, abs=0.0)
+
+    def test_minimax_scale_is_exact_on_two_lines(self):
+        # max(|1 - a|, |3 - a|) is least at a = 2; max(|2 - a|, |-1 - 2a|)
+        # where 2 - a = 1 + 2a, at a = 1/3; both to two ulps
+        got = wkb._minimax_scale(np.array([1.0, 3.0]), np.array([1.0, 1.0]))
+        assert abs(got - 2.0) <= 2.0 * math.ulp(2.0)
+        got = wkb._minimax_scale(np.array([2.0, -1.0]), np.array([1.0, 2.0]))
+        assert abs(got - 1.0 / 3.0) <= 2.0 * math.ulp(1.0 / 3.0)
+
     def test_synthetic_profile_recovered(self):
         lam = 144.0
         alpha_true = 0.7
@@ -510,6 +555,33 @@ class TestLangerResidual:
             wkb.langer_residual(pair, CH30, QUARTIC, grid)
 
 
+def adaptive_appendix(channel, model, lam):
+    """``appendix_error_integral`` by one adaptive Gauss-Legendre call per
+    piece, the square root at ``T`` substituted away: the same integrand,
+    pieces and doubling stop."""
+    big_t = wkb.turning_points(channel, model, lam).T
+    near = wkb._scaled_g_near(channel, model, lam, big_t)
+
+    def weighted(rs):
+        dist = rs - big_t
+        close = np.abs(dist) < wkb._NEAR_T * big_t
+        h = np.empty(rs.shape)
+        h[close] = near(rs[close])
+        h[~close] = wkb._scaled_g(channel, model, lam, big_t, rs[~close])
+        gap = lam - effective_potential(channel, model, rs)
+        return np.abs(h) * np.sqrt(np.abs(gap)) / np.abs(dist)
+
+    total = integrate_sqrt_singular(weighted, 0.5, big_t, "right", 1e-7)
+    total += integrate_sqrt_singular(weighted, big_t, 2.0 * big_t, "left", 1e-7)
+    lo = 2.0 * big_t
+    while True:
+        piece = integrate_sqrt_singular(weighted, lo, 2.0 * lo, "none", 1e-7)
+        total += piece
+        lo *= 2.0
+        if piece <= 1e-12 * total:
+            return total
+
+
 def appendix_ladder(model, rungs=6, base=400.0):
     lams = base * 2.0 ** np.arange(rungs)
     totals = np.array([wkb.appendix_error_integral(CH30, model, lam) for lam in lams])
@@ -527,6 +599,24 @@ class TestAppendixIntegral:
         t2 = wkb.appendix_error_integral(CH30, QUARTIC, 800.0)
         assert t2 < t1
 
+    @pytest.mark.parametrize(
+        "channel, model",
+        [
+            (CH30, QUARTIC),
+            (CH31, QUARTIC),
+            (CH30, MIXED),
+            (Channel(5, 2), MIXED),
+            # two zeros of (r - T) g below 2T up to lam = 1600, one from 3200
+            (Channel(4, 1), PotentialModel.from_spec("2*r^4+1*r^8")),
+            (CH30, SEXTIC),
+        ],
+    )
+    def test_matches_adaptive_reference(self, channel, model):
+        for lam in 400.0 * 2.0 ** np.arange(6):
+            got = wkb.appendix_error_integral(channel, model, float(lam))
+            ref = adaptive_appendix(channel, model, float(lam))
+            assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
     def test_harmonic_sanity(self):
         total = wkb.appendix_error_integral(CH30, HARMONIC, 41.0)
         assert math.isfinite(total) and total > 0.0
@@ -543,8 +633,8 @@ class TestAppendixIntegral:
         assert slopes[-1] > -0.75
 
     def test_quartic_ladder_potential_points(self, monkeypatch):
-        # one locally adaptive rule refines next to T only; refining every
-        # panel globally took 3,195,708 points
+        # 985,991 points, two thirds of them in the sign scan, most of those
+        # the nodes of its phase integrals
         points = []
 
         def counted(channel, model, r, *rest):
