@@ -44,10 +44,8 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .defaults import (
-    DEFAULT_DECAY_MARGIN,
     DEFAULT_POINTS_PER_WAVELENGTH,
     DEFAULT_REL_TOL,
-    MIN_DECAY_MARGIN,
     MIN_POINTS_PER_WAVELENGTH,
     MIN_REL_TOL,
 )
@@ -109,7 +107,6 @@ class RunConfig:
     l_max: int
     rel_tol: float
     points_per_wavelength: float
-    decay_margin: float
     sigma: float
     phi: tuple[float, float]
     psi: tuple[float, float]
@@ -133,12 +130,10 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_model(text: str, allow_harmonic: bool) -> PotentialModel:
-    # parsed as harmonic, so the smallest exponent (the terms come sorted)
-    # decides whether the model is the quadratic reference
-    model = PotentialModel.from_spec(text, harmonic=True)
-    if model.terms[0].exponent >= 4:
-        return PotentialModel(model.terms)
-    if not allow_harmonic:
+    # super-quadratic growth is a property of V at infinity, so the largest
+    # exponent decides: only r^2 alone is the quadratic reference
+    model = PotentialModel.from_spec(text)
+    if model.growth_index <= 1.0 and not allow_harmonic:
         raise ValueError(
             f"c>1 violated: model {text!r} is not super-quadratic "
             "(pass --allow-harmonic for the reference check)"
@@ -184,9 +179,16 @@ def _level_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+# the most values one start:stop:step range may expand to; it keeps the
+# parse itself cheap and does not bound kernel.csv, whose rows are the
+# product of the --t, --r and --s lists
+MAX_RANGE_VALUES = 10_000
+
+
 def _grid_values(positive: bool) -> Callable[[str], tuple[float, ...]]:
-    """Parser of ``a:b:step`` (inclusive of b up to rounding) or ``v1,v2,...``,
-    every value finite, and above 0 if ``positive``."""
+    """Parser of ``a:b:step`` (inclusive of b up to rounding, at most
+    ``MAX_RANGE_VALUES`` values) or ``v1,v2,...``, every value finite, and
+    above 0 if ``positive``."""
 
     def parse(text: str) -> tuple[float, ...]:
         if ":" in text:
@@ -198,7 +200,10 @@ def _grid_values(positive: bool) -> Callable[[str], tuple[float, ...]]:
                 raise ValueError("start, stop and step must be finite")
             if step <= 0.0 or b < a:
                 raise ValueError("need stop >= start and step > 0")
-            count = int(math.floor((b - a) / step + 1e-9)) + 1
+            span = (b - a) / step + 1e-9  # inf where b - a overflows
+            count = math.floor(span) + 1 if span < math.inf else span
+            if count > MAX_RANGE_VALUES:
+                raise ValueError(f"{text!r} holds {count} values, more than {MAX_RANGE_VALUES}")
             values = tuple(a + i * step for i in range(count))
         else:
             values = tuple(float(p) for p in text.split(","))
@@ -247,8 +252,6 @@ _KEYS = (
          solver=True),
     _Key("points_per_wavelength", "--ppw", repr(DEFAULT_POINTS_PER_WAVELENGTH),
          _number(float, MIN_POINTS_PER_WAVELENGTH), "grid points per wavelength", solver=True),
-    _Key("decay_margin", "--decay-margin", repr(DEFAULT_DECAY_MARGIN),
-         _number(float, MIN_DECAY_MARGIN), solver=True),
     _Key("sigma", "--sigma", "1.0", _number(float, 0.0, above=True), "spectral window scale"),
     _Key("phi", "--phi", "1.0:0.2", _bump, "first bump as center:halfwidth"),
     _Key("psi", "--psi", "1.5:0.2", _bump, "second bump as center:halfwidth"),
@@ -376,7 +379,9 @@ def _cached(
         return None, "model"
     if record.channel != channel:
         return None, "channel"
-    if any(record.tolerances.get(k) != v for k, v in solver.items()):
+    # equal, not a superset: a record that lists one more solver setting
+    # was solved under it, perhaps on another grid
+    if record.tolerances != solver:
         return None, "tolerances"
     if len(record.eigenvalues) < cfg.l_max + 1:
         return None, "too short"
@@ -639,7 +644,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     theory = _CERTIFICATES["probe"].exponent(cfg.model.growth_index)
     rows = []
     channels_payload = {}
-    for (d, n), table in tables.items():
+    for (d, n), table in sorted(tables.items()):  # the rows in (d, n, l) order
         phi = make_bump(cfg.phi[0], cfg.phi[1], table.grid)
         psi = make_bump(cfg.psi[0], cfg.psi[1], table.grid)
         seq = probe_sequence(table, phi, psi, WindowSpec(cfg.sigma), cfg.l_range)

@@ -9,7 +9,10 @@ decay ``h sum sqrt(U - lam)`` from the match point reaches
 ``INWARD_DECAY`` (40; at the far boundary if it never does), and the two
 branches are matched at the outer turning point through their
 logarithmic derivatives.  The samples beyond the inward start are 0:
-``e^-40`` is below half an ulp of the samples at the match point.
+``e^-40`` is below half an ulp of the samples at the match point.  The
+same bound places the far boundary: ``build_grid`` ends the grid where
+the decay past the top level's turning point reaches ``INWARD_DECAY``, so
+on a default grid every level's inward sweep starts inside it.
 Through a centrifugal barrier of more than ``BARRIER_EXPONENT`` of decay
 the outward sweep starts where that much is left, and the samples below
 its start are 0 too.
@@ -57,15 +60,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
-    DEFAULT_DECAY_MARGIN,
     DEFAULT_POINTS_PER_WAVELENGTH,
     DEFAULT_REL_TOL,
-    MIN_DECAY_MARGIN,
     MIN_POINTS_PER_WAVELENGTH,
-    MIN_REL_TOL,
 )
 from .errors import BracketError, ConsistencyError
-from .formats import SpectrumFormatError, SpectrumRecord, read_spectrum_record  # error re-exported
+from .formats import SpectrumRecord, read_spectrum_record
 from .potential import Channel, PotentialModel, effective_potential
 # not called here any more; the name stays because specbench/tracing.py
 # wraps it, and test_benchmark_tooling requires every wrapped name to resolve
@@ -92,7 +92,6 @@ __all__ = [
     "solve_spectrum",
     "save_spectrum",
     "load_spectrum",
-    "SpectrumFormatError",
     "export_spectrum_csv",
 ]
 
@@ -154,42 +153,40 @@ def build_grid(
     model: PotentialModel,
     lam_max: float,
     points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
-    decay_margin: float = DEFAULT_DECAY_MARGIN,
-    min_points: int = DEFAULT_MIN_POINTS,
 ) -> RadialGrid:
     """Grid adequate for all spectral parameters up to ``lam_max``.
 
     The step resolves the shortest local wavelength with at least the
     requested number of points (never fewer than 40), ``r = 1`` falls on a
-    node exactly, the point count is odd and at least ``min_points``, and
-    the far boundary carries at least ``decay_margin`` units of decay
-    beyond the outer turning point.
+    node exactly, the point count is odd and at least
+    ``DEFAULT_MIN_POINTS``, and the far boundary carries at least
+    ``INWARD_DECAY`` units of decay beyond the outer turning point of
+    ``lam_max``: the inward sweep of every level up to ``lam_max`` starts
+    inside the grid.
     """
     if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
         raise ValueError("points_per_wavelength must be at least 40")
-    if decay_margin < MIN_DECAY_MARGIN:
-        raise ValueError("decay_margin must be at least 5")
     big_t = turning_points(channel, model, lam_max).T  # validates lam_max
 
     # the decay int sqrt(U - lam_max) past T, over the pieces
     # [T, 1.05 T + 0.5] and then each 1.2 times the last, summed in order
-    # up to the piece that reaches decay_margin; _DECAY_PIECES at a time
+    # up to the piece that reaches INWARD_DECAY; _DECAY_PIECES at a time
     edges = [big_t, big_t * 1.05 + 0.5]
     acc, done = 0.0, 0
-    while acc < decay_margin:
+    while acc < INWARD_DECAY:
         while len(edges) < done + _DECAY_PIECES + 1:
             edges.append(edges[-1] * 1.2)
         lo, hi = np.array(edges[done:-1]), np.array(edges[done + 1 :])
         for piece in _root_integrals(channel, model, np.full(lo.shape, lam_max), lo, hi).tolist():
             acc += piece
             done += 1
-            if acc >= decay_margin:
+            if acc >= INWARD_DECAY:
                 break
     r_far = edges[done]
 
     r_min = min(1e-3, 0.1 * lam_max**-0.25)
     h_wave = 2.0 * math.pi / (points_per_wavelength * math.sqrt(lam_max))
-    h_count = (r_far - r_min) / float(min_points)
+    h_count = (r_far - r_min) / float(DEFAULT_MIN_POINTS)
     h_cap = min(h_wave, h_count)
     k = math.ceil((1.0 - r_min) / h_cap)
     h = (1.0 - r_min) / k
@@ -360,7 +357,7 @@ class _Shooter:
         z0, z1, nodes, _ = _sweep(g[m + 1 : s], z0, z1)
         z0, z1, k, _ = _sweep(g[s : n - 1], z0, z1, stop=True)
         if not (math.isfinite(z0) and math.isfinite(z1)):
-            raise ConsistencyError("outward sweep overflowed; increase decay margin headroom")
+            raise ConsistencyError("outward sweep overflowed past the turning point")
         return nodes + k
 
     def _shoot(self, lam: float, m: int, keep: bool = False) -> _Probe:
@@ -668,15 +665,9 @@ def _action_guess(channel: Channel, model: PotentialModel, level: int):
     return lam, 1.0 / level_density(model, lam)
 
 
-def _default_grid(channel, model, l_max, points_per_wavelength, decay_margin):
+def _default_grid(channel, model, l_max, points_per_wavelength):
     lam_top = inverse_action(model, quantization_target(channel, l_max) + 2.0)
-    return build_grid(
-        channel,
-        model,
-        1.1 * lam_top,
-        points_per_wavelength=points_per_wavelength,
-        decay_margin=decay_margin,
-    )
+    return build_grid(channel, model, 1.1 * lam_top, points_per_wavelength)
 
 
 def solve_level(
@@ -686,7 +677,6 @@ def solve_level(
     grid: RadialGrid | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
-    decay_margin: float = DEFAULT_DECAY_MARGIN,
 ) -> EigenPair:
     """Eigenpair with exactly ``level`` interior nodes.
 
@@ -697,7 +687,7 @@ def solve_level(
     if level < 0:
         raise ValueError("level must be non-negative")
     if grid is None:
-        grid = _default_grid(channel, model, level, points_per_wavelength, decay_margin)
+        grid = _default_grid(channel, model, level, points_per_wavelength)
     shooter = _Shooter(channel, model, grid)
     pair = shooter.solve(level, *_action_guess(channel, model, level), rel_tol)
     shift = float(_dispersion_shifts(shooter, [pair.lam])[0])
@@ -711,7 +701,6 @@ def solve_spectrum(
     grid: RadialGrid | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
-    decay_margin: float = DEFAULT_DECAY_MARGIN,
 ) -> SpectrumTable:
     """All eigenpairs of levels ``0 .. l_max`` on one shared grid.
 
@@ -724,7 +713,7 @@ def solve_spectrum(
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if grid is None:
-        grid = _default_grid(channel, model, l_max, points_per_wavelength, decay_margin)
+        grid = _default_grid(channel, model, l_max, points_per_wavelength)
     shooter = _Shooter(channel, model, grid)
     c = model.growth_index
     power = (c + 1.0) / (2.0 * c)
@@ -759,11 +748,7 @@ def solve_spectrum(
         sweeps=tuple(sweeps),
         bisections=tuple(bisections),
         shifts=tuple(shifts.tolist()),
-        tolerances={
-            "rel_tol": rel_tol,
-            "points_per_wavelength": points_per_wavelength,
-            "decay_margin": decay_margin,
-        },
+        tolerances={"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength},
     )
 
 
@@ -806,12 +791,13 @@ def load_spectrum(path) -> SpectrumTable:
 def export_spectrum_csv(tables: Sequence[SpectrumTable], path) -> Path:
     from .formats import fmt, write_csv
 
-    header = ["n", "l", "lambda", "nodes", "f_at_1", "fprime_at_1"]
+    header = ["d", "n", "l", "lambda", "nodes", "f_at_1", "fprime_at_1"]
     rows = []
-    for table in sorted(tables, key=lambda t: t.channel.n):
+    for table in sorted(tables, key=lambda t: (t.channel.d, t.channel.n)):
         for p in table.eigenpairs:
             rows.append(
                 [
+                    str(table.channel.d),
                     str(table.channel.n),
                     str(p.level),
                     fmt(p.lam),

@@ -4,7 +4,7 @@
 that every scaling certificate reads its exponent from; ``gap_scaling``
 applies it to the gaps of a list of eigenvalues.  Both take plain
 sequences, so the command line fits a cached spectrum's eigenvalues
-without loading numpy; ``specfun`` and ``wkb`` re-export them.
+without loading numpy.
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ class SpectrumRecord(NamedTuple):
         doc = {
             "format_version": SPECTRUM_FORMAT_VERSION,
             "model": self.model.spec_string,
-            "harmonic": self.model.harmonic,
             "d": self.channel.d,
             "n": self.channel.n,
             "grid": {"r_min": r_min, "r_max": r_max, "h": h, "n_points": n_points},
@@ -98,8 +97,8 @@ def read_spectrum_record(path) -> SpectrumRecord:
     """The record at ``path``; ``SpectrumFormatError`` for another format
     version, and ``ValueError``, ``KeyError`` or ``TypeError`` for a
     malformed one: not a JSON object, or per-level lists of unequal
-    lengths.  Keys it does not read, such as the ``threshold_radius`` of
-    older records, are ignored."""
+    lengths.  Keys it does not read, such as the ``threshold_radius`` and
+    ``harmonic`` of older records, are ignored."""
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the record is not a JSON object")
@@ -114,7 +113,7 @@ def read_spectrum_record(path) -> SpectrumRecord:
     lams, sweeps, bisections, shifts = per_level
     return SpectrumRecord(
         channel=Channel(doc["d"], doc["n"]),
-        model=PotentialModel.from_spec(doc["model"], harmonic=doc["harmonic"]),
+        model=PotentialModel.from_spec(doc["model"]),
         grid=(g["r_min"], g["r_max"], g["h"], g["n_points"]),
         tolerances=doc["tolerances"],
         samples_file=doc["samples_file"],

@@ -5,10 +5,13 @@ from a string such as ``"1*r^4+0.5*r^6"``; ``Channel`` is the angular
 sector ``(d, n)`` and its centrifugal coefficient ``gamma``.  Both are
 plain data, so the command line checks a configuration before it loads
 numpy.  ``validate_assumptions`` states the paper's hypotheses on ``V``
-(convexity, super-quadratic growth, bounded derivative ratios) in closed
-form, read off the exponents: they hold on all of ``r > 0`` for every
-model these classes accept.  ``potential`` evaluates the model on arrays
-and re-exports all of these.
+(convexity, growth, bounded derivative ratios) in closed form, read off
+the exponents: they hold on all of ``r > 0`` for every model these
+classes accept.  Super-quadratic growth, ``V >= C r^(2+eps)`` at
+infinity, depends on the largest exponent alone; a model is its terms,
+and the command line decides from ``growth_index`` whether to accept
+one that grows only like ``r^2``.  ``potential`` evaluates the model on
+arrays.
 """
 
 from __future__ import annotations
@@ -42,21 +45,13 @@ class PowerTerm:
 
 @dataclass(frozen=True)
 class PotentialModel:
-    """A sum of even powers ``sum_m kappa_m r^(2 c_m)`` with ``c_m >= 2``.
+    """A sum of even powers ``sum_m kappa_m r^(2 c_m)`` with ``c_m >= 1``.
 
-    Parameters
-    ----------
-    terms : tuple of PowerTerm
-        Monomials of the potential.  Exponents must be even; exponents
-        below 4 are rejected unless ``harmonic`` is set.
-    harmonic : bool
-        Permits the exponent-2 reference model.  It violates the
-        super-quadratic growth requirement and is only meant for sanity
-        checks against closed-form spectra.
+    ``terms`` are its monomials, each with a positive even exponent;
+    terms of one exponent merge, and the terms come sorted by exponent.
     """
 
     terms: tuple[PowerTerm, ...]
-    harmonic: bool = False
 
     def __post_init__(self):
         if not self.terms:
@@ -67,10 +62,6 @@ class PotentialModel:
                 raise ValueError(
                     f"exponent {term.exponent} is not a positive even integer"
                 )
-            if term.exponent < 4 and not self.harmonic:
-                raise ValueError(
-                    f"exponent {term.exponent} below 4 requires harmonic=True"
-                )
             merged[term.exponent] = merged.get(term.exponent, 0.0) + term.coefficient
         canonical = tuple(
             PowerTerm(exponent, coefficient)
@@ -79,7 +70,7 @@ class PotentialModel:
         object.__setattr__(self, "terms", canonical)
 
     @classmethod
-    def from_spec(cls, text: str, harmonic: bool = False) -> "PotentialModel":
+    def from_spec(cls, text: str) -> "PotentialModel":
         """Parse a model string such as ``"1*r^4+0.5*r^6"``.
 
         A ``+`` right after an exponent marker (``1e+2``) is part of the
@@ -93,13 +84,11 @@ class PotentialModel:
                 raise ValueError(f"cannot parse potential term {part!r}")
             coeff = float(m.group("coeff")) if m.group("coeff") else 1.0
             terms.append(PowerTerm(int(m.group("exp")), coeff))
-        return cls(tuple(terms), harmonic=harmonic)
+        return cls(tuple(terms))
 
     @classmethod
-    def pure(
-        cls, exponent: int, coefficient: float = 1.0, harmonic: bool = False
-    ) -> "PotentialModel":
-        return cls((PowerTerm(exponent, coefficient),), harmonic=harmonic)
+    def pure(cls, exponent: int, coefficient: float = 1.0) -> "PotentialModel":
+        return cls((PowerTerm(exponent, coefficient),))
 
     @property
     def growth_index(self) -> float:

@@ -8,7 +8,7 @@ evaluates the model of ``V`` and the channel's effective potential on
 arrays.  The model, the channel and the closed forms of the structural
 assumptions (convexity, super-quadratic growth, derivative ratios) that
 the rest of the package relies on are declared in the numpy-free
-``model`` and re-exported here.
+``model``.
 """
 
 from __future__ import annotations
@@ -17,23 +17,9 @@ import math
 
 import numpy as np
 
-from .model import (  # re-exported
-    AssumptionReport,
-    Channel,
-    PotentialModel,
-    PowerTerm,
-    validate_assumptions,
-)
+from .model import Channel, PotentialModel
 
-__all__ = [
-    "PowerTerm",
-    "PotentialModel",
-    "Channel",
-    "AssumptionReport",
-    "eval_potential",
-    "effective_potential",
-    "validate_assumptions",
-]
+__all__ = ["eval_potential", "effective_potential"]
 
 
 def _as_positive_radii(r):

@@ -251,6 +251,7 @@ def probe_sequence(
 
 
 PROBE_CSV_HEADER = [
+    "d",
     "n",
     "l",
     "lambda",
@@ -273,6 +274,7 @@ def probe_rows(table, sequence: ProbeSequence) -> list:
     for p in sequence.points:
         rows.append(
             [
+                str(table.channel.d),
                 str(table.channel.n),
                 str(p.level),
                 fmt(p.tau),

@@ -8,9 +8,7 @@ special-function library.  Also: the turning-point profile from
 between turning points of ``wkb.allowed_integrals``, by which every
 integral of the package is taken; one locally adaptive quadrature over
 an interval (square-root endpoints substituted away), which no package
-code calls any more and the tests keep as a reference; and,
-re-exported from the numpy-free ``fitting``, the log-log power-law
-fitter of all the scaling certificates.
+code calls any more and the tests keep as a reference.
 """
 
 from __future__ import annotations
@@ -22,14 +20,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .fitting import PowerLawFit, fit_power_law  # re-exported
 
 __all__ = [
     "bessel_j",
     "langer_profile",
     "integrate_sqrt_singular",
-    "PowerLawFit",
-    "fit_power_law",
 ]
 
 _SERIES_MAX_TERMS = 500

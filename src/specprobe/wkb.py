@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ThresholdError
 from .potential import Channel, PotentialModel, effective_potential, eval_potential
-from .fitting import PowerLawFit, fit_power_law, gap_scaling  # gap_scaling re-exported
+from .fitting import PowerLawFit, fit_power_law
 from .specfun import _gl_rule, langer_profile
 # not called here any more; the name stays because specbench/tracing.py
 # wraps it, and test_benchmark_tooling requires every wrapped name to resolve
@@ -55,7 +55,6 @@ __all__ = [
     "allowed_region_residual",
     "langer_residual",
     "appendix_error_integral",
-    "gap_scaling",
     "amplitude_scaling",
     "summarize",
     "export_wkb_csv",
@@ -701,6 +700,7 @@ def amplitude_scaling(
 class WkbSummary:
     """Per-level semiclassical summary used by the export and reports."""
 
+    d: int
     n: int
     level: int
     lam: float
@@ -743,6 +743,7 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
         allowed = None if math.isnan(edge_a[i]) else (float(edge_a[i]), float(edge_b[i]))
         out.append(
             WkbSummary(
+                d=channel.d,
                 n=channel.n,
                 level=pair.level,
                 lam=pair.lam,
@@ -762,6 +763,7 @@ def export_wkb_csv(summaries: Sequence[WkbSummary], path) -> None:
     from .formats import fmt, write_csv
 
     header = [
+        "d",
         "n",
         "l",
         "lambda",
@@ -775,10 +777,11 @@ def export_wkb_csv(summaries: Sequence[WkbSummary], path) -> None:
         "allowed_b",
     ]
     rows = []
-    for s in sorted(summaries, key=lambda s: (s.n, s.level)):
+    for s in sorted(summaries, key=lambda s: (s.d, s.n, s.level)):
         a, b = s.allowed if s.allowed is not None else (math.nan, math.nan)
         rows.append(
             [
+                str(s.d),
                 str(s.n),
                 str(s.level),
                 fmt(s.lam),

@@ -12,7 +12,7 @@ from specprobe.potential import Channel, PotentialModel
 
 QUARTIC = PotentialModel.pure(4, 1.0)
 SEXTIC = PotentialModel.pure(6, 1.0)
-HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
+HARMONIC = PotentialModel.pure(2, 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -25,11 +25,11 @@ import pytest
 from specprobe import probe as pr
 from specprobe import wkb
 from specprobe.eigensolve import solve_spectrum
+from specprobe.fitting import fit_power_law, gap_scaling
 from specprobe.formats import write_csv
 from specprobe.kernel import export_kernel_grid, kernel_matrix, parseval_check
 from specprobe.potential import Channel, PotentialModel
 from specprobe.probe import make_bump, overlap, predicted_overlap, probe_sequence
-from specprobe.specfun import fit_power_law
 from specprobe.wkb import export_wkb_csv, summarize
 
 QUARTIC = PotentialModel.pure(4, 1.0)
@@ -107,7 +107,7 @@ def test_criterion_04_quantization_residual(quartic_n0, osc_n0, osc_n1):
     med_low = statistics.median(res[5:16])
     med_high = statistics.median(res[20:41])
     osc_worst = max(
-        max(abs(wkb.bs_residual(p, Channel(3, n), PotentialModel.pure(2, 1.0, harmonic=True)))
+        max(abs(wkb.bs_residual(p, Channel(3, n), PotentialModel.pure(2, 1.0)))
             for p in table.eigenpairs)
         for n, table in ((0, osc_n0), (1, osc_n1))
     )
@@ -122,8 +122,8 @@ def test_criterion_04_quantization_residual(quartic_n0, osc_n0, osc_n1):
 
 
 def test_criterion_05_gap_growth(quartic_n0, sextic_n0):
-    fit4 = wkb.gap_scaling(quartic_n0.eigenvalues, window=(30, 60))
-    fit6 = wkb.gap_scaling(sextic_n0.eigenvalues, window=(30, 60))
+    fit4 = gap_scaling(quartic_n0.eigenvalues, window=(30, 60))
+    fit6 = gap_scaling(sextic_n0.eigenvalues, window=(30, 60))
     ok = abs(fit4.exponent - 0.25) <= 0.03 and abs(fit6.exponent - 1.0 / 3.0) <= 0.03
     _report(
         5,

@@ -2,10 +2,13 @@
 shapes, config layering, caching, and determinism of the outputs."""
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -57,15 +60,34 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "harmonic reference allowed" in out
 
-    def test_mixed_model_with_quadratic_term_rejected(self, tmp_path, capsys):
-        rc = main(["validate", "--model", "1*r^2+1*r^4", "--out", str(tmp_path)])
-        assert rc == 1
-        assert "c>1 violated" in capsys.readouterr().err
+    def test_mixed_model_with_quadratic_term_runs_every_subcommand(self, tmp_path, capsys):
+        # super-quadratic growth is decided at infinity: 1*r^2+1*r^4 has c = 2
+        base = ["--model", "1*r^2+1*r^4", "--out", str(tmp_path)]
+        for command in SUBCOMMANDS:
+            assert main([command] + base) == 0, command
+        out = capsys.readouterr().out
+        assert "growth index c = deg(V)/2 = 2)" in out
+        assert "r V'/(2V) runs from 1 (r -> 0) to 2 (r -> inf)" in out
+        assert "super-quadratic c > 1: yes" in out
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["config"]["growth_index"] == 2.0
+        assert doc["config"]["allow_harmonic"] is False
+        table = (tmp_path / "report.md").read_text().split("## Artifacts")[0]
+        rows = [line for line in table.splitlines() if line.startswith("| ") and "---" not in line]
+        assert len(rows) == 5  # the header and four quantities
+        assert all(row.endswith("| pass |") for row in rows[1:]), rows
+
+    def test_quadratic_alone_still_needs_the_flag(self, tmp_path, capsys):
+        for command in ("validate", "spectrum"):
+            assert main([command, "--model", "2*r^2", "--out", str(tmp_path)]) == 1
+            assert "c>1 violated" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, low, high, bounds, superquadratic", [
         (["--model", "1*r^4"], 2, 2, "4, 3, 2", "yes"),
         (["--model", "1*r^4+0.5*r^6"], 2, 3, "6, 5, 4", "yes"),
         (["--model", "1*r^2", "--allow-harmonic"], 1, 1, "2, 1, 0", "no"),
+        (["--model", "1*r^2+1*r^4"], 1, 2, "4, 3, 2", "yes"),
     ])
     def test_prints_the_closed_forms(self, tmp_path, capsys, flags, low, high, bounds,
                                      superquadratic):
@@ -109,6 +131,16 @@ class TestArgumentErrors:
         assert "unknown config key(s) threshold_radius" in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
 
+    def test_decay_margin_is_unknown(self, tmp_path, capsys):
+        # the grid ends where the inward sweep's decay bound places it
+        assert main(["spectrum", "--decay-margin", "35", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments: --decay-margin" in capsys.readouterr().err
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text("decay_margin = 35\n")
+        assert main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "unknown config key(s) decay_margin" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.cfg"]
+
     def test_malformed_model(self, tmp_path, capsys):
         rc = main(["validate", "--model", "r**4", "--out", str(tmp_path)])
         assert rc == 1
@@ -127,8 +159,8 @@ class TestArgumentErrors:
             ["--rel-tol", "1e-17"],
             ["--ppw", "30"],
             ["--ppw", "nan"],
-            ["--decay-margin", "2"],
-            ["--decay-margin", "inf"],
+            ["--ppw", "inf"],
+            ["--ppw", "39.99"],
         ],
     )
     def test_solver_settings_rejected_up_front(self, tmp_path, capsys, flags):
@@ -184,17 +216,17 @@ class TestArgumentErrors:
 class TestArtifacts:
     def test_spectrum_rows(self, workspace):
         lines = (workspace / "spectrum.csv").read_text().splitlines()
-        assert lines[0] == "n,l,lambda,nodes,f_at_1,fprime_at_1"
+        assert lines[0] == "d,n,l,lambda,nodes,f_at_1,fprime_at_1"
         assert len(lines) == 16
 
     def test_wkb_rows(self, workspace):
         lines = (workspace / "wkb.csv").read_text().splitlines()
-        assert lines[0] == "n,l,lambda,T,X,Z,action,bs_residual,absC,allowed_a,allowed_b"
+        assert lines[0] == "d,n,l,lambda,T,X,Z,action,bs_residual,absC,allowed_a,allowed_b"
         assert len(lines) == 16
 
     def test_probe_rows(self, workspace):
         lines = (workspace / "probe.csv").read_text().splitlines()
-        assert lines[0] == "n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
+        assert lines[0] == "d,n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
         assert len(lines) == 12
 
     def test_kernel_rows(self, workspace):
@@ -243,6 +275,27 @@ class TestArtifacts:
         assert "l_max = 14" in text
 
 
+class TestChannelsSharingN:
+    def test_rows_carry_d_and_sort_by_d_n_l(self, tmp_path):
+        # 3:0 and 5:0 share n = 0; the d column tells their rows apart
+        base = ["--channels", "5:0,3:0", "--lmax", "14", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        assert main(["wkb", "--lrange", "2:12", "--appendix-base", "200",
+                     "--appendix-doublings", "5"] + base) == 0
+        assert main(["probe", "--lrange", "2:12"] + base) == 0
+        levels = {"spectrum.csv": range(15), "wkb.csv": range(15), "probe.csv": range(2, 13)}
+        lams = {}
+        for name, wanted in levels.items():
+            with (tmp_path / name).open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            keys = [(int(row["d"]), int(row["n"]), int(row["l"])) for row in rows]
+            assert keys == [(d, 0, level) for d in (3, 5) for level in wanted], name
+            lams[name] = {key: row["lambda"] for key, row in zip(keys, rows)}
+        assert lams["wkb.csv"] == lams["spectrum.csv"]
+        assert lams["probe.csv"].items() <= lams["spectrum.csv"].items()
+        assert lams["spectrum.csv"][(3, 0, 0)] != lams["spectrum.csv"][(5, 0, 0)]
+
+
 class TestMultiTermReport:
     def test_every_row_passes_against_deg_v_over_two(self, tmp_path):
         # the paper's c for 1*r^4+0.5*r^6 is deg(V)/2 = 3, not the smallest c_m
@@ -274,11 +327,11 @@ class TestCaching:
         base = ["--d", "3", "--n", "0", "--lmax", "2", "--out", str(tmp_path)]
         assert main(["spectrum", "--model", "1*r^4"] + base) == 0
         assert main(["spectrum", "--model", "1.0000004*r^4"] + base) == 0
-        near = (tmp_path / "spectrum.csv").read_text().splitlines()[1].split(",")[2]
+        near = (tmp_path / "spectrum.csv").read_text().splitlines()[1].split(",")[3]
         fresh = tmp_path / "fresh"
         assert main(["spectrum", "--model", "1.0000004*r^4", "--d", "3", "--n", "0",
                      "--lmax", "2", "--out", str(fresh)]) == 0
-        assert near == (fresh / "spectrum.csv").read_text().splitlines()[1].split(",")[2]
+        assert near == (fresh / "spectrum.csv").read_text().splitlines()[1].split(",")[3]
         doc = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
         assert doc["model"] == "1.0000004*r^4"
 
@@ -335,6 +388,29 @@ class TestCaching:
             assert main([command] + base) == 0
             assert capsys.readouterr().err == "cache: d3_n0 hit\n"
 
+    def test_record_with_a_decay_margin_is_solved_again(self, tmp_path, capsys):
+        # records written while the grid took a decay margin carry it among
+        # their tolerances, and a harmonic flag beside the model; such a
+        # record may sit on another grid, so it is a miss, solved and rewritten
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        csv_before = (tmp_path / "spectrum.csv").read_bytes()
+        json_path = tmp_path / "spectrum_d3_n0.json"
+        doc = json.loads(json_path.read_text())
+        assert doc["tolerances"] == {"points_per_wavelength": 180.0, "rel_tol": 1e-10}
+        assert "harmonic" not in doc
+        old = dict(doc, harmonic=False, tolerances=dict(doc["tolerances"], decay_margin=35.0))
+        json_path.write_text(json.dumps(old))
+        capsys.readouterr()
+        for command in ("gaps", "spectrum"):
+            assert main([command] + base) == 0
+            assert capsys.readouterr().err == "cache: d3_n0 miss (tolerances)\n"
+            assert json.loads(json_path.read_text()) == doc
+            assert main([command] + base) == 0
+            assert capsys.readouterr().err == "cache: d3_n0 hit\n"
+            json_path.write_text(json.dumps(old))
+        assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
+
     def test_version_1_cache_is_solved_again(self, tmp_path):
         base = ["--lmax", "5", "--out", str(tmp_path)]
         assert main(["spectrum"] + base) == 0
@@ -345,8 +421,8 @@ class TestCaching:
         rows = [line.split(",") for line in csv_before.decode().splitlines()[1:]]
         cache["format_version"] = 1
         cache["levels"] = [
-            {"l": int(row[1]), "lambda": float(row[2]), "nodes": int(row[3]),
-             "f_at_1": float(row[4]), "fprime_at_1": float(row[5]), "norm_check": 1.0,
+            {"l": int(row[2]), "lambda": float(row[3]), "nodes": int(row[4]),
+             "f_at_1": float(row[5]), "fprime_at_1": float(row[6]), "norm_check": 1.0,
              "sweeps": 5, "bisections": 0}
             for row in rows
         ]
@@ -443,7 +519,6 @@ SETTINGS = [
     ("lmax", "--lmax", "12"),
     ("rel_tol", "--rel-tol", "1e-9"),
     ("points_per_wavelength", "--ppw", "300"),
-    ("decay_margin", "--decay-margin", "30"),
     ("sigma", "--sigma", "0.5"),
     ("phi", "--phi", "0.9:0.1"),
     ("psi", "--psi", "1.4:0.3"),
@@ -499,12 +574,18 @@ class TestSurface:
                 if getattr(default, f.name) == getattr(from_file, f.name)]
         assert same == ["out_dir"]
 
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"The\s+file\s+accepts\s+exactly\s+these\s+keys(.*?)\.\s", readme, re.S)
+        listed = set(re.findall(r"`([a-z_]+)`", sentence.group(1)))
+        assert listed == {row.key for row in cli._KEYS}
+
     def test_default_run_json_config(self, tmp_path):
         assert main(["validate", "--out", str(tmp_path)]) == 0
         config = json.loads((tmp_path / "run.json").read_text())["config"]
         expected = {
             "allow_harmonic": False, "appendix_base": 400.0, "appendix_doublings": 6,
-            "channels": [[3, 0]], "decay_margin": 35.0, "fit_top": 30, "growth_index": 2.0,
+            "channels": [[3, 0]], "fit_top": 30, "growth_index": 2.0,
             "kernel_levels": 20, "kernel_r": [0.6, 0.8, 1.0, 1.2000000000000002, 1.4],
             "kernel_s": [0.6, 0.8, 1.0, 1.2000000000000002, 1.4],
             "kernel_t": [0.0, 0.25, 0.5, 0.75, 1.0], "l_max": 60, "l_range": [20, 50],
@@ -578,6 +659,17 @@ class TestKernelGrid:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: kernel_")
         assert not (tmp_path / "kernel.csv").exists()
+
+    def test_range_holds_at_most_ten_thousand_values(self, tmp_path, capsys):
+        # the size is checked before the list is built
+        rc = main(["kernel", "--lmax", "4", "--t", "0:10000:1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "holds 10001 values, more than 10000" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        parse = cli._grid_values(positive=False)
+        assert len(parse("0:9999:1")) == 10_000
+        with pytest.raises(ValueError, match="holds inf values"):
+            parse("-1e308:1e308:1")
 
     def test_negative_times_accepted(self, tmp_path):
         base = ["kernel", "--lmax", "4", "--levels", "3", "--r", "1", "--s", "1"]

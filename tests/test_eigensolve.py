@@ -19,7 +19,7 @@ from specprobe.potential import Channel, PotentialModel, effective_potential
 from specprobe.specfun import integrate_sqrt_singular
 
 QUARTIC = PotentialModel.pure(4, 1.0)
-HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
+HARMONIC = PotentialModel.pure(2, 1.0)
 CH30 = Channel(3, 0)
 
 # Channel(4, 0): gamma = 3/4, every oscillator level 3.4e-8 relative high
@@ -62,6 +62,26 @@ def oracle_level(level, r_min=1e-5, r_max=6.0, h=2e-4):
     return 0.5 * (lo + hi)
 
 
+def grid_past_decay(channel, model, l_max, decay):
+    """The default grid of ``l_max`` run on with its step until the decay
+    ``h sum sqrt(U - lam_max)`` past the turning point of its top spectral
+    parameter ``lam_max`` reaches ``decay``."""
+    grid = es._default_grid(channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH)
+    lam_max = 1.1 * es.inverse_action(model, es.quantization_target(channel, l_max) + 2.0)
+    big_t = es.turning_points(channel, model, lam_max).T
+    count = grid.n_points
+    while True:
+        r = grid.r_min + grid.h * np.arange(count)
+        u = effective_potential(channel, model, r)
+        past = np.where(r > big_t, np.sqrt(np.maximum(u - lam_max, 0.0)), 0.0)
+        reached = np.flatnonzero(grid.h * np.cumsum(past) >= decay)
+        if reached.size:
+            break
+        count *= 2
+    n_int = int(reached[0]) + int(reached[0]) % 2  # an even count of steps
+    return es.RadialGrid(grid.r_min, grid.r_min + n_int * grid.h, grid.h, n_int + 1)
+
+
 @pytest.fixture(scope="module")
 def osc_table():
     return es.solve_spectrum(CH30, HARMONIC, 20)
@@ -87,23 +107,23 @@ class TestBuildGrid:
         # regula falsi: the top level's action target sizes the grid (at the
         # 250 points per wavelength these were frozen at)
         model = PotentialModel.from_spec("1*r^4+0.5*r^6")
-        grid = es._default_grid(
-            Channel(d, n), model, l_max, 250.0, es.DEFAULT_DECAY_MARGIN,
-        )
+        grid = es._default_grid(Channel(d, n), model, l_max, 250.0)
         assert (grid.n_points, grid.h) == (n_points, h)
 
     @pytest.mark.parametrize(
         "spec, d, n, l_max",
         [("1*r^4", 3, 0, 60), ("1*r^4+0.5*r^6", 3, 0, 24), ("1*r^4+0.5*r^6", 5, 2, 24)],
     )
-    @pytest.mark.parametrize("decay_margin", [es.DEFAULT_DECAY_MARGIN, 500.0])
-    def test_grid_bits_match_adaptive_decay(self, monkeypatch, spec, d, n, l_max, decay_margin):
+    @pytest.mark.parametrize("decay_bound", [es.INWARD_DECAY, 500.0])
+    def test_grid_bits_match_adaptive_decay(self, monkeypatch, spec, d, n, l_max, decay_bound):
         # the benchmark's channels: the rule sums the decay pieces to the
         # same far end as one adaptive call per piece (rel_tol 1e-8, the
-        # square root at T substituted away), so every grid keeps its bits
+        # square root at T substituted away), so every grid keeps its bits;
+        # at the solver's bound, and at one that takes many batches of pieces
+        monkeypatch.setattr(es, "INWARD_DECAY", decay_bound)
         channel, model = Channel(d, n), PotentialModel.from_spec(spec)
         lam_max = 1.1 * es.inverse_action(model, es.quantization_target(channel, l_max) + 2.0)
-        grid = es.build_grid(channel, model, lam_max, decay_margin=decay_margin)
+        grid = es.build_grid(channel, model, lam_max)
 
         kernel = lambda r: np.sqrt(
             np.maximum(effective_potential(channel, model, np.asarray(r)) - lam_max, 0.0)
@@ -111,7 +131,7 @@ class TestBuildGrid:
         big_t = es.turning_points(channel, model, lam_max).T
         lo, hi = big_t, big_t * 1.05 + 0.5
         decay = integrate_sqrt_singular(kernel, lo, hi, "left", 1e-8)
-        while decay < decay_margin:
+        while decay < decay_bound:
             lo, hi = hi, hi * 1.2
             decay += integrate_sqrt_singular(kernel, lo, hi, "none", 1e-8)
         # the point count is the first even one that reaches the far end
@@ -124,7 +144,7 @@ class TestBuildGrid:
             ])
 
         monkeypatch.setattr(es, "_root_integrals", adaptive)
-        ref = es.build_grid(channel, model, lam_max, decay_margin=decay_margin)
+        ref = es.build_grid(channel, model, lam_max)
         assert (grid.n_points, grid.h, grid.r_max) == (ref.n_points, ref.h, ref.r_max)
 
     def test_oscillator_example(self):
@@ -138,7 +158,7 @@ class TestBuildGrid:
             "left",
             1e-8,
         )
-        assert decay >= 35.0
+        assert decay >= es.INWARD_DECAY
 
     def test_quartic_decay_margin(self):
         grid = es.build_grid(CH30, QUARTIC, 16.0)
@@ -149,7 +169,7 @@ class TestBuildGrid:
             "left",
             1e-8,
         )
-        assert decay >= 35.0
+        assert decay >= es.INWARD_DECAY
         assert 2.0 < grid.r_max < 8.0
 
     def test_structural_contract(self):
@@ -173,8 +193,6 @@ class TestBuildGrid:
     def test_option_floors(self):
         with pytest.raises(ValueError):
             es.build_grid(CH30, QUARTIC, 16.0, points_per_wavelength=20.0)
-        with pytest.raises(ValueError):
-            es.build_grid(CH30, QUARTIC, 16.0, decay_margin=1.0)
 
     def test_simpson_weights_integrate_quadratics(self):
         grid = es.build_grid(CH30, QUARTIC, 16.0)
@@ -414,7 +432,7 @@ class TestSolveSpectrum:
     def test_deep_decay_margin_solves(self):
         # a far boundary 400 units of decay out; the inward sweep starts
         # INWARD_DECAY from the match point, and the samples beyond are 0
-        table = es.solve_spectrum(CH30, QUARTIC, 3, decay_margin=400.0)
+        table = es.solve_spectrum(CH30, QUARTIC, 3, grid=grid_past_decay(CH30, QUARTIC, 3, 400.0))
         reference = es.solve_spectrum(CH30, QUARTIC, 3)
         assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-9, atol=0.0)
 
@@ -422,7 +440,7 @@ class TestSolveSpectrum:
         # 500 units of decay past T: seeds at the grid end, scaled down
         # against the growth to the match point, would underflow to 0 past a
         # decay of about 745, and the inward sweep starts INWARD_DECAY out
-        table = es.solve_spectrum(CH30, QUARTIC, 6, decay_margin=500.0)
+        table = es.solve_spectrum(CH30, QUARTIC, 6, grid=grid_past_decay(CH30, QUARTIC, 6, 500.0))
         reference = es.solve_spectrum(CH30, QUARTIC, 6)
         assert [p.node_count for p in table.eigenpairs] == list(range(7))
         assert np.allclose(table.eigenvalues, reference.eigenvalues, rtol=1e-13, atol=0.0)
@@ -431,9 +449,7 @@ class TestSolveSpectrum:
     def test_low_levels_on_a_high_level_grid(self, l_max):
         # the default grid of a high l_max puts the far end a decay of 755
         # (l_max 450) or more past the match point of level 0
-        grid = es._default_grid(
-            CH30, QUARTIC, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN
-        )
+        grid = es._default_grid(CH30, QUARTIC, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH)
         for level in (0, 3, 6):
             pair = es.solve_level(CH30, QUARTIC, level, grid=grid)
             reference = es.solve_level(CH30, QUARTIC, level)
@@ -527,11 +543,12 @@ class TestPersistence:
         out = tmp_path / "spectrum.csv"
         es.export_spectrum_csv([quartic_table], out)
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,l,lambda,nodes,f_at_1,fprime_at_1"
+        assert lines[0] == "d,n,l,lambda,nodes,f_at_1,fprime_at_1"
         assert len(lines) == 14
         row = lines[1].split(",")
-        assert float(row[2]) == quartic_table.pair(0).lam
-        assert int(row[3]) == 0
+        assert row[:3] == ["3", "0", "0"]
+        assert float(row[3]) == quartic_table.pair(0).lam
+        assert int(row[4]) == 0
 
     def test_csv_deterministic(self, quartic_table, tmp_path):
         a = tmp_path / "a.csv"

@@ -30,7 +30,7 @@ from specprobe.specfun import (
 
 QUARTIC = PotentialModel.pure(4, 1.0)
 MIXED = PotentialModel.from_spec("1*r^4+0.5*r^6")
-HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
+HARMONIC = PotentialModel.pure(2, 1.0)
 
 CASES = {
     "quartic 3:0": (Channel(3, 0), QUARTIC, 150.0),

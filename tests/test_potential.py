@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specprobe.potential import (
-    Channel,
-    PotentialModel,
-    PowerTerm,
-    effective_potential,
-    eval_potential,
-    validate_assumptions,
-)
+from specprobe.model import PowerTerm, validate_assumptions
+from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
 
 
 def test_parse_sum_model():
@@ -63,11 +57,21 @@ def test_parse_rejects_garbage():
             PotentialModel.from_spec(bad)
 
 
-def test_quadratic_requires_harmonic_flag():
-    with pytest.raises(ValueError):
-        PotentialModel.pure(2)
-    model = PotentialModel.pure(2, harmonic=True)
+def test_quadratic_builds_and_odd_or_zero_exponents_raise():
+    # the model is its terms: whether r^2 growth is acceptable is the
+    # command line's decision, read off growth_index
+    model = PotentialModel.pure(2)
     assert model.growth_index == 1.0
+    assert PotentialModel.from_spec("1*r^2+1*r^4").growth_index == 2.0
+    for exponent in (0, 1, 3, 5, -2):
+        with pytest.raises(ValueError):
+            PotentialModel.pure(exponent)
+    with pytest.raises(ValueError):
+        PotentialModel((PowerTerm(4, 1.0), PowerTerm(3, 1.0)))
+    with pytest.raises(ValueError):
+        PowerTerm(4.0, 1.0)  # not an integer
+    with pytest.raises(ValueError):
+        PotentialModel.pure(4, 0.0)
 
 
 def test_duplicate_exponents_merge():
@@ -148,7 +152,7 @@ def test_validate_pure_quartic():
 
 
 def test_validate_harmonic_fails_superquadratic():
-    report = validate_assumptions(PotentialModel.pure(2, harmonic=True))
+    report = validate_assumptions(PotentialModel.pure(2))
     assert not report.superquadratic
     assert report.min_term_c == report.c == 1.0
     assert report.ratio_bounds == (2.0, 1.0, 0.0)
@@ -180,7 +184,7 @@ def test_validate_window_argument_errors():
 @pytest.mark.parametrize("exponent", [2, 4, 6, 10])
 def test_pure_power_infimum_sits_at_the_left_edge(exponent):
     # r V'/(2V) is constant, so its infimum as r -> 0 is its value everywhere
-    model = PotentialModel.pure(exponent, 0.7, harmonic=True)
+    model = PotentialModel.pure(exponent, 0.7)
     report = validate_assumptions(model)
     assert report.min_term_c == report.c == exponent / 2.0
     sampled = sampled_assumptions(model, 1e-3, 1e3)
@@ -203,7 +207,7 @@ def test_validate_survives_windows_whose_powers_overflow():
 )
 def test_exact_check_matches_dense_sampling(exponents, coeffs, edges):
     terms = tuple(PowerTerm(e, c) for e, c in zip(exponents, coeffs))
-    model = PotentialModel(terms, harmonic=True)
+    model = PotentialModel(terms)
     r_lo, r_hi = (10.0**x for x in sorted(edges))
     report = validate_assumptions(model)
     assert (report.min_term_c, report.c) == (min(exponents) / 2.0, max(exponents) / 2.0)

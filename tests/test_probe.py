@@ -303,10 +303,10 @@ class TestProbeSequence:
         out = tmp_path / "probe.csv"
         write_csv(out, pr.PROBE_CSV_HEADER, pr.probe_rows(quartic_n0, sequence))
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
+        assert lines[0] == "d,n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
         assert len(lines) == 32
         row = lines[1].split(",")
-        assert int(row[1]) == 20
-        assert float(row[9]) == pytest.approx(
+        assert (int(row[0]), int(row[1]), int(row[2])) == (3, 0, 20)
+        assert float(row[10]) == pytest.approx(
             sequence.points[0].predicted_magnitude, rel=1e-15
         )

@@ -27,7 +27,7 @@ from specprobe.wkb import turning_points
 
 QUARTIC = PotentialModel.pure(4, 1.0)
 MIXED = PotentialModel.from_spec("1*r^4+0.5*r^6")
-HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
+HARMONIC = PotentialModel.pure(2, 1.0)
 
 CASES = {
     "quartic 3:0": (Channel(3, 0), QUARTIC, 60),
@@ -142,9 +142,7 @@ def turning_point_index(channel, model, grid, lam):
 def case(request):
     """Channel, model and the shooter on the grid a spectrum solve uses."""
     channel, model, l_max = CASES[request.param]
-    grid = es._default_grid(
-        channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH, es.DEFAULT_DECAY_MARGIN
-    )
+    grid = es._default_grid(channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH)
     return channel, model, es._Shooter(channel, model, grid), l_max
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 from specprobe.errors import QuadratureError
+from specprobe.fitting import fit_power_law
 from specprobe.specfun import (
     bessel_j,
-    fit_power_law,
     integrate_sqrt_singular,
     langer_profile,
 )

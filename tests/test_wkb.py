@@ -21,14 +21,10 @@ from hypothesis import strategies as st
 from specprobe import wkb
 from specprobe.eigensolve import solve_spectrum
 from specprobe.errors import ThresholdError
-from specprobe.potential import (
-    Channel,
-    PotentialModel,
-    PowerTerm,
-    effective_potential,
-    eval_potential,
-)
-from specprobe.specfun import fit_power_law, integrate_sqrt_singular, langer_profile
+from specprobe.fitting import fit_power_law, gap_scaling
+from specprobe.model import PowerTerm
+from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
+from specprobe.specfun import integrate_sqrt_singular, langer_profile
 
 QUARTIC_PLATEAU = 0.8740191847640399368216132
 SEXTIC_PLATEAU = 0.9107439929578431044324781
@@ -37,7 +33,7 @@ HARMONIC_PHASE_1_TO_2 = 1.228369698608756845544706
 QUARTIC = PotentialModel.pure(4, 1.0)
 SEXTIC = PotentialModel.pure(6, 1.0)
 MIXED = PotentialModel.from_spec("1*r^4+0.5*r^6")
-HARMONIC = PotentialModel.pure(2, 1.0, harmonic=True)
+HARMONIC = PotentialModel.pure(2, 1.0)
 CH30 = Channel(3, 0)
 CH31 = Channel(3, 1)
 
@@ -438,12 +434,12 @@ class TestAmplitude:
 class TestGapScaling:
     def test_recovers_power_law_gaps(self):
         lams = [(l + 0.75) ** (4.0 / 3.0) * 3.0 for l in range(80)]
-        fit = wkb.gap_scaling(np.array(lams), window=(40, 79))
+        fit = gap_scaling(np.array(lams), window=(40, 79))
         assert fit.exponent == pytest.approx(0.25, abs=0.01)
 
     def test_needs_enough_levels(self):
         with pytest.raises(ValueError):
-            wkb.gap_scaling(np.array([3.0, 7.0]))
+            gap_scaling(np.array([3.0, 7.0]))
 
 
 def synthetic_grid(r_lo, r_hi, h):
@@ -690,9 +686,9 @@ class TestSummaries:
         out = tmp_path / "wkb.csv"
         wkb.export_wkb_csv(summaries, out)
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,l,lambda,T,X,Z,action,bs_residual,absC,allowed_a,allowed_b"
+        assert lines[0] == "d,n,l,lambda,T,X,Z,action,bs_residual,absC,allowed_a,allowed_b"
         assert len(lines) == 4
         row = lines[2].split(",")
-        assert int(row[0]) == 0 and int(row[1]) == 1
-        assert float(row[2]) == 30.0
-        assert float(row[8]) == pytest.approx(1.0, abs=1e-12)
+        assert (int(row[0]), int(row[1]), int(row[2])) == (3, 0, 1)
+        assert float(row[3]) == 30.0
+        assert float(row[9]) == pytest.approx(1.0, abs=1e-12)
