@@ -9,13 +9,17 @@ exponent certification table.  Exit codes: 0 success, 1 validation
 failure, 2 numerical failure, 3 I/O failure.
 
 Every run setting is one row of ``_KEYS``: its config-file key, flag,
-default, help text and checked parser.  The rows build the command line
-flags, the accepted config-file keys, the checks of ``resolve_config``,
-the ``RunConfig`` fields and the ``config`` section of ``run.json``.
-Values come from the defaults, then an optional flat ``key = value`` file
-(``[section]`` headers optional and ignored; an unknown key is an error),
-then the flags, in increasing priority.  The default output directory can
-also be set via the ``SPECPROBE_OUT`` environment variable.
+default, help text, checked parser and ``RunConfig`` field.  The rows
+build the command line flags, the accepted config-file keys, the checks
+of ``resolve_config`` and the ``config`` section of ``run.json``.  They
+are declared beside the ``RunConfig`` fields, one row to a field, and a
+test keeps the two in step.  Values come from the defaults, then an
+optional flat ``key = value`` file (``[section]`` headers optional and
+ignored; an unknown key is an error), then the flags, in increasing
+priority.  The default output directory can also be set via the
+``SPECPROBE_OUT`` environment variable.  ``run.json`` is read once,
+before a command does any work: a file that does not hold a JSON object
+is an I/O failure.
 
 numpy and the solver modules load only where a command first needs
 numbers (``_load_solver``): in ``_tables``, for a command that reads the
@@ -215,9 +219,12 @@ def _grid_values(positive: bool) -> Callable[[str], tuple[float, ...]]:
     return parse
 
 
-def _channel_list(text: str) -> list[tuple[int, int]]:
-    """``d:n,d:n,...``; an empty list leaves the channels to ``d`` and ``n``."""
-    return [_pair(int, "d:n")(part) for part in text.split(",")] if text.strip() else []
+def _channel_list(text: str) -> tuple[tuple[int, int], ...]:
+    """``d:n,d:n,...``, one channel at least, each valid, repeats dropped."""
+    pairs = [_pair(int, "d:n")(part) for part in text.split(",")]
+    for pair in pairs:
+        Channel(*pair)
+    return tuple(dict.fromkeys(pairs))
 
 
 @dataclass
@@ -229,9 +236,7 @@ class _Key:
     default: str  # as config-file text
     parse: Callable[[str], object]  # text -> checked value
     help: str | None = None
-    # RunConfig field and run.json name: the key's own unless given;
-    # None for the keys resolve_config folds into model and channels
-    field: str | None = ""
+    field: str = ""  # RunConfig field and run.json name: the key's own unless given
     solver: bool = False  # passed to solve_spectrum and matched against a cache
     switch: bool = False  # the flag takes no value and means "true"
 
@@ -243,10 +248,8 @@ class _Key:
 # in the order of the flags in --help
 _KEYS = (
     _Key("model", "--model", "1*r^4", str, 'potential, e.g. "1*r^4+0.5*r^6"'),
-    _Key("channels", "--channels", "", _channel_list, "comma list of d:n pairs, e.g. 3:0,3:1"),
-    _Key("d", "--d", "3", int, "space dimension (with --n)", field=None),
-    _Key("n", "--n", "0", lambda text: [int(n) for n in text.split(",")],
-         "comma list of sector indices", field=None),
+    _Key("channels", "--channels", "3:0", _channel_list,
+         "comma list of d:n pairs, e.g. 3:0,3:1"),
     _Key("lmax", "--lmax", "60", _number(int, 0), "highest level to solve", field="l_max"),
     _Key("rel_tol", "--rel-tol", repr(DEFAULT_REL_TOL), _number(float, MIN_REL_TOL),
          solver=True),
@@ -292,12 +295,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"{row.key}: {exc}") from None
     got["model"] = _parse_model(got["model"], got["allow_harmonic"])
-    pairs = got["channels"] or [(got["d"], n) for n in got["n"]]
-    for pair in pairs:
-        Channel(*pair)
-    got["channels"] = tuple(dict.fromkeys(pairs))
     got["out"].mkdir(parents=True, exist_ok=True)
-    return RunConfig(**{row.field: got[row.key] for row in _KEYS if row.field})
+    return RunConfig(**{row.field: got[row.key] for row in _KEYS})
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -316,7 +315,7 @@ def _read_config_file(path) -> dict[str, str]:
 
 def _config_dict(cfg: RunConfig) -> dict:
     # json writes the tuples as lists
-    doc = {row.field: getattr(cfg, row.field) for row in _KEYS if row.field}
+    doc = {row.field: getattr(cfg, row.field) for row in _KEYS}
     doc.update(
         model=cfg.model.spec_string,
         growth_index=cfg.model.growth_index,
@@ -341,9 +340,27 @@ def _meta_dict(found: dict) -> dict:
     return meta
 
 
-def _update_run_json(cfg: RunConfig, section: str, payload: dict) -> Path:
+def _read_run_json(cfg: RunConfig) -> dict:
+    """run.json in the output directory, empty where there is none;
+    ``OSError`` naming the file where it is not a JSON object whose
+    ``config``, ``meta`` and ``results`` are objects."""
     path = cfg.out_dir / "run.json"
-    doc = json.loads(path.read_text()) if path.exists() else {}
+    if not path.exists():
+        return {}
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise OSError(f"{path}: not JSON ({exc})") from None
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(key, {}), dict) for key in ("config", "meta", "results"))):
+        raise OSError(f"{path}: not a JSON object of config, meta and results objects")
+    return doc
+
+
+def _update_run_json(cfg: RunConfig, doc: dict, section: str, payload: dict) -> Path:
+    """Write ``doc``, read by ``_read_run_json``, back with this run's
+    config and meta and ``payload`` as results' ``section``."""
+    path = cfg.out_dir / "run.json"
     doc["config"] = _config_dict(cfg)
     doc["meta"] = _meta_dict(doc.get("meta", {}))
     doc.setdefault("results", {})[section] = payload
@@ -424,7 +441,7 @@ def _tables(
     return tables, cache
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, doc: dict) -> int:
     # a model that breaks an assumption exits 1 when it is parsed; the
     # rest hold on all of r > 0, and these are their closed forms
     report = validate_assumptions(cfg.model)
@@ -440,7 +457,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     for d, n in cfg.channels:
         ch = Channel(d, n)
         print(f"channel d={d} n={n}: gamma={ch.gamma:g}, bessel order={ch.bessel_order:g}")
-    _update_run_json(cfg, "validate", {
+    _update_run_json(cfg, doc, "validate", {
         "passed": True,
         "min_term_c": report.min_term_c,
         "c": report.c,
@@ -451,7 +468,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
+def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
     tables, cache = _tables(cfg)
     path = export_spectrum_csv(list(tables.values()), cfg.out_dir / "spectrum.csv")
     payload = {"channels": {}, "rows": 0, "cache": cache}
@@ -471,7 +488,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
             entry[f"{stat}_mean"] = sum(counts) / len(counts)
         payload["channels"][_channel_key(d, n)] = entry
         payload["rows"] += len(lams)
-    _update_run_json(cfg, "spectrum", payload)
+    _update_run_json(cfg, doc, "spectrum", payload)
     print(f"wrote {path} ({payload['rows']} rows)")
     return 0
 
@@ -499,7 +516,9 @@ _CERTIFICATES = {
 }
 
 
-def cmd_gaps(cfg: RunConfig) -> int:
+def cmd_gaps(cfg: RunConfig, doc: dict) -> int:
+    if cfg.l_max < 5:
+        raise ValueError(f"gaps needs lmax >= 5, six levels to fit, got {cfg.l_max}")
     tables, cache = _tables(cfg, samples=False)
     theory = _CERTIFICATES["gaps"].exponent(cfg.model.growth_index)
     channels_payload = {}
@@ -515,7 +534,7 @@ def cmd_gaps(cfg: RunConfig) -> int:
         }
         print(f"d={d} n={n}: gap exponent {fit.exponent:.4f} (theory {theory:.4f})")
     _update_run_json(
-        cfg, "gaps", {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
+        cfg, doc, "gaps", {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
     )
     return 0
 
@@ -592,12 +611,10 @@ def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
 
 def _check_appendix_base(cfg: RunConfig) -> None:
     """Reject a ladder whose base does not exceed ``U(1/2)`` on the first
-    channel before anything is solved: ``U(1/2) = 4 gamma + V(1/2)``, summed
-    as ``effective_potential`` sums it, bit for bit."""
+    channel before anything is solved."""
+    _load_solver()
     d, n = cfg.channels[0]
-    u_half = 4.0 * Channel(d, n).gamma + sum(
-        t.coefficient * 0.5**t.exponent for t in cfg.model.terms
-    )
+    u_half = effective_potential(Channel(d, n), cfg.model, 0.5)
     if not cfg.appendix_base > u_half:
         raise ValueError(
             f"appendix_base: {cfg.appendix_base:g} does not exceed U(1/2) = {u_half!r} on "
@@ -605,7 +622,7 @@ def _check_appendix_base(cfg: RunConfig) -> None:
         )
 
 
-def cmd_wkb(cfg: RunConfig) -> int:
+def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
     _check_appendix_base(cfg)
     tables, cache = _tables(cfg)
     summaries = []
@@ -624,7 +641,7 @@ def cmd_wkb(cfg: RunConfig) -> int:
         "langer": _langer_payload(cfg, tables[first], Channel(*first)),
         "cache": cache,
     }
-    _update_run_json(cfg, "wkb", payload)
+    _update_run_json(cfg, doc, "wkb", payload)
     amp = channels_payload[_channel_key(*first)]["amplitude"]
     print(f"wrote {path}")
     print(
@@ -635,11 +652,14 @@ def cmd_wkb(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_probe(cfg: RunConfig) -> int:
-    if cfg.l_range[1] > cfg.l_max:
-        raise ValueError(
-            f"lrange {cfg.l_range} needs lmax >= {cfg.l_range[1]}, got {cfg.l_max}"
-        )
+def cmd_probe(cfg: RunConfig, doc: dict) -> int:
+    # checked before the solve: probe_G needs the window weight at the
+    # table's top level below 1e-14, and at tau = lam_lmax it is khat(0) = 1
+    lo, hi = cfg.l_range
+    if not hi < cfg.l_max:
+        raise ValueError(f"lrange {cfg.l_range} needs lmax > {hi}, got {cfg.l_max}")
+    if hi - lo + 1 < 10:
+        raise ValueError(f"lrange {cfg.l_range} holds {hi - lo + 1} levels; the fit needs ten")
     tables, cache = _tables(cfg)
     theory = _CERTIFICATES["probe"].exponent(cfg.model.growth_index)
     rows = []
@@ -663,6 +683,7 @@ def cmd_probe(cfg: RunConfig) -> int:
     path = write_csv(cfg.out_dir / "probe.csv", PROBE_CSV_HEADER, rows)
     _update_run_json(
         cfg,
+        doc,
         "probe",
         {
             "channels": channels_payload,
@@ -685,7 +706,7 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
     return snapped
 
 
-def cmd_kernel(cfg: RunConfig) -> int:
+def cmd_kernel(cfg: RunConfig, doc: dict) -> int:
     tables, cache = _tables(cfg)
     table = tables[cfg.channels[0]]
     cap = min(cfg.kernel_levels, len(table.eigenvalues) - 1)
@@ -718,7 +739,7 @@ def cmd_kernel(cfg: RunConfig) -> int:
         "snapped_s": ss,
         "cache": cache,
     }
-    _update_run_json(cfg, "kernel", payload)
+    _update_run_json(cfg, doc, "kernel", payload)
     print(f"wrote {path}")
     print(
         f"parseval {payload['parseval']:.9f} (expect {cap + 1}); "
@@ -755,9 +776,7 @@ def _row_status(theory: float, fitted: dict, tol: float, mode: str) -> str:
     return "pass"
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    run_path = cfg.out_dir / "run.json"
-    doc = json.loads(run_path.read_text()) if run_path.exists() else {}
+def cmd_report(cfg: RunConfig, doc: dict) -> int:
     stored_cfg = doc.get("config", _config_dict(cfg))
     meta = doc["meta"] if "meta" in doc else _meta_dict({})
     results = doc.get("results", {})
@@ -848,7 +867,8 @@ def main(argv=None) -> int:
         if args.cmd is None:
             parser.print_help()
             return 1
-        return _COMMANDS[args.cmd][0](resolve_config(args))
+        cfg = resolve_config(args)
+        return _COMMANDS[args.cmd][0](cfg, _read_run_json(cfg))
     except (ValueError, configparser.Error) as exc:  # a malformed config file too
         print(f"error: {exc}", file=sys.stderr)
         return 1

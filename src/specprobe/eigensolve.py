@@ -42,10 +42,11 @@ the discrete eigenvectors.
 
 A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
 and the per-level solver counters and corrections; an ``EigenPair``'s node
-count and value and slope at ``r = 1`` are derived from its row.  The
-cache, format version 3, lists eigenvalues, counters and corrections in
-a JSON record (``formats.SpectrumRecord``) beside one ``.npy`` of
-samples.
+count and value and slope at ``r = 1`` are derived from its row.  A
+``RadialGrid`` is ``(r_min, h, n_points)``; its far end ``r_max`` is
+derived.  The cache, format version 3, lists the grid, eigenvalues,
+counters and corrections in a JSON record (``formats.SpectrumRecord``)
+beside one ``.npy`` of samples that takes the record's name.
 """
 
 from __future__ import annotations
@@ -113,20 +114,21 @@ class RadialGrid:
     """Uniform radial grid ``r_i = r_min + i h`` with ``r = 1`` on a node."""
 
     r_min: float
-    r_max: float
     h: float
     n_points: int
 
     def __post_init__(self):
         if self.n_points < 9:
             raise ValueError("grid needs at least nine points")
-        if not (0.0 < self.r_min < self.r_max) or self.h <= 0.0:
-            raise ValueError("need 0 < r_min < r_max and h > 0")
-        span = self.r_min + (self.n_points - 1) * self.h
-        if abs(span - self.r_max) > 1e-9 * self.r_max:
-            raise ValueError("r_max inconsistent with r_min + (n-1) h")
+        if not (0.0 < self.r_min < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError("need finite r_min > 0 and h > 0")
         if self.n_points % 2 == 0:
             raise ValueError("need an odd point count for the composite rule")
+
+    @property
+    def r_max(self) -> float:
+        """The far end, ``r_min + (n_points - 1) h``."""
+        return self.r_min + (self.n_points - 1) * self.h
 
     @cached_property
     def r(self) -> np.ndarray:
@@ -193,9 +195,7 @@ def build_grid(
     n_int = math.ceil((r_far - r_min) / h)
     if n_int % 2 == 1:
         n_int += 1
-    return RadialGrid(
-        r_min=r_min, r_max=r_min + n_int * h, h=h, n_points=n_int + 1
-    )
+    return RadialGrid(r_min=r_min, h=h, n_points=n_int + 1)
 
 
 def boundary_series_small_r(channel: Channel, lam: float, r):
@@ -755,15 +755,13 @@ def solve_spectrum(
 def save_spectrum(table: SpectrumTable, path) -> Path:
     """Persist a table as its JSON record plus a binary sample sidecar."""
     path = Path(path)
-    sidecar = path.with_suffix(".npy")
-    np.save(sidecar, table.samples)
+    np.save(path.with_suffix(".npy"), table.samples)
     g = table.grid
     return SpectrumRecord(
         channel=table.channel,
         model=table.model,
-        grid=(g.r_min, g.r_max, g.h, g.n_points),
+        grid=(g.r_min, g.h, g.n_points),
         tolerances=table.tolerances,
-        samples_file=sidecar.name,
         eigenvalues=tuple(table.eigenvalues.tolist()),
         sweeps=table.sweeps,
         bisections=table.bisections,
@@ -780,7 +778,7 @@ def load_spectrum(path) -> SpectrumTable:
         model=record.model,
         grid=RadialGrid(*record.grid),
         eigenvalues=np.array(record.eigenvalues, dtype=float),
-        samples=np.load(path.parent / record.samples_file),
+        samples=np.load(path.with_suffix(".npy")),
         sweeps=record.sweeps,
         bisections=record.bisections,
         shifts=record.shifts,

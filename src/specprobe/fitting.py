@@ -23,9 +23,6 @@ class PowerLawFit:
     exponent: float
     log_intercept: float
     r_squared: float
-    index_window: tuple[int, int]
-    value_window: tuple[float, float]
-    n_points: int
 
 
 def fit_power_law(
@@ -72,15 +69,7 @@ def fit_power_law(
         r_squared = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    xs = [x for x, _ in used]
-    return PowerLawFit(
-        exponent=slope,
-        log_intercept=intercept,
-        r_squared=r_squared,
-        index_window=(i0, i1),
-        value_window=(min(xs), max(xs)),
-        n_points=n,
-    )
+    return PowerLawFit(exponent=slope, log_intercept=intercept, r_squared=r_squared)
 
 
 def gap_scaling(eigenvalues: Sequence[float], window: tuple[int, int] | None = None) -> PowerLawFit:

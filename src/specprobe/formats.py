@@ -5,7 +5,9 @@ doubles exactly, so repeated runs with identical inputs produce
 byte-identical files.
 
 A cached spectrum table is a JSON record, format version
-``SPECTRUM_FORMAT_VERSION``, beside one ``.npy`` file of samples.
+``SPECTRUM_FORMAT_VERSION``, beside one ``.npy`` file of samples that
+takes the record's name with the suffix ``.npy``.  The grid is its
+``r_min``, step ``h`` and point count; its far end follows from them.
 ``SpectrumRecord`` is the record without the samples: it is written and
 read here without numpy, so the command line checks a cache, and fits its
 eigenvalues, before it loads numpy; ``eigensolve`` adds the samples.
@@ -49,13 +51,12 @@ class SpectrumFormatError(ValueError):
 
 class SpectrumRecord(NamedTuple):
     """A cached table's JSON record: everything but the samples, which sit
-    in ``samples_file`` beside it."""
+    beside it in the ``.npy`` file of the same name."""
 
     channel: Channel
     model: PotentialModel
-    grid: tuple[float, float, float, int]  # r_min, r_max, h, n_points
+    grid: tuple[float, float, int]  # r_min, h, n_points
     tolerances: dict
-    samples_file: str
     eigenvalues: tuple[float, ...]
     sweeps: tuple[int, ...]
     bisections: tuple[int, ...]
@@ -72,15 +73,14 @@ class SpectrumRecord(NamedTuple):
 
     def write(self, path) -> Path:
         """Write the record as JSON to ``path``."""
-        r_min, r_max, h, n_points = self.grid
+        r_min, h, n_points = self.grid
         doc = {
             "format_version": SPECTRUM_FORMAT_VERSION,
             "model": self.model.spec_string,
             "d": self.channel.d,
             "n": self.channel.n,
-            "grid": {"r_min": r_min, "r_max": r_max, "h": h, "n_points": n_points},
+            "grid": {"r_min": r_min, "h": h, "n_points": n_points},
             "tolerances": self.tolerances,
-            "samples_file": self.samples_file,
             "levels": {
                 "lambda": list(self.eigenvalues),
                 "sweeps": list(self.sweeps),
@@ -97,8 +97,9 @@ def read_spectrum_record(path) -> SpectrumRecord:
     """The record at ``path``; ``SpectrumFormatError`` for another format
     version, and ``ValueError``, ``KeyError`` or ``TypeError`` for a
     malformed one: not a JSON object, or per-level lists of unequal
-    lengths.  Keys it does not read, such as the ``threshold_radius`` and
-    ``harmonic`` of older records, are ignored."""
+    lengths.  Keys it does not read, such as the ``threshold_radius``,
+    ``harmonic``, ``samples_file`` and ``grid.r_max`` of older records, are
+    ignored."""
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the record is not a JSON object")
@@ -114,9 +115,8 @@ def read_spectrum_record(path) -> SpectrumRecord:
     return SpectrumRecord(
         channel=Channel(doc["d"], doc["n"]),
         model=PotentialModel.from_spec(doc["model"]),
-        grid=(g["r_min"], g["r_max"], g["h"], g["n_points"]),
+        grid=(g["r_min"], g["h"], g["n_points"]),
         tolerances=doc["tolerances"],
-        samples_file=doc["samples_file"],
         eigenvalues=tuple(float(lam) for lam in lams),
         sweeps=tuple(sweeps),
         bisections=tuple(bisections),

@@ -6,7 +6,9 @@ The probe pairs the spectral window with modulated bump overlaps,
 
 evaluated along the resonant sequence tau = lam_l, j = k = sqrt(lam_l).
 The boundary amplitude prediction makes |G| decay no faster than
-lam^(-1/(2c)), the quantitative obstruction to C^1 smoothing.
+lam^(-1/(2c)), the quantitative obstruction to C^1 smoothing.  Along that
+sequence ``tau``, ``j`` and ``k`` are functions of the level's eigenvalue,
+so a ``ProbePoint`` and a ``probe.csv`` row hold ``lam`` alone.
 """
 
 from __future__ import annotations
@@ -46,13 +48,16 @@ class TestFunction:
 
     center: float
     halfwidth: float
-    support: tuple[float, float]
     samples: np.ndarray
     mass: float
 
     def __post_init__(self):
         if self.mass <= 0.0:
             raise ValueError("bump mass must be positive")
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.center - self.halfwidth, self.center + self.halfwidth
 
 
 @dataclass(frozen=True)
@@ -92,13 +97,7 @@ def make_bump(center: float, halfwidth: float, grid) -> TestFunction:
     inside = np.abs(u) < 1.0
     samples[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
     mass = float(grid.simpson_weights @ samples)
-    return TestFunction(
-        center=center,
-        halfwidth=halfwidth,
-        support=(lo, hi),
-        samples=samples,
-        mass=mass,
-    )
+    return TestFunction(center=center, halfwidth=halfwidth, samples=samples, mass=mass)
 
 
 def overlap(tf: TestFunction, phase: float, pair, grid):
@@ -184,10 +183,10 @@ def isolation_check(table, level: int, window: WindowSpec) -> float:
 
 
 class ProbePoint(NamedTuple):
+    """``G`` at ``tau = lam``, ``j = k = sqrt(lam)`` of one level."""
+
     level: int
-    tau: float
-    j: float
-    k: float
+    lam: float
     G: complex
     predicted_magnitude: float
     isolation: float
@@ -232,17 +231,7 @@ def probe_sequence(
         c_re = rephased_amplitude(extract_C_lambda(pair, channel, model), lam)
         predicted = abs(c_re) ** 2 * phi.mass * psi.mass / (4.0 * root)
         iso = isolation_check(table, level, window)
-        points.append(
-            ProbePoint(
-                level=level,
-                tau=lam,
-                j=root,
-                k=root,
-                G=g,
-                predicted_magnitude=predicted,
-                isolation=iso,
-            )
-        )
+        points.append(ProbePoint(level, lam, g, predicted, iso))
         fit_data.append((lam, abs(g)))
         lower = min(lower, abs(g) * (1.0 + lam + 2.0 * root) ** inv_two_c)
     return ProbeSequence(
@@ -255,9 +244,6 @@ PROBE_CSV_HEADER = [
     "n",
     "l",
     "lambda",
-    "tau",
-    "j",
-    "k",
     "reG",
     "imG",
     "absG",
@@ -277,10 +263,7 @@ def probe_rows(table, sequence: ProbeSequence) -> list:
                 str(table.channel.d),
                 str(table.channel.n),
                 str(p.level),
-                fmt(p.tau),
-                fmt(p.tau),
-                fmt(p.j),
-                fmt(p.k),
+                fmt(p.lam),
                 fmt(p.G.real),
                 fmt(p.G.imag),
                 fmt(abs(p.G)),

@@ -215,7 +215,8 @@ def test_criterion_10_probe_lower_bound(quartic_n0, quartic_n1):
         worst_excess = 0.0
         for p in seq.points:
             pair = table.pair(p.level)
-            dom = overlap(phi, p.j, pair, grid) * overlap(psi, -p.k, pair, grid)
+            root = math.sqrt(p.lam)
+            dom = overlap(phi, root, pair, grid) * overlap(psi, -root, pair, grid)
             worst_excess = max(worst_excess, abs(p.G - dom) - 5.0 * p.isolation)
         ok = (
             ok

@@ -25,7 +25,7 @@ def clean_env(monkeypatch):
 def workspace(tmp_path_factory):
     """One small full pipeline shared by the read-only assertions."""
     out = tmp_path_factory.mktemp("ws")
-    base = ["--model", "1*r^4", "--d", "3", "--n", "0", "--lmax", "14", "--out", str(out)]
+    base = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--out", str(out)]
     assert main(["spectrum"] + base) == 0
     assert main(["gaps", "--fit-top", "10"] + base) == 0
     assert (
@@ -131,6 +131,22 @@ class TestArgumentErrors:
         assert "unknown config key(s) threshold_radius" in capsys.readouterr().err
         assert not (tmp_path / "run.json").exists()
 
+    @pytest.mark.parametrize("key, value", [("d", "3"), ("n", "0")])
+    def test_channel_parts_are_unknown(self, tmp_path, capsys, key, value):
+        # the channels are named one way, as a d:n list
+        assert main(["validate", f"--{key}", value, "--out", str(tmp_path)]) == 1
+        assert f"unrecognized arguments: --{key} {value}" in capsys.readouterr().err
+        cfgfile = tmp_path / "old.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert main(["validate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.cfg"]
+
+    @pytest.mark.parametrize("channels", ["", "3:0,"])
+    def test_empty_channel_rejected(self, tmp_path, capsys, channels):
+        assert main(["validate", "--channels", channels, "--out", str(tmp_path)]) == 1
+        assert "channels: must look like d:n, got ''" in capsys.readouterr().err
+
     def test_decay_margin_is_unknown(self, tmp_path, capsys):
         # the grid ends where the inward sweep's decay bound places it
         assert main(["spectrum", "--decay-margin", "35", "--out", str(tmp_path)]) == 1
@@ -226,7 +242,7 @@ class TestArtifacts:
 
     def test_probe_rows(self, workspace):
         lines = (workspace / "probe.csv").read_text().splitlines()
-        assert lines[0] == "d,n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
+        assert lines[0] == "d,n,l,lambda,reG,imG,absG,predicted_abs,isolation"
         assert len(lines) == 12
 
     def test_kernel_rows(self, workspace):
@@ -314,7 +330,7 @@ class TestMultiTermReport:
 
 class TestCaching:
     def test_cache_reused_for_smaller_lmax(self, tmp_path):
-        base = ["--d", "3", "--n", "0", "--out", str(tmp_path)]
+        base = ["--channels", "3:0", "--out", str(tmp_path)]
         assert main(["spectrum", "--lmax", "8"] + base) == 0
         cache = tmp_path / "spectrum_d3_n0.npy"
         stamp = cache.stat().st_mtime_ns
@@ -324,12 +340,12 @@ class TestCaching:
         assert len(lines) == 8
 
     def test_cache_not_reused_for_a_nearby_model(self, tmp_path):
-        base = ["--d", "3", "--n", "0", "--lmax", "2", "--out", str(tmp_path)]
+        base = ["--channels", "3:0", "--lmax", "2", "--out", str(tmp_path)]
         assert main(["spectrum", "--model", "1*r^4"] + base) == 0
         assert main(["spectrum", "--model", "1.0000004*r^4"] + base) == 0
         near = (tmp_path / "spectrum.csv").read_text().splitlines()[1].split(",")[3]
         fresh = tmp_path / "fresh"
-        assert main(["spectrum", "--model", "1.0000004*r^4", "--d", "3", "--n", "0",
+        assert main(["spectrum", "--model", "1.0000004*r^4", "--channels", "3:0",
                      "--lmax", "2", "--out", str(fresh)]) == 0
         assert near == (fresh / "spectrum.csv").read_text().splitlines()[1].split(",")[3]
         doc = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
@@ -387,6 +403,28 @@ class TestCaching:
         for command in ("gaps", "spectrum"):
             assert main([command] + base) == 0
             assert capsys.readouterr().err == "cache: d3_n0 hit\n"
+
+    def test_record_with_r_max_and_samples_file_still_hits(self, tmp_path, capsys):
+        # earlier version-3 records also stored the grid's far end and the
+        # sidecar's name; both follow from the rest, and the reader ignores them
+        from specprobe.eigensolve import load_spectrum
+
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        assert main(["spectrum"] + base) == 0
+        json_path = tmp_path / "spectrum_d3_n0.json"
+        doc = json.loads(json_path.read_text())
+        assert set(doc["grid"]) == {"r_min", "h", "n_points"}
+        assert "samples_file" not in doc
+        table = load_spectrum(json_path)
+        grid = dict(doc["grid"], r_max=table.grid.r_max)
+        json_path.write_text(json.dumps(dict(doc, grid=grid, samples_file="spectrum_d3_n0.npy")))
+        capsys.readouterr()
+        for command in ("gaps", "spectrum"):
+            assert main([command] + base) == 0
+            assert capsys.readouterr().err == "cache: d3_n0 hit\n"
+        old = load_spectrum(json_path)
+        assert old.grid == table.grid
+        assert old.samples.tobytes() == table.samples.tobytes()
 
     def test_record_with_a_decay_margin_is_solved_again(self, tmp_path, capsys):
         # records written while the grid took a decay margin carry it among
@@ -502,7 +540,7 @@ class TestCaching:
             assert results[section]["cache"]["d3_n0"]["hit"] is (section != "spectrum")
 
     def test_cache_rebuilt_on_tolerance_change(self, tmp_path):
-        base = ["--d", "3", "--n", "0", "--out", str(tmp_path)]
+        base = ["--channels", "3:0", "--out", str(tmp_path)]
         assert main(["spectrum", "--lmax", "6"] + base) == 0
         cache = tmp_path / "spectrum_d3_n0.npy"
         stamp = cache.stat().st_mtime_ns
@@ -514,8 +552,6 @@ class TestCaching:
 SETTINGS = [
     ("model", "--model", "1*r^4+0.5*r^6"),
     ("channels", "--channels", "3:0,5:2"),
-    ("d", "--d", "4"),
-    ("n", "--n", "1,2"),
     ("lmax", "--lmax", "12"),
     ("rel_tol", "--rel-tol", "1e-9"),
     ("points_per_wavelength", "--ppw", "300"),
@@ -554,11 +590,9 @@ class TestSurface:
                 "-h", "--help", "--allow-harmonic"
             ]
 
-    @pytest.mark.parametrize("channels", ["3:0,5:2", ""])
-    def test_config_file_and_flags_resolve_alike(self, tmp_path, channels):
+    def test_config_file_and_flags_resolve_alike(self, tmp_path):
         out = str(tmp_path / "o")
         values = {key: value or out for key, _, value in SETTINGS}
-        values["channels"] = channels
         cfgfile = tmp_path / "all.cfg"
         cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
         argv = ["spectrum"]
@@ -567,12 +601,17 @@ class TestSurface:
         from_file = resolve_config(build_parser().parse_args(["spectrum", "--config", str(cfgfile)]))
         from_flags = resolve_config(build_parser().parse_args(argv))
         assert from_file == from_flags
-        assert from_file.channels == (((3, 0), (5, 2)) if channels else ((4, 1), (4, 2)))
+        assert from_file.channels == ((3, 0), (5, 2))
         # every key took effect: no field is left at its default
         default = resolve_config(build_parser().parse_args(["spectrum", "--out", out]))
         same = [f.name for f in dataclasses.fields(default)
                 if getattr(default, f.name) == getattr(from_file, f.name)]
         assert same == ["out_dir"]
+
+    def test_each_setting_is_one_run_config_field(self):
+        fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+        assert sorted(fields) == sorted(row.field for row in cli._KEYS)
+        assert [key for key, _, _ in SETTINGS] == [row.key for row in cli._KEYS]
 
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -691,11 +730,39 @@ class TestKernelGrid:
 
 class TestExitCodes:
     def test_truncated_probe_is_numerical_failure(self, workspace, capsys):
+        # a window five times wider than the default still weighs level 14
+        # from tau = lam_13
         rc = main(
-            ["probe", "--lmax", "14", "--lrange", "4:14", "--out", str(workspace)]
+            ["probe", "--lmax", "14", "--lrange", "4:13", "--sigma", "0.2",
+             "--out", str(workspace)]
         )
         assert rc == 2
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numerical failure: spectrum truncated too early" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # at tau = lam_lmax the top level's window weight is khat(0) = 1
+        (["probe", "--lrange", "20:60", "--lmax", "60"], "lrange (20, 60) needs lmax > 60"),
+        (["probe", "--lrange", "20:25"], "lrange (20, 25) holds 6 levels; the fit needs ten"),
+        (["gaps", "--lmax", "4"], "gaps needs lmax >= 5"),
+    ])
+    def test_fit_windows_checked_before_any_solve(self, tmp_path, capsys, argv, message):
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("spectrum_*"))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{bad", '{"results": [1]}'])
+    @pytest.mark.parametrize("command", ["validate", "gaps", "report"])
+    def test_broken_run_json_is_io_failure_before_any_work(self, tmp_path, capsys, text,
+                                                           command):
+        run_json = tmp_path / "run.json"
+        run_json.write_text(text)
+        assert main([command, "--lmax", "6", "--fit-top", "6", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"i/o failure: {run_json}: not ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        assert run_json.read_text() == text
 
     def test_lrange_beyond_lmax_is_validation_failure(self, tmp_path, capsys):
         rc = main(["probe", "--lmax", "8", "--lrange", "2:12", "--out", str(tmp_path)])

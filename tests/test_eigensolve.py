@@ -79,7 +79,7 @@ def grid_past_decay(channel, model, l_max, decay):
             break
         count *= 2
     n_int = int(reached[0]) + int(reached[0]) % 2  # an even count of steps
-    return es.RadialGrid(grid.r_min, grid.r_min + n_int * grid.h, grid.h, n_int + 1)
+    return es.RadialGrid(grid.r_min, grid.h, n_int + 1)
 
 
 @pytest.fixture(scope="module")
@@ -462,7 +462,7 @@ class TestSolveSpectrum:
         # 8.2 (0.06) level 0 solves; at r_max 9.0 (-0.36) the sign of z no
         # longer follows that of y, and the grid is rejected up front
         rough = lambda r_max: es.RadialGrid(
-            r_min=0.1, r_max=r_max, h=0.05, n_points=round((r_max - 0.1) / 0.05) + 1
+            r_min=0.1, h=0.05, n_points=round((r_max - 0.1) / 0.05) + 1
         )
         pair = es.solve_level(CH30, QUARTIC, 0, grid=rough(8.2))
         assert pair.node_count == 0
@@ -479,7 +479,7 @@ class TestSolveSpectrum:
 class TestDiscretizationInvariants:
     def test_grid_halving_shifts(self, quartic_table):
         g = quartic_table.grid
-        fine = es.RadialGrid(g.r_min, g.r_max, g.h / 2.0, 2 * (g.n_points - 1) + 1)
+        fine = es.RadialGrid(g.r_min, g.h / 2.0, 2 * (g.n_points - 1) + 1)
         for level in (0, 6, 12):
             coarse = quartic_table.pair(level)
             refined = es.solve_level(CH30, QUARTIC, level, grid=fine)
@@ -496,7 +496,7 @@ class TestDiscretizationInvariants:
 
     def test_ode_residual_is_fourth_order(self, quartic_table):
         g = quartic_table.grid
-        fine = es.RadialGrid(g.r_min, g.r_max, g.h / 2.0, 2 * (g.n_points - 1) + 1)
+        fine = es.RadialGrid(g.r_min, g.h / 2.0, 2 * (g.n_points - 1) + 1)
         pair_c = quartic_table.pair(12)
         pair_f = es.solve_level(CH30, QUARTIC, 12, grid=fine)
         r_c = ode_residual(pair_c, CH30, QUARTIC, g)

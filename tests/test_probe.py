@@ -252,11 +252,11 @@ def sequence(quartic_n0):
 
 
 class TestProbeSequence:
-    def test_point_structure(self, sequence):
+    def test_point_structure(self, sequence, quartic_n0):
         assert len(sequence.points) == 31
         first = sequence.points[0]
         assert first.level == 20
-        assert first.j == first.k == pytest.approx(math.sqrt(first.tau), rel=1e-15)
+        assert first.lam == quartic_n0.eigenvalues[20]
 
     def test_fitted_exponent_near_minus_quarter(self, sequence):
         assert sequence.fit.exponent == pytest.approx(-0.25, abs=0.05)
@@ -270,9 +270,8 @@ class TestProbeSequence:
         psi = pr.make_bump(1.5, 0.2, grid)
         for p in sequence.points[::6]:
             pair = quartic_n0.pair(p.level)
-            dom = pr.overlap(phi, p.j, pair, grid) * pr.overlap(
-                psi, -p.k, pair, grid
-            )
+            root = math.sqrt(p.lam)
+            dom = pr.overlap(phi, root, pair, grid) * pr.overlap(psi, -root, pair, grid)
             assert abs(p.G - dom) <= 5.0 * p.isolation + 1e-280
 
     def test_magnitude_tracks_prediction(self, sequence):
@@ -303,10 +302,10 @@ class TestProbeSequence:
         out = tmp_path / "probe.csv"
         write_csv(out, pr.PROBE_CSV_HEADER, pr.probe_rows(quartic_n0, sequence))
         lines = out.read_text().splitlines()
-        assert lines[0] == "d,n,l,lambda,tau,j,k,reG,imG,absG,predicted_abs,isolation"
+        assert lines[0] == "d,n,l,lambda,reG,imG,absG,predicted_abs,isolation"
         assert len(lines) == 32
         row = lines[1].split(",")
         assert (int(row[0]), int(row[1]), int(row[2])) == (3, 0, 20)
-        assert float(row[10]) == pytest.approx(
+        assert float(row[7]) == pytest.approx(
             sequence.points[0].predicted_magnitude, rel=1e-15
         )
