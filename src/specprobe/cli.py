@@ -55,7 +55,7 @@ from .defaults import (
 )
 from .errors import NumericsError
 from .fitting import fit_power_law, gap_scaling
-from .formats import SpectrumFormatError, SpectrumRecord, read_spectrum_record, write_csv
+from .formats import SpectrumFormatError, read_spectrum_record, write_csv
 from .model import Channel, PotentialModel, validate_assumptions
 
 # submodule -> the names the numeric commands read from it; each needs numpy
@@ -378,9 +378,7 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
     return cfg.out_dir / f"spectrum_{_channel_key(d, n)}.json"
 
 
-def _cached(
-    cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool
-) -> tuple[SpectrumTable | SpectrumRecord | None, str]:
+def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool):
     """The cached spectrum at ``path`` if it serves ``cfg``, else None, and
     why not.  The check reads the JSON record alone; a hit is the table,
     samples loaded, or without ``samples`` the record."""
@@ -410,15 +408,13 @@ def _cached(
         return None, "unreadable"
 
 
-def _tables(
-    cfg: RunConfig, samples: bool = True
-) -> tuple[dict[tuple[int, int], SpectrumTable | SpectrumRecord], dict]:
-    """Every channel's table, reused from its cache when that matches the
-    config, else solved and cached; and per channel, whether the cache hit
-    or why it missed (also one line on stderr) and, on a miss, the wall
-    seconds of the solve.  Without ``samples`` a hit is the cache's record,
-    its eigenvalues, counters and corrections, and numpy loads only for a
-    solve."""
+def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
+    """Every channel's ``SpectrumTable``, reused from its cache when that
+    matches the config, else solved and cached; and per channel, whether
+    the cache hit or why it missed (also one line on stderr) and, on a
+    miss, the wall seconds of the solve.  Without ``samples`` each entry is
+    the table's ``SpectrumRecord`` instead, hit or miss: its eigenvalues,
+    counters and corrections; numpy then loads only for a solve."""
     if samples:
         _load_solver()
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
@@ -433,6 +429,8 @@ def _tables(
             table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
             entry = {"hit": False, "reason": why, "solve_s": time.perf_counter() - start}
             save_spectrum(table, path)
+            if not samples:
+                table = table.record
         tables[(d, n)] = table
         cache[_channel_key(d, n)] = entry
     print("cache: " + ", ".join(
@@ -480,10 +478,10 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
             "lambda_max": float(lams[-1]),
             "grid_points": table.grid.n_points,
             # the largest dispersion correction, relative to its eigenvalue
-            "shift_rel_max": float(np.max(np.abs(table.shifts) / lams)),
+            "shift_rel_max": float(np.max(np.abs(table.record.shifts) / lams)),
         }
         for stat in ("sweeps", "bisections"):
-            counts = getattr(table, stat)
+            counts = getattr(table.record, stat)
             entry[f"{stat}_max"] = max(counts)
             entry[f"{stat}_mean"] = sum(counts) / len(counts)
         payload["channels"][_channel_key(d, n)] = entry
@@ -623,6 +621,8 @@ def _check_appendix_base(cfg: RunConfig) -> None:
 
 
 def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
+    if cfg.l_max < 4:
+        raise ValueError(f"wkb needs lmax >= 4, five levels to fit, got {cfg.l_max}")
     _check_appendix_base(cfg)
     tables, cache = _tables(cfg)
     summaries = []
@@ -699,8 +699,14 @@ def cmd_probe(cfg: RunConfig, doc: dict) -> int:
 
 
 def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
+    """Each radius moved to its nearest grid node; a radius more than half
+    a step beyond either end of the grid is an error."""
     snapped = []
     for v in values:
+        if not grid.r_min - grid.h / 2.0 <= v <= grid.r_max + grid.h / 2.0:
+            raise ValueError(
+                f"kernel radius {v:g} lies off the grid [{grid.r_min!r}, {grid.r_max!r}]"
+            )
         idx = int(np.argmin(np.abs(grid.r - v)))
         snapped.append(float(grid.r[idx]))
     return snapped

@@ -40,13 +40,14 @@ levels, its level spacing from ``wkb.allowed_integrals``), which leaves
 about 4e-11 relative error at 180 points per wavelength; the samples stay
 the discrete eigenvectors.
 
-A ``SpectrumTable`` stores the eigenvalues ``(L,)``, the samples ``(L, N)``
-and the per-level solver counters and corrections; an ``EigenPair``'s node
-count and value and slope at ``r = 1`` are derived from its row.  A
-``RadialGrid`` is ``(r_min, h, n_points)``; its far end ``r_max`` is
-derived.  The cache, format version 3, lists the grid, eigenvalues,
-counters and corrections in a JSON record (``formats.SpectrumRecord``)
-beside one ``.npy`` of samples that takes the record's name.
+A ``SpectrumTable`` is its cache record (``formats.SpectrumRecord``:
+channel, model, ``RadialGrid``, solver settings, and the per-level
+eigenvalues, counters and corrections) plus the samples ``(L, N)``; the
+table reads its channel, model and grid through the record and holds the
+eigenvalues as an array of the record's.  An ``EigenPair``'s node count
+and value and slope at ``r = 1`` are derived from its row.  The cache,
+format version 3, is the record as JSON beside one ``.npy`` of samples
+that takes the record's name.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
     MIN_POINTS_PER_WAVELENGTH,
 )
 from .errors import BracketError, ConsistencyError
-from .formats import SpectrumRecord, read_spectrum_record
+from .formats import RadialGrid, SpectrumRecord, read_spectrum_record
 from .potential import Channel, PotentialModel, effective_potential
 # not called here any more; the name stays because specbench/tracing.py
 # wraps it, and test_benchmark_tooling requires every wrapped name to resolve
@@ -109,47 +110,6 @@ NEWTON_SETTLED = 1e-3
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid ``r_i = r_min + i h`` with ``r = 1`` on a node."""
-
-    r_min: float
-    h: float
-    n_points: int
-
-    def __post_init__(self):
-        if self.n_points < 9:
-            raise ValueError("grid needs at least nine points")
-        if not (0.0 < self.r_min < math.inf and 0.0 < self.h < math.inf):
-            raise ValueError("need finite r_min > 0 and h > 0")
-        if self.n_points % 2 == 0:
-            raise ValueError("need an odd point count for the composite rule")
-
-    @property
-    def r_max(self) -> float:
-        """The far end, ``r_min + (n_points - 1) h``."""
-        return self.r_min + (self.n_points - 1) * self.h
-
-    @cached_property
-    def r(self) -> np.ndarray:
-        return self.r_min + self.h * np.arange(self.n_points)
-
-    @cached_property
-    def simpson_weights(self) -> np.ndarray:
-        w = np.full(self.n_points, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        return w * (self.h / 3.0)
-
-    def index_of(self, value: float) -> int:
-        i = int(round((value - self.r_min) / self.h))
-        if not (0 <= i < self.n_points):
-            raise ValueError(f"radius {value} outside the grid")
-        if abs(self.r_min + i * self.h - value) > 1e-6 * self.h:
-            raise ValueError(f"radius {value} does not sit on a grid node")
-        return i
-
-
 def build_grid(
     channel: Channel,
     model: PotentialModel,
@@ -168,7 +128,7 @@ def build_grid(
     """
     if points_per_wavelength < MIN_POINTS_PER_WAVELENGTH:
         raise ValueError("points_per_wavelength must be at least 40")
-    big_t = turning_points(channel, model, lam_max).T  # validates lam_max
+    big_t = turning_points(channel, model, lam_max)  # validates lam_max
 
     # the decay int sqrt(U - lam_max) past T, over the pieces
     # [T, 1.05 T + 0.5] and then each 1.2 times the last, summed in order
@@ -615,31 +575,40 @@ def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections, shift=
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Levels ``0 .. L-1`` of one channel on a shared grid, one row each."""
+    """Levels ``0 .. L-1`` of one channel on a shared grid: the cache record
+    and one row of samples per level."""
 
-    channel: Channel
-    model: PotentialModel
-    grid: RadialGrid
-    eigenvalues: np.ndarray
+    record: SpectrumRecord
     samples: np.ndarray
-    sweeps: tuple[int, ...]
-    bisections: tuple[int, ...]
-    shifts: tuple[float, ...]
-    tolerances: dict
 
     def __post_init__(self):
-        count = len(self.eigenvalues)
-        shape = (count, self.grid.n_points)
-        per_level = (self.sweeps, self.bisections, self.shifts)
-        if self.samples.shape != shape or any(len(x) != count for x in per_level):
-            raise ValueError(f"table arrays do not hold {count} levels on the grid")
+        shape = (len(self.record.eigenvalues), self.grid.n_points)
+        if self.samples.shape != shape:
+            raise ValueError(f"samples do not hold {shape[0]} levels on the grid")
+
+    @property
+    def channel(self) -> Channel:
+        return self.record.channel
+
+    @property
+    def model(self) -> PotentialModel:
+        return self.record.model
+
+    @property
+    def grid(self) -> RadialGrid:
+        return self.record.grid
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.array(self.record.eigenvalues, dtype=float)
 
     def pair(self, level: int) -> EigenPair:
         if not 0 <= level < len(self.eigenvalues):
             raise IndexError(f"level {level} outside 0..{len(self.eigenvalues) - 1}")
+        rec = self.record
         return _eigenpair(
             self.grid, level, self.eigenvalues[level], self.samples[level],
-            self.sweeps[level], self.bisections[level], self.shifts[level],
+            rec.sweeps[level], rec.bisections[level], rec.shifts[level],
         )
 
     @cached_property
@@ -649,14 +618,7 @@ class SpectrumTable:
 
     def truncated(self, count: int) -> "SpectrumTable":
         """The table of the first ``count`` levels."""
-        return dataclasses.replace(
-            self,
-            eigenvalues=self.eigenvalues[:count],
-            samples=self.samples[:count],
-            sweeps=self.sweeps[:count],
-            bisections=self.bisections[:count],
-            shifts=self.shifts[:count],
-        )
+        return SpectrumTable(self.record.truncated(count), self.samples[:count])
 
 
 def _action_guess(channel: Channel, model: PotentialModel, level: int):
@@ -739,51 +701,30 @@ def solve_spectrum(
         bisections.append(pair.bisections)
     lams = np.array(lams)
     shifts = _dispersion_shifts(shooter, lams)
-    return SpectrumTable(
+    record = SpectrumRecord(
         channel=channel,
         model=model,
         grid=grid,
-        eigenvalues=lams + shifts,
-        samples=samples,
+        tolerances={"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength},
+        eigenvalues=tuple((lams + shifts).tolist()),
         sweeps=tuple(sweeps),
         bisections=tuple(bisections),
         shifts=tuple(shifts.tolist()),
-        tolerances={"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength},
     )
+    return SpectrumTable(record, samples)
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:
     """Persist a table as its JSON record plus a binary sample sidecar."""
     path = Path(path)
     np.save(path.with_suffix(".npy"), table.samples)
-    g = table.grid
-    return SpectrumRecord(
-        channel=table.channel,
-        model=table.model,
-        grid=(g.r_min, g.h, g.n_points),
-        tolerances=table.tolerances,
-        eigenvalues=tuple(table.eigenvalues.tolist()),
-        sweeps=table.sweeps,
-        bisections=table.bisections,
-        shifts=table.shifts,
-    ).write(path)
+    return table.record.write(path)
 
 
 def load_spectrum(path) -> SpectrumTable:
     """The table saved at ``path``: its record and its samples."""
     path = Path(path)
-    record = read_spectrum_record(path)
-    return SpectrumTable(
-        channel=record.channel,
-        model=record.model,
-        grid=RadialGrid(*record.grid),
-        eigenvalues=np.array(record.eigenvalues, dtype=float),
-        samples=np.load(path.with_suffix(".npy")),
-        sweeps=record.sweeps,
-        bisections=record.bisections,
-        shifts=record.shifts,
-        tolerances=record.tolerances,
-    )
+    return SpectrumTable(read_spectrum_record(path), np.load(path.with_suffix(".npy")))
 
 
 def export_spectrum_csv(tables: Sequence[SpectrumTable], path) -> Path:

@@ -6,16 +6,23 @@ byte-identical files.
 
 A cached spectrum table is a JSON record, format version
 ``SPECTRUM_FORMAT_VERSION``, beside one ``.npy`` file of samples that
-takes the record's name with the suffix ``.npy``.  The grid is its
-``r_min``, step ``h`` and point count; its far end follows from them.
-``SpectrumRecord`` is the record without the samples: it is written and
-read here without numpy, so the command line checks a cache, and fits its
-eigenvalues, before it loads numpy; ``eigensolve`` adds the samples.
+takes the record's name with the suffix ``.npy``.  ``SpectrumRecord`` is
+the one declaration of a table's layout: channel, model, grid, solver
+settings and the per-level eigenvalues, counters and corrections.  Its
+grid is a ``RadialGrid``, ``(r_min, h, n_points)`` with the far end
+derived, built on reading, so the grid's own checks judge every record.
+The record is written and read here without numpy (the grid's arrays
+import it when first read), so the command line checks a cache, and fits
+its eigenvalues, before it loads numpy; ``eigensolve.SpectrumTable`` is
+the record plus the samples.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -24,6 +31,7 @@ from .model import Channel, PotentialModel
 __all__ = [
     "fmt",
     "write_csv",
+    "RadialGrid",
     "SPECTRUM_FORMAT_VERSION",
     "SpectrumFormatError",
     "SpectrumRecord",
@@ -45,6 +53,51 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Pat
     return path
 
 
+@dataclass(frozen=True)
+class RadialGrid:
+    """Uniform radial grid ``r_i = r_min + i h`` with ``r = 1`` on a node."""
+
+    r_min: float
+    h: float
+    n_points: int
+
+    def __post_init__(self):
+        if self.n_points < 9:
+            raise ValueError("grid needs at least nine points")
+        if not (0.0 < self.r_min < math.inf and 0.0 < self.h < math.inf):
+            raise ValueError("need finite r_min > 0 and h > 0")
+        if self.n_points % 2 == 0:
+            raise ValueError("need an odd point count for the composite rule")
+
+    @property
+    def r_max(self) -> float:
+        """The far end, ``r_min + (n_points - 1) h``."""
+        return self.r_min + (self.n_points - 1) * self.h
+
+    @cached_property
+    def r(self):
+        import numpy as np
+
+        return self.r_min + self.h * np.arange(self.n_points)
+
+    @cached_property
+    def simpson_weights(self):
+        import numpy as np
+
+        w = np.full(self.n_points, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        return w * (self.h / 3.0)
+
+    def index_of(self, value: float) -> int:
+        i = int(round((value - self.r_min) / self.h))
+        if not (0 <= i < self.n_points):
+            raise ValueError(f"radius {value} outside the grid")
+        if abs(self.r_min + i * self.h - value) > 1e-6 * self.h:
+            raise ValueError(f"radius {value} does not sit on a grid node")
+        return i
+
+
 class SpectrumFormatError(ValueError):
     """A saved table in a format version other than ``SPECTRUM_FORMAT_VERSION``."""
 
@@ -55,7 +108,7 @@ class SpectrumRecord(NamedTuple):
 
     channel: Channel
     model: PotentialModel
-    grid: tuple[float, float, int]  # r_min, h, n_points
+    grid: RadialGrid
     tolerances: dict
     eigenvalues: tuple[float, ...]
     sweeps: tuple[int, ...]
@@ -73,13 +126,13 @@ class SpectrumRecord(NamedTuple):
 
     def write(self, path) -> Path:
         """Write the record as JSON to ``path``."""
-        r_min, h, n_points = self.grid
+        g = self.grid
         doc = {
             "format_version": SPECTRUM_FORMAT_VERSION,
             "model": self.model.spec_string,
             "d": self.channel.d,
             "n": self.channel.n,
-            "grid": {"r_min": r_min, "h": h, "n_points": n_points},
+            "grid": {"r_min": g.r_min, "h": g.h, "n_points": g.n_points},
             "tolerances": self.tolerances,
             "levels": {
                 "lambda": list(self.eigenvalues),
@@ -96,10 +149,10 @@ class SpectrumRecord(NamedTuple):
 def read_spectrum_record(path) -> SpectrumRecord:
     """The record at ``path``; ``SpectrumFormatError`` for another format
     version, and ``ValueError``, ``KeyError`` or ``TypeError`` for a
-    malformed one: not a JSON object, or per-level lists of unequal
-    lengths.  Keys it does not read, such as the ``threshold_radius``,
-    ``harmonic``, ``samples_file`` and ``grid.r_max`` of older records, are
-    ignored."""
+    malformed one: not a JSON object, a grid that fails ``RadialGrid``'s
+    checks, or per-level lists of unequal lengths.  Keys it does not read,
+    such as the ``threshold_radius``, ``harmonic``, ``samples_file`` and
+    ``grid.r_max`` of older records, are ignored."""
     doc = json.loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the record is not a JSON object")
@@ -115,7 +168,7 @@ def read_spectrum_record(path) -> SpectrumRecord:
     return SpectrumRecord(
         channel=Channel(doc["d"], doc["n"]),
         model=PotentialModel.from_spec(doc["model"]),
-        grid=(g["r_min"], g["h"], g["n_points"]),
+        grid=RadialGrid(g["r_min"], g["h"], g["n_points"]),
         tolerances=doc["tolerances"],
         eigenvalues=tuple(float(lam) for lam in lams),
         sweeps=tuple(sweeps),

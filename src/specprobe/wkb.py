@@ -37,7 +37,6 @@ from .specfun import _gl_rule, langer_profile
 from .specfun import integrate_sqrt_singular
 
 __all__ = [
-    "TurningPoints",
     "PhaseZeta",
     "LangerFit",
     "WkbSummary",
@@ -82,11 +81,6 @@ _ZERO_TOL = 1e-10
 # doubling pieces of appendix_error_integral per batch: the quartic ladder
 # takes 14 at each rung, the sextic 10 and the harmonic 20
 _DOUBLINGS = 16
-
-
-class TurningPoints(NamedTuple):
-    T: float  # outer root of gamma/r^2 + V = lam
-    X: float  # root of V = lam
 
 
 class PhaseZeta(NamedTuple):
@@ -212,19 +206,17 @@ def classical_edges(channel: Channel, model: PotentialModel, lams):
     return _inner_edges(channel, model, lams), _outer_edges(channel, model, lams)
 
 
-def turning_points(channel: Channel, model: PotentialModel, lam: float) -> TurningPoints:
-    """Outer classical turning point of ``U`` and bare turning point of ``V``.
+def turning_points(channel: Channel, model: PotentialModel, lam: float) -> float:
+    """Outer classical turning point ``T``: the outer root of ``U = lam``.
 
-    Each is the last float at which the potential does not exceed ``lam``.
-    Raises ``ValueError`` when ``lam`` does not exceed the minimum of the
+    It is the last float at which ``U`` does not exceed ``lam``.  Raises
+    ``ValueError`` when ``lam`` does not exceed the minimum of the
     effective potential by ``_MIN_WELL_DEPTH`` relative: below that depth
-    the classical region is rounding noise for the phase integral.
+    the classical region is rounding noise for the phase integral.  The
+    bare turning point ``X`` of ``V`` is ``_bare_edges``.
     """
     lams = _checked_levels(channel, model, [lam], _potential_min_radius(channel, model))
-    return TurningPoints(
-        T=float(_outer_edges(channel, model, lams)[0]),
-        X=float(_bare_edges(model, lams)[0]),
-    )
+    return float(_outer_edges(channel, model, lams)[0])
 
 
 def allowed_integrals(potential, a, b, lams):
@@ -365,7 +357,7 @@ def phase_and_zeta(
     or 0.8, clear of that.
     """
     rs = np.asarray(r, dtype=float)
-    big_t = turning_points(channel, model, lam).T
+    big_t = turning_points(channel, model, lam)
     below = (rs < big_t) & (np.abs(rs - big_t) > 1e-12 * big_t)
     if np.any(below & (effective_potential(channel, model, rs) >= lam)):
         raise ValueError("r is inside the inner forbidden region")
@@ -471,7 +463,7 @@ def allowed_region_residual(
     lo, hi = window
     if not (0.0 < lo < hi):
         raise ValueError("bad window")
-    big_t = turning_points(channel, model, lam).T
+    big_t = turning_points(channel, model, lam)
     if hi >= big_t:
         raise ValueError("window reaches the turning point")
     r = grid.r
@@ -497,7 +489,7 @@ def langer_residual(pair, channel: Channel, model: PotentialModel, grid) -> Lang
     ``|alpha|``, the matched ``alpha``, and the window.
     """
     lam = pair.lam
-    big_t = turning_points(channel, model, lam).T
+    big_t = turning_points(channel, model, lam)
     lo = max(1.0, 0.5 * big_t)
     hi = 0.98 * big_t
     if lo >= hi:
@@ -585,7 +577,7 @@ def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float)
     adds at most 1e-12 of the total, ``_DOUBLINGS`` pieces at a time
     (``_kinked_integrals``).
     """
-    big_t = turning_points(channel, model, lam).T
+    big_t = turning_points(channel, model, lam)
     if effective_potential(channel, model, 0.5) >= lam:
         raise ThresholdError(
             f"appendix integral needs U(1/2) < lam; lam={lam} too small", lam=lam

@@ -14,6 +14,7 @@ import pytest
 
 from specprobe import cli
 from specprobe.cli import build_parser, main, resolve_config
+from specprobe.formats import read_spectrum_record
 
 
 @pytest.fixture(autouse=True)
@@ -487,6 +488,10 @@ class TestCaching:
             ("unreadable", lambda doc: [], []),
             ("unreadable", lambda doc: dict(doc, levels=dict(
                 doc["levels"], sweeps=doc["levels"]["sweeps"][:-1])), []),
+            # a grid that fails RadialGrid's checks: too few points, an even count
+            ("unreadable", lambda doc: dict(doc, grid=dict(doc["grid"], n_points=4)), []),
+            ("unreadable", lambda doc: dict(doc, grid=dict(
+                doc["grid"], n_points=doc["grid"]["n_points"] + 1)), []),
         ],
     )
 
@@ -710,6 +715,23 @@ class TestKernelGrid:
         with pytest.raises(ValueError, match="holds inf values"):
             parse("-1e308:1e308:1")
 
+    def test_radius_off_the_grid_rejected(self, tmp_path, capsys):
+        # half a step past the far end still snaps to it; farther is an error
+        base = ["kernel", "--lmax", "4", "--levels", "3", "--t", "0", "--s", "1",
+                "--out", str(tmp_path)]
+        assert main(base + ["--r", "1"]) == 0
+        grid = read_spectrum_record(tmp_path / "spectrum_d3_n0.json").grid
+        (tmp_path / "kernel.csv").unlink()
+        for r in (50.0, grid.r_max + 0.6 * grid.h):
+            assert main(base + ["--r", repr(r)]) == 1
+            err = capsys.readouterr().err
+            assert f"kernel radius {r:g} lies off the grid" in err
+            assert repr(grid.r_min) in err and repr(grid.r_max) in err
+            assert not (tmp_path / "kernel.csv").exists()
+        assert main(base + ["--r", repr(grid.r_max + 0.4 * grid.h)]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert doc["results"]["kernel"]["snapped_r"] == [grid.r_max]
+
     def test_negative_times_accepted(self, tmp_path):
         base = ["kernel", "--lmax", "4", "--levels", "3", "--r", "1", "--s", "1"]
         assert main(base + ["--t=-0.5,0,0.5", "--out", str(tmp_path)]) == 0
@@ -745,6 +767,7 @@ class TestExitCodes:
         (["probe", "--lrange", "20:60", "--lmax", "60"], "lrange (20, 60) needs lmax > 60"),
         (["probe", "--lrange", "20:25"], "lrange (20, 25) holds 6 levels; the fit needs ten"),
         (["gaps", "--lmax", "4"], "gaps needs lmax >= 5"),
+        (["wkb", "--lmax", "3"], "wkb needs lmax >= 4"),
     ])
     def test_fit_windows_checked_before_any_solve(self, tmp_path, capsys, argv, message):
         assert main(argv + ["--out", str(tmp_path)]) == 1

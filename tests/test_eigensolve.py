@@ -7,6 +7,7 @@ below re-derives them with nothing shared with the package solver except
 the textbook recurrence.
 """
 
+import dataclasses
 import json
 import math
 
@@ -68,7 +69,7 @@ def grid_past_decay(channel, model, l_max, decay):
     parameter ``lam_max`` reaches ``decay``."""
     grid = es._default_grid(channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH)
     lam_max = 1.1 * es.inverse_action(model, es.quantization_target(channel, l_max) + 2.0)
-    big_t = es.turning_points(channel, model, lam_max).T
+    big_t = es.turning_points(channel, model, lam_max)
     count = grid.n_points
     while True:
         r = grid.r_min + grid.h * np.arange(count)
@@ -128,7 +129,7 @@ class TestBuildGrid:
         kernel = lambda r: np.sqrt(
             np.maximum(effective_potential(channel, model, np.asarray(r)) - lam_max, 0.0)
         )
-        big_t = es.turning_points(channel, model, lam_max).T
+        big_t = es.turning_points(channel, model, lam_max)
         lo, hi = big_t, big_t * 1.05 + 0.5
         decay = integrate_sqrt_singular(kernel, lo, hi, "left", 1e-8)
         while decay < decay_bound:
@@ -348,7 +349,7 @@ class TestSolveSpectrum:
         for table, base in ((osc_n0, 3), (osc_n1, 5)):
             exact = 4.0 * np.arange(len(table.eigenvalues)) + base
             assert np.max(np.abs(table.eigenvalues - exact) / exact) <= 1e-10
-            shifts = np.array(table.shifts)
+            shifts = np.array(table.record.shifts)
             assert np.all(shifts > 0.0)
             assert np.max(np.abs(table.eigenvalues - shifts - exact) / exact) > 1e-10
 
@@ -356,7 +357,7 @@ class TestSolveSpectrum:
         # the table takes every level's shift in one call; solve_level takes
         # one level's through the same function
         shooter = es._Shooter(quartic_n0.channel, quartic_n0.model, quartic_n0.grid)
-        shifts = np.array(quartic_n0.shifts)
+        shifts = np.array(quartic_n0.record.shifts)
         discrete = quartic_n0.eigenvalues - shifts
         for level, lam in enumerate(discrete.tolist()):
             alone = float(es._dispersion_shifts(shooter, [lam])[0])
@@ -510,20 +511,26 @@ class TestDiscretizationInvariants:
 
 
 class TestPersistence:
+    def test_table_is_its_record_and_samples(self, quartic_table):
+        # the layout is declared once, by the record; the table adds the samples
+        assert {f.name for f in dataclasses.fields(es.SpectrumTable)} == {"record", "samples"}
+        record = quartic_table.record
+        assert quartic_table.channel == record.channel
+        assert quartic_table.model == record.model
+        assert quartic_table.grid is record.grid
+        assert quartic_table.eigenvalues.tolist() == list(record.eigenvalues)
+        short = quartic_table.truncated(3)
+        assert short.record == record.truncated(3)
+        assert short.samples.tobytes() == quartic_table.samples[:3].tobytes()
+
     def test_round_trip(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
         loaded = es.load_spectrum(path)
-        assert loaded.channel == quartic_table.channel
-        assert loaded.model.spec_string == quartic_table.model.spec_string
-        assert loaded.grid == quartic_table.grid
-        assert loaded.tolerances == quartic_table.tolerances
+        assert loaded.record == quartic_table.record
         for field in ("eigenvalues", "samples"):
             a, b = getattr(loaded, field), getattr(quartic_table, field)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-        assert loaded.sweeps == quartic_table.sweeps
-        assert loaded.bisections == quartic_table.bisections
-        assert loaded.shifts == quartic_table.shifts
         for a, b in zip(loaded.eigenpairs, quartic_table.eigenpairs):
             assert a.lam == b.lam
             assert a.shift == b.shift

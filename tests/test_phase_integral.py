@@ -64,7 +64,7 @@ def test_zeta_next_to_the_turning_point(offset):
     # lam^(1/4) of r^4 = lam: the bisected T lies about one ulp above it,
     # which is 1.3e-4 of |r - T| at the offset 1e-12.
     channel, model, lam = CASES["quartic 3:0"]
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     root = lam**0.25
     r = big_t * (1.0 + offset)
     zeta = wkb.phase_and_zeta(channel, model, lam, r).zeta
@@ -89,7 +89,7 @@ def random_radii(channel, model, lam, big_t, seed):
 @pytest.mark.parametrize("seed", [11, 12])
 def test_zeta_matches_per_point_quadrature(case, seed):
     channel, model, lam = CASES[case]
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     rs = random_radii(channel, model, lam, big_t, seed)
     mine = wkb._zeta(channel, model, lam, big_t, rs)
     ref = reference_zeta(channel, model, lam, big_t, rs)
@@ -112,7 +112,7 @@ def theta_rule_row(channel, model, lam, lo, hi):
 def test_zeta_single_point_is_the_one_quadrature(case):
     # the one quadrature is the theta rule between r and T, to the bit
     channel, model, lam = CASES[case]
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     for r, sign in ((0.5 * big_t, -1.0), (1.5 * big_t, 1.0)):
         mine = wkb._zeta(channel, model, lam, big_t, np.array([r]))[0]
         lo, hi = min(r, big_t), max(r, big_t)
@@ -127,7 +127,7 @@ def test_zeta_blocks_agree_with_single_radii(case):
     # more radii than one block of the rule: each row is summed on its own,
     # so neither the block a radius falls in nor its row changes a bit
     channel, model, lam = CASES[case]
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     rng = np.random.default_rng(5)
     rs = rng.uniform(0.2 * big_t, 3.0 * big_t, 1400)
     rs = rs[(rs > big_t) | (effective_potential(channel, model, rs) < lam)][:1000]
@@ -159,7 +159,7 @@ def test_zeta_next_to_the_inner_edge(channel, model, lam):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_phase_is_a_difference_of_zetas(case):
     channel, model, lam = CASES[case]
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     rs = random_radii(channel, model, lam, big_t, 7)
     pz = wkb.phase_and_zeta(channel, model, lam, rs)
     ref_1 = reference_zeta(channel, model, lam, big_t, [1.0])[0]

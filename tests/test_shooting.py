@@ -133,7 +133,7 @@ def reference_sweep_y(channel, lam, grid, u, m):
 
 def turning_point_index(channel, model, grid, lam):
     """Match index as the solver used to place it: the node nearest T."""
-    big_t = turning_points(channel, model, lam).T
+    big_t = turning_points(channel, model, lam)
     q = (big_t - grid.r_min) / grid.h
     return min(max(int(round(q)), 3), grid.n_points - 5), q
 
@@ -158,7 +158,7 @@ def _near_eigenvalues(channel, model, shooter, l_max):
     each discrete eigenvalue: there the outward sweep follows the decaying
     tail longest before it turns, so the probe's tail exit comes latest."""
     table = es.solve_spectrum(channel, model, l_max, grid=shooter.grid)
-    discrete = table.eigenvalues - np.array(table.shifts)
+    discrete = table.eigenvalues - np.array(table.record.shifts)
     return [lam * (1.0 + sign * rel)
             for lam in discrete.tolist() for rel in (1e-12, 1e-9, 1e-6) for sign in (-1, 1)]
 
@@ -241,9 +241,9 @@ def test_sweeps_recorded_and_round_tripped(tmp_path):
         assert 0 <= pair.bisections < pair.sweeps
     path = es.save_spectrum(table, tmp_path / "t.json")
     loaded = es.load_spectrum(path)
-    assert loaded.sweeps == table.sweeps
-    assert loaded.bisections == table.bisections
-    assert [p.sweeps for p in loaded.eigenpairs] == list(table.sweeps)
+    assert loaded.record.sweeps == table.record.sweeps
+    assert loaded.record.bisections == table.record.bisections
+    assert [p.sweeps for p in loaded.eigenpairs] == list(table.record.sweeps)
 
 
 @pytest.fixture(scope="module")
@@ -256,9 +256,9 @@ def test_sweep_counts_pinned(quartic_n0, mixed_52):
     # Newton from the cubic in lam^((c+1)/(2c)) through the levels below:
     # 135 sweeps on the quartic (2.2 per level), 76 and 89 on the mixed
     # channels
-    assert sum(quartic_n0.sweeps) <= 140
-    assert sum(es.solve_spectrum(Channel(3, 0), MIXED, 24).sweeps) <= 80
-    assert sum(mixed_52.sweeps) <= 89
+    assert sum(quartic_n0.record.sweeps) <= 140
+    assert sum(es.solve_spectrum(Channel(3, 0), MIXED, 24).record.sweeps) <= 80
+    assert sum(mixed_52.record.sweeps) <= 89
 
 
 def _longdouble_rounding_error(table, level):
@@ -267,7 +267,7 @@ def _longdouble_rounding_error(table, level):
     over the probe's slope.  The sweeps share the start and the seeds."""
     ld = np.longdouble
     shooter = es._Shooter(table.channel, table.model, table.grid)
-    lam = float(table.eigenvalues[level] - table.shifts[level])
+    lam = float(table.eigenvalues[level] - table.record.shifts[level])
     m = shooter.match_index(lam)
     _, _, i0, z0, z1, _ = shooter._start(lam, m)
     n, h = table.grid.n_points, ld(table.grid.h)

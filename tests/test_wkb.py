@@ -38,6 +38,11 @@ CH30 = Channel(3, 0)
 CH31 = Channel(3, 1)
 
 
+def bare_x(model, lam):
+    """The root ``X`` of ``V = lam``."""
+    return float(wkb._bare_edges(model, np.array([lam]))[0])
+
+
 def fake_pair(lam, level=0, f_at_1=0.0, fprime_at_1=0.0, samples=None):
     return types.SimpleNamespace(
         lam=lam, level=level, f_at_1=f_at_1, fprime_at_1=fprime_at_1, samples=samples
@@ -46,16 +51,15 @@ def fake_pair(lam, level=0, f_at_1=0.0, fprime_at_1=0.0, samples=None):
 
 class TestTurningPoints:
     def test_quartic_centrifugal_free(self):
-        pts = wkb.turning_points(CH30, QUARTIC, 16.0)
-        assert pts.T == pytest.approx(2.0, rel=1e-12)
-        assert pts.X == pytest.approx(2.0, rel=1e-12)
+        assert wkb.turning_points(CH30, QUARTIC, 16.0) == pytest.approx(2.0, rel=1e-12)
+        assert bare_x(QUARTIC, 16.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_centrifugal_pulls_t_in(self):
         # gamma/r^2 raises U, so the U = lam root sits inside the V = lam root
-        pts = wkb.turning_points(CH31, QUARTIC, 16.0)
-        assert pts.X == pytest.approx(2.0, rel=1e-12)
-        assert pts.T < pts.X
-        u_t = effective_potential(CH31, QUARTIC, pts.T)
+        big_t, big_x = wkb.turning_points(CH31, QUARTIC, 16.0), bare_x(QUARTIC, 16.0)
+        assert big_x == pytest.approx(2.0, rel=1e-12)
+        assert big_t < big_x
+        u_t = effective_potential(CH31, QUARTIC, big_t)
         assert u_t == pytest.approx(16.0, rel=1e-10)
 
     def test_below_minimum_rejected(self):
@@ -81,11 +85,11 @@ class TestTurningPoints:
     def test_roots_on_the_allowed_side(self, channel, lam):
         # each root is the last float at which the potential is at most the
         # level: f(root) <= 0 < f(next float up)
-        pts = wkb.turning_points(channel, QUARTIC, lam)
         outer = wkb.allowed_interval(channel, QUARTIC, lam)[1]
         for root, f in (
-            (pts.T, lambda r: effective_potential(channel, QUARTIC, r) - lam),
-            (pts.X, lambda r: eval_potential(QUARTIC, r) - lam),
+            (wkb.turning_points(channel, QUARTIC, lam),
+             lambda r: effective_potential(channel, QUARTIC, r) - lam),
+            (bare_x(QUARTIC, lam), lambda r: eval_potential(QUARTIC, r) - lam),
             (outer, lambda r: effective_potential(channel, QUARTIC, r) - 0.5 * lam),
         ):
             assert f(root) <= 0.0 < f(math.nextafter(root, math.inf))
@@ -119,7 +123,7 @@ class TestTableTurningPoints:
             lam = s.lam
             assert u(s.turning_t) <= lam < u(up(s.turning_t))
             assert v(s.turning_x) <= lam < v(up(s.turning_x))
-            assert s.turning_t == wkb.turning_points(channel, model, lam).T
+            assert s.turning_t == wkb.turning_points(channel, model, lam)
             if s.allowed is not None:
                 a, b = s.allowed
                 assert u(b) <= 0.5 * lam < u(up(b))
@@ -283,7 +287,7 @@ class TestActionOverModels:
         lam_ch = wkb.inverse_action(model, target + wkb.quantization_target(CH31, 0))
         (a,), (b,) = wkb.classical_edges(CH31, model, [lam_ch])
         cases = [
-            (CH30, 0.0, wkb.turning_points(CH30, model, lam).X, lam, 1e-12),
+            (CH30, 0.0, bare_x(model, lam), lam, 1e-12),
             (CH31, a, b, lam_ch, 1e-10),
         ]
         for channel, lo, hi, at, tol in cases:
@@ -327,7 +331,7 @@ class TestPhaseZeta:
     def test_phase_turning_consistency(self):
         # phase(T) = Z and zeta(1) = -Z
         lam = 50.0
-        big_t = wkb.turning_points(CH31, QUARTIC, lam).T
+        big_t = wkb.turning_points(CH31, QUARTIC, lam)
         at_t = wkb.phase_and_zeta(CH31, QUARTIC, lam, big_t)
         at_1 = wkb.phase_and_zeta(CH31, QUARTIC, lam, 1.0)
         assert at_1.phase == 0.0
@@ -336,7 +340,7 @@ class TestPhaseZeta:
 
     def test_zeta_sign_convention(self):
         lam = 100.0
-        big_t = wkb.turning_points(CH30, QUARTIC, lam).T
+        big_t = wkb.turning_points(CH30, QUARTIC, lam)
         below = wkb.phase_and_zeta(CH30, QUARTIC, lam, 0.9 * big_t)
         above = wkb.phase_and_zeta(CH30, QUARTIC, lam, 1.1 * big_t)
         assert below.zeta < 0.0 < above.zeta
@@ -482,7 +486,7 @@ def ternary_langer_residual(pair, channel, model, grid):
     """``langer_residual``'s residual and ``alpha`` by a 200-step ternary
     search over ``alpha``, on the same window, samples and profile."""
     lam = pair.lam
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     mask = (grid.r >= max(1.0, 0.5 * big_t)) & (grid.r <= 0.98 * big_t)
     rs = grid.r[mask]
     scaled = pair.samples[mask] * (lam - effective_potential(channel, model, rs)) ** 0.25
@@ -527,7 +531,7 @@ class TestLangerResidual:
     def test_synthetic_profile_recovered(self):
         lam = 144.0
         alpha_true = 0.7
-        big_t = wkb.turning_points(CH30, QUARTIC, lam).T
+        big_t = wkb.turning_points(CH30, QUARTIC, lam)
         grid = synthetic_grid(0.9, 0.99 * big_t, 0.002)
         kernel = lambda r: np.sqrt(np.abs(lam - np.asarray(r) ** 4))
         zetas = np.array(
@@ -555,7 +559,7 @@ def adaptive_appendix(channel, model, lam):
     """``appendix_error_integral`` by one adaptive Gauss-Legendre call per
     piece, the square root at ``T`` substituted away: the same integrand,
     pieces and doubling stop."""
-    big_t = wkb.turning_points(channel, model, lam).T
+    big_t = wkb.turning_points(channel, model, lam)
     near = wkb._scaled_g_near(channel, model, lam, big_t)
 
     def weighted(rs):
@@ -652,7 +656,7 @@ class TestAppendixIntegral:
     def test_interpolant_matches_formula_off_t(self, channel, model, lam):
         # (r - T) g is analytic at T; where the formula's cancellation is
         # mild, the interpolant reproduces it
-        big_t = wkb.turning_points(channel, model, lam).T
+        big_t = wkb.turning_points(channel, model, lam)
         near = wkb._scaled_g_near(channel, model, lam, big_t)
         rs = big_t * np.concatenate([np.linspace(0.9, 0.95, 9), np.linspace(1.05, 1.0999, 9)])
         direct = wkb._scaled_g(channel, model, lam, big_t, rs)
