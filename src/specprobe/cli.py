@@ -22,10 +22,12 @@ before a command does any work: a file that does not hold a JSON object
 is an I/O failure.
 
 numpy and the solver modules load only where a command first needs
-numbers (``_load_solver``): in ``_tables``, for a command that reads the
-samples or solves a spectrum.  ``--version``, ``--help``, an argument or
-config error, ``validate``, ``report`` and ``gaps`` on a cache hit import
-only the standard library and the numpy-free ``defaults``, ``errors``,
+numbers (``_load_solver``), and each command loads only the modules it
+calls: ``eigensolve`` in ``_tables``, for a command that reads the
+samples or solves a spectrum, and ``probe`` or ``kernel`` in its own
+command.  ``--version``, ``--help``, an argument or config error,
+``validate``, ``report`` and ``gaps`` on a cache hit import only the
+standard library and the numpy-free ``defaults``, ``errors``,
 ``fitting``, ``formats`` and ``model``: the assumptions are read off the
 model's exponents, and a cache is checked, and its eigenvalues fitted,
 from its JSON record alone.
@@ -64,36 +66,36 @@ _SOLVER = {
                    "solve_spectrum"),
     "kernel": ("export_kernel_grid", "kernel_matrix", "parseval_check"),
     "potential": ("effective_potential",),
-    "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence"),
+    "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence",
+              "window_hat"),
     "wkb": ("amplitude_scaling", "appendix_error_integral", "export_wkb_csv",
             "langer_residual", "summarize"),
 }
 
 
 @functools.cache
-def _load_solver() -> None:
-    """Bind numpy and the ``_SOLVER`` names into this module, once.
+def _load_solver(module: str) -> None:
+    """Bind numpy and the ``_SOLVER`` names of ``module`` into this module, once.
 
     Parsing, config checks, ``validate``, ``report`` and a cache hit of
-    ``gaps`` need none of them, so ``_tables`` loads them where a command
-    first needs the samples or a solve.  The names stay module attributes
-    that the commands look up at call time, and they are never bound
-    again, so a wrapper set on one of them from outside (a tracer) serves
-    every later command.
+    ``gaps`` need none of them, so each command loads the modules it calls
+    where it first needs them.  The names stay module attributes that the commands look up at
+    call time, and they are never bound again, so a wrapper set on one of
+    them from outside (a tracer) serves every later command.
     """
     global np
     import numpy as np
 
-    for module, names in _SOLVER.items():
-        source = importlib.import_module(f".{module}", __package__)
-        globals().update({name: getattr(source, name) for name in names})
+    source = importlib.import_module(f".{module}", __package__)
+    globals().update({name: getattr(source, name) for name in _SOLVER[module]})
 
 
 def __getattr__(name: str):
     # a solver name read off the module before any command has run; private
     # and dunder lookups never load numpy
     if not name.startswith("_"):
-        _load_solver()
+        for module in _SOLVER:
+            _load_solver(module)
         if name in globals():
             return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -416,7 +418,7 @@ def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
     the table's ``SpectrumRecord`` instead, hit or miss: its eigenvalues,
     counters and corrections; numpy then loads only for a solve."""
     if samples:
-        _load_solver()
+        _load_solver("eigensolve")
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
     tables, cache = {}, {}
     for d, n in cfg.channels:
@@ -424,7 +426,7 @@ def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
         table, why = _cached(cfg, path, Channel(d, n), solver, samples)
         entry = {"hit": True}
         if table is None:
-            _load_solver()
+            _load_solver("eigensolve")
             start = time.perf_counter()
             table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
             entry = {"hit": False, "reason": why, "solve_s": time.perf_counter() - start}
@@ -610,7 +612,7 @@ def _langer_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
 def _check_appendix_base(cfg: RunConfig) -> None:
     """Reject a ladder whose base does not exceed ``U(1/2)`` on the first
     channel before anything is solved."""
-    _load_solver()
+    _load_solver("potential")
     d, n = cfg.channels[0]
     u_half = effective_potential(Channel(d, n), cfg.model, 0.5)
     if not cfg.appendix_base > u_half:
@@ -625,6 +627,7 @@ def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
         raise ValueError(f"wkb needs lmax >= 4, five levels to fit, got {cfg.l_max}")
     _check_appendix_base(cfg)
     tables, cache = _tables(cfg)
+    _load_solver("wkb")
     summaries = []
     channels_payload = {}
     for (d, n), table in tables.items():
@@ -661,6 +664,20 @@ def cmd_probe(cfg: RunConfig, doc: dict) -> int:
     if hi - lo + 1 < 10:
         raise ValueError(f"lrange {cfg.l_range} holds {hi - lo + 1} levels; the fit needs ten")
     tables, cache = _tables(cfg)
+    _load_solver("probe")
+    # and before any probe: the one at tau = lam_hi weighs the top level most
+    mu, (d, n) = min((float(t.eigenvalues[-1] - t.eigenvalues[hi]), key)
+                     for key, t in tables.items())
+    weight = window_hat(WindowSpec(cfg.sigma), mu)
+    if not weight < 1e-14:
+        least = math.sqrt(math.log(1e14)) / mu
+        while not window_hat(WindowSpec(least), mu) < 1e-14:
+            least = math.nextafter(least, math.inf)
+        raise ValueError(
+            f"sigma: {cfg.sigma:g} leaves a window weight of {weight:.3e} at level {cfg.l_max} "
+            f"from the probe at level {hi} on channel {d}:{n}, where the probe needs below "
+            f"1e-14; the least sigma that works is {least!r}"
+        )
     theory = _CERTIFICATES["probe"].exponent(cfg.model.growth_index)
     rows = []
     channels_payload = {}
@@ -714,6 +731,7 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
 
 def cmd_kernel(cfg: RunConfig, doc: dict) -> int:
     tables, cache = _tables(cfg)
+    _load_solver("kernel")
     table = tables[cfg.channels[0]]
     cap = min(cfg.kernel_levels, len(table.eigenvalues) - 1)
     rs = _snap_to_grid(table.grid, cfg.kernel_r)

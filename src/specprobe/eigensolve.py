@@ -17,12 +17,13 @@ Through a centrifugal barrier of more than ``BARRIER_EXPONENT`` of decay
 the outward sweep starts where that much is left, and the samples below
 its start are 0 too.
 
-One probe sweep at a spectral parameter gives the node count of the full
-outward sweep (which jumps at each eigenvalue), the mismatch at a match
-index read off the sampled potential, and the mismatch's slope in ``lam``
+One probe sweep at a spectral parameter gives the mismatch at a match
+index read off the sampled potential, the mismatch's slope in ``lam``
 (Cooley's derivative, Math. Comp. 15, 1961), summed from ``z^2`` during
-the sweep.  Past the turning point the outward sweep stops once ``z``
-grows with one sign, after which the recurrence admits no sign change.
+the sweep, and a node count that jumps at each eigenvalue: the sign
+changes of the outward sweep up to the match index and of the inward one
+from there, plus one where the mismatch is negative (B. R. Johnson,
+J. Chem. Phys. 69, 4678, 1978).  Neither sweep runs past the other.
 A level is refined by safeguarded Newton steps on the mismatch: the node
 counts bracket it, a step off the level's branch becomes a bisection, and
 where rounding stalls Newton above the tolerance the node counts close
@@ -182,16 +183,13 @@ class ShootResult(NamedTuple):
     node_count: int
 
 
-def _sweep(g, z0, z1, keep=None, stop=False):
+def _sweep(g, z0, z1, keep=None):
     """Run Numerov's recurrence ``z2 = g z1 - z0`` on ``z = w y`` over ``g``.
 
     Returns the last two values, the number of sign changes among the new
     values and the sum of their squares; ``keep``, when given, receives
     each new value.  Sweeping inward is the same recurrence on the
-    reversed list.  With ``stop`` the sweep ends before the first new value
-    that carries ``|z|`` further from zero with one sign: the caller
-    guarantees ``g > 2`` (``U > lam``) from that value on, so ``|z|`` would
-    keep growing with that sign and no later value could change sign.
+    reversed list.
     """
     nodes = 0
     s = 0.0
@@ -199,8 +197,6 @@ def _sweep(g, z0, z1, keep=None, stop=False):
         z2 = gi * z1 - z0
         if z1 * z2 < 0.0:
             nodes += 1
-        elif stop and (z2 - z1) * z1 > 0.0:
-            break
         s += z2 * z2
         if keep is not None:
             keep(z2)
@@ -235,7 +231,8 @@ class _Shooter:
         self.i_min = int(np.argmin(self.u))
         self.floor = float(self.u[self.i_min]) * (1.0 + 1e-12) + 1e-12
         # past the minimum of U the weights 1 + h^2 (lam - U)/12 fall to the
-        # grid end; this keeps the last one positive for every lam above it
+        # grid end; this keeps the last one positive for every lam above it,
+        # so the inward sweep's sign changes are those of y
         if grid.h**2 * (self.u[-1] - self.u[self.i_min]) / 12.0 >= 1.0:
             raise ValueError("grid step too coarse for its far end: h^2 (U - min U)/12 >= 1")
 
@@ -303,23 +300,6 @@ class _Shooter:
         g = memoryview(2.0 - 12.0 * t / w)
         return g, w, i0, z0, z1, barrier
 
-    def _tail_nodes(self, g, lam: float, m: int, z0: float, z1: float) -> int:
-        """Sign changes of the outward samples past ``m + 1``, continuing
-        the sweep from its values at ``m`` and ``m + 1``.
-
-        The weights stay positive to the grid end (``_Shooter`` checks the
-        last one), so ``sign z = sign y``, and the sweep stops early from
-        the first node with ``U > lam`` on.
-        """
-        n = self.grid.n_points
-        k_t = self.i_min + int(np.searchsorted(self.u[self.i_min :], lam, side="right"))
-        s = max(m + 1, k_t - 1)
-        z0, z1, nodes, _ = _sweep(g[m + 1 : s], z0, z1)
-        z0, z1, k, _ = _sweep(g[s : n - 1], z0, z1, stop=True)
-        if not (math.isfinite(z0) and math.isfinite(z1)):
-            raise ConsistencyError("outward sweep overflowed past the turning point")
-        return nodes + k
-
     def _shoot(self, lam: float, m: int, keep: bool = False) -> _Probe:
         """Probe sweep at ``lam``, matched at ``m``; see ``_Probe``.
 
@@ -338,9 +318,6 @@ class _Shooter:
         )
         s_out += z0 * z0 + z1 * z1
         zo_p = g[m] * zo_c - zo_m
-        if zo_c * zo_p < 0.0:
-            nodes += 1
-        nodes += self._tail_nodes(g, lam, m, zo_c, zo_p)
 
         # the decaying solution from where INWARD_DECAY of decay from m is
         # reached, or from the far boundary (the samples beyond are 0); its
@@ -354,7 +331,7 @@ class _Shooter:
         z0 = math.ldexp(float(w[end]) * math.exp(-theta), e)
         z1 = math.ldexp(float(w[end - 1]), e)
         inward = [z0, z1] if keep else None
-        zi_p, zi_c, _, s_in = _sweep(g[end - 1 : m : -1], z0, z1, inward.append if keep else None)
+        zi_p, zi_c, k, s_in = _sweep(g[end - 1 : m : -1], z0, z1, inward.append if keep else None)
         s_in += z0 * z0 + z1 * z1
         zi_m = g[m] * zi_c - zi_p
         if not (math.isfinite(zi_m) and math.isfinite(s_in) and math.isfinite(s_out)):
@@ -365,6 +342,9 @@ class _Shooter:
         o_m, o_c, o_p = zo_m / w_m, zo_c / w_c, zo_p / w_p
         i_m, i_c, i_p = zi_m / w_m, zi_c / w_c, zi_p / w_p
         mismatch = (o_p - o_m) / (2.0 * h * o_c) - (i_p - i_m) / (2.0 * h * i_c)
+        # Johnson's count: the sign changes of both sweeps (those of y, the
+        # weights being positive) and one where the mismatch is negative
+        nodes += k + (mismatch < 0.0)
         # node m closes both sums; the trapezoid rule halves it in each
         slope = -h * (s_out / (zo_c * zo_c) + s_in / (zi_c * zi_c) - 1.0)
         result = ShootResult(mismatch=mismatch, node_count=nodes)
@@ -520,9 +500,10 @@ def shoot_mismatch(
 ) -> ShootResult:
     """Log-derivative mismatch at the outer turning point and node count.
 
-    The node count includes the sign flip of the divergent tail, so it
-    equals the number of eigenvalues below ``lam`` except on a vanishing
-    neighbourhood of each eigenvalue.
+    The node count is read where the outward and inward sweeps meet: their
+    sign changes, plus one where the mismatch is negative.  It equals the
+    number of eigenvalues below ``lam`` except where the mismatch is
+    rounding noise, on a vanishing neighbourhood of each eigenvalue.
     """
     if not (math.isfinite(lam) and lam > 0.0):
         raise ValueError("lam must be positive and finite")

@@ -740,7 +740,7 @@ class TestKernelGrid:
     def test_non_finite_deviation_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
         from specprobe import cli
 
-        cli._load_solver()
+        cli._load_solver("kernel")
         exact = cli.kernel_matrix
         monkeypatch.setattr(cli, "kernel_matrix", lambda table, t, radii, cap: (
             exact(table, t, radii, cap) * (math.nan if t < 0.0 else 1.0)))
@@ -751,16 +751,25 @@ class TestKernelGrid:
 
 
 class TestExitCodes:
-    def test_truncated_probe_is_numerical_failure(self, workspace, capsys):
+    @pytest.mark.parametrize("argv", [
         # a window five times wider than the default still weighs level 14
         # from tau = lam_13
-        rc = main(
-            ["probe", "--lmax", "14", "--lrange", "4:13", "--sigma", "0.2",
-             "--out", str(workspace)]
-        )
-        assert rc == 2
+        pytest.param(["--lmax", "14", "--lrange", "4:13", "--sigma", "0.2"], id="sigma0.2"),
+        pytest.param(["--lmax", "30", "--lrange", "5:20", "--sigma", "0.01"], id="sigma0.01"),
+    ])
+    def test_too_wide_window_is_rejected_before_any_probe(self, tmp_path, capsys, argv):
+        base = ["probe", *argv[:4], "--out", str(tmp_path)]
+        assert main(base + argv[4:]) == 1
         err = capsys.readouterr().err
-        assert "numerical failure: spectrum truncated too early" in err
+        assert f"error: sigma: {argv[5]} leaves a window weight of " in err
+        assert not (tmp_path / "probe.csv").exists()
+        # the sigma named is the least that works: the next float below it
+        # is rejected, and it runs the probe
+        least = float(re.search(r"the least sigma that works is (\S+)$", err.strip()).group(1))
+        assert main(base + ["--sigma", repr(math.nextafter(least, 0.0))]) == 1
+        assert not (tmp_path / "probe.csv").exists()
+        assert main(base + ["--sigma", repr(least)]) == 0
+        assert (tmp_path / "probe.csv").is_file()
 
     @pytest.mark.parametrize("argv, message", [
         # at tau = lam_lmax the top level's window weight is khat(0) = 1

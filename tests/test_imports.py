@@ -1,7 +1,8 @@
 """What loads when: the package's names load their submodule on first
 access, and the command line loads numpy and the solver only where a
 command first needs numbers: never for ``validate`` and ``report``, and
-for ``gaps`` only on a cache miss.
+for ``gaps`` only on a cache miss.  A command loads only the solver
+modules it calls: a solve never loads ``kernel`` or ``probe``.
 
 The start-up checks run ``specprobe.cli`` as ``__main__`` in a fresh
 interpreter that prints ``sys.modules`` to stderr at exit, since this
@@ -24,6 +25,8 @@ import specprobe
 ROOT = Path(__file__).resolve().parents[1]
 SOLVER_MODULES = {f"specprobe.{m}" for m in
                   ("eigensolve", "wkb", "specfun", "probe", "kernel", "potential")}
+# what a solve imports: eigensolve and the modules it imports
+SOLVE_MODULES = SOLVER_MODULES - {"specprobe.probe", "specprobe.kernel"}
 
 
 def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -107,13 +110,24 @@ def test_gaps_on_a_cache_miss_solves_and_caches(tmp_path):
     code, names = imported_modules(["gaps", "--lmax", "8", "--fit-top", "6",
                                     "--out", str(tmp_path)])
     assert code == 0
-    assert "numpy" in names and SOLVER_MODULES <= set(names)
+    assert "numpy" in names and set(numeric(names)) & SOLVER_MODULES == SOLVE_MODULES
     gaps = json.loads((tmp_path / "run.json").read_text())["results"]["gaps"]
     assert gaps["cache"]["d3_n0"]["hit"] is False
     assert gaps["cache"]["d3_n0"]["reason"] == "missing"
     record = json.loads((tmp_path / "spectrum_d3_n0.json").read_text())
     assert len(record["levels"]["lambda"]) == 9
     assert (tmp_path / "spectrum_d3_n0.npy").is_file()
+
+
+def test_spectrum_loads_neither_kernel_nor_probe(tmp_path):
+    code, names = imported_modules(["spectrum", "--lmax", "4", "--out", str(tmp_path)])
+    assert code == 0 and "numpy" in names
+    assert set(numeric(names)) & SOLVER_MODULES == SOLVE_MODULES
+    # a probe then loads its own module, and nothing of the kernel
+    code, names = imported_modules(["probe", "--lmax", "14", "--lrange", "2:12",
+                                    "--out", str(tmp_path)])
+    assert code == 0
+    assert set(numeric(names)) & SOLVER_MODULES == SOLVE_MODULES | {"specprobe.probe"}
 
 
 def test_every_package_name_is_its_submodules_object():

@@ -3,16 +3,22 @@ against the turning point, and the Newton refinement over the model space
 the validator accepts (multi-term even polynomials, d >= 3, n >= 0).
 
 ``reference_sweep`` is the indexed z-form recurrence (``z = w y``): it
-stores every value, sweeps the whole outward tail, counts nodes on
-``y = z / w`` and starts inward where the decay from the match index
-reaches ``INWARD_DECAY``, by its own loop.  The probe computes ``g`` by the same expression and
-reorders no floating-point operation, so the two agree bit for bit at
-equal match index.  ``reference_sweep_y`` is the three-weight y-form loop
-the solver ran before; it agrees with the probe to rounding.  A
-long-double sweep bounds the eigenvalue error that float64 rounding
-leaves, and the sweep counts of two spectra are pinned from above.
+stores every value, starts inward where the decay from the match index
+reaches ``INWARD_DECAY``, by its own loop, and counts nodes on
+``y = z / w`` where the two sweeps meet: the outward sign changes on
+``[i0, m]``, the inward ones on ``[m, end]``, and one more where the
+mismatch is negative (B. R. Johnson, J. Chem. Phys. 69, 4678, 1978).  The
+probe computes ``g`` by the same expression and reorders no
+floating-point operation, so the two agree bit for bit at equal match
+index.  ``reference_sweep_y`` is the three-weight y-form loop the solver
+ran before; it agrees with the probe to rounding.  Outside the rounding
+band of each eigenvalue the count is the number of discrete eigenvalues
+below the probe.  A long-double sweep bounds the eigenvalue error that
+float64 rounding leaves, and the sweep and step counts of three spectra
+are pinned from above.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -67,9 +73,18 @@ def _inward_start(lam, grid, u, m):
     return grid.n_points - 1
 
 
+def _count(outward, inward, i0, m, end, mismatch):
+    """Johnson's node count from the samples of both sweeps: the sign
+    changes of the outward ones on ``[i0, m]`` (none between the seeds), of
+    the inward ones on ``[m, end]``, and 1 if the mismatch is negative."""
+    nodes = sum(outward[i] * outward[i + 1] < 0.0 for i in range(i0 + 1, m))
+    nodes += sum(inward[i] * inward[i + 1] < 0.0 for i in range(m, end - 1))
+    return nodes + (mismatch < 0.0)
+
+
 def reference_sweep(channel, lam, grid, u, m):
-    """Node count of the full outward sweep and mismatch at ``m``, from the
-    z-form recurrence ``z[i+1] = g[i] z[i] - z[i-1]``."""
+    """Node count and mismatch at ``m``, from the z-form recurrence
+    ``z[i+1] = g[i] z[i] - z[i-1]``."""
     h = grid.h
     n = grid.n_points
     t = (h * h / 12.0) * (lam - u)
@@ -81,12 +96,8 @@ def reference_sweep(channel, lam, grid, u, m):
     z = [0.0] * n
     z[i0] = wl[i0] * y0
     z[i0 + 1] = wl[i0 + 1] * y1
-    nodes = 0
-    for i in range(i0 + 1, n - 1):
+    for i in range(i0 + 1, m + 1):
         z[i + 1] = g[i] * z[i] - z[i - 1]
-        # on y = z / w, whose sign is z's wherever w > 0
-        if (z[i] / wl[i]) * (z[i + 1] / wl[i + 1]) < 0.0:
-            nodes += 1
 
     end = _inward_start(lam, grid, u, m)
     theta = h * 0.5 * (
@@ -98,9 +109,11 @@ def reference_sweep(channel, lam, grid, u, m):
     for i in range(end - 1, m - 1, -1):
         z_in[i - 1] = g[i] * z_in[i] - z_in[i + 1]
 
+    # on y = z / w, whose sign is z's wherever w > 0
     ys = [zi / wi for zi, wi in zip(z, wl)]
     ys_in = [zi / wi for zi, wi in zip(z_in, wl)]
-    return nodes, float(_mismatch(h, ys, ys_in, m))
+    mismatch = float(_mismatch(h, ys, ys_in, m))
+    return _count(ys, ys_in, i0, m, end, mismatch), mismatch
 
 
 def reference_sweep_y(channel, lam, grid, u, m):
@@ -113,11 +126,8 @@ def reference_sweep_y(channel, lam, grid, u, m):
     i0 = _start_index(w)
     ys = [0.0] * n
     ys[i0], ys[i0 + 1] = _seeds(channel, lam, grid, i0)
-    nodes = 0
-    for i in range(i0 + 1, n - 1):
+    for i in range(i0 + 1, m + 1):
         ys[i + 1] = ((12.0 - 10.0 * wl[i]) * ys[i] - wl[i - 1] * ys[i - 1]) / wl[i + 1]
-        if ys[i] * ys[i + 1] < 0.0:
-            nodes += 1
 
     end = _inward_start(lam, grid, u, m)
     theta = h * 0.5 * (
@@ -128,7 +138,8 @@ def reference_sweep_y(channel, lam, grid, u, m):
     ys_in[end - 1] = 1.0
     for i in range(end - 1, m - 1, -1):
         ys_in[i - 1] = ((12.0 - 10.0 * wl[i]) * ys_in[i] - wl[i + 1] * ys_in[i + 1]) / wl[i - 1]
-    return nodes, float(_mismatch(h, ys, ys_in, m))
+    mismatch = float(_mismatch(h, ys, ys_in, m))
+    return _count(ys, ys_in, i0, m, end, mismatch), mismatch
 
 
 def turning_point_index(channel, model, grid, lam):
@@ -153,21 +164,32 @@ def _scan(shooter, count):
     return np.linspace(1.01 * shooter.floor + 0.5, top, count).tolist()
 
 
-def _near_eigenvalues(channel, model, shooter, l_max):
-    """Spectral parameters 1e-12, 1e-9 and 1e-6 relative to either side of
-    each discrete eigenvalue: there the outward sweep follows the decaying
-    tail longest before it turns, so the probe's tail exit comes latest."""
+def _discrete(channel, model, shooter, l_max):
+    """Eigenvalues ``0 .. l_max`` of the recurrence on the shooter's grid."""
     table = es.solve_spectrum(channel, model, l_max, grid=shooter.grid)
-    discrete = table.eigenvalues - np.array(table.record.shifts)
+    return (table.eigenvalues - np.array(table.record.shifts)).tolist()
+
+
+def _near_eigenvalues(discrete):
+    """Spectral parameters 1e-12, 1e-9 and 1e-6 relative to either side of
+    each discrete eigenvalue, where the node count changes."""
     return [lam * (1.0 + sign * rel)
-            for lam in discrete.tolist() for rel in (1e-12, 1e-9, 1e-6) for sign in (-1, 1)]
+            for lam in discrete for rel in (1e-12, 1e-9, 1e-6) for sign in (-1, 1)]
 
 
-def test_probe_bit_identical_to_indexed_loop(case):
-    # the reference sweeps the whole tail; the probe stops once z grows
+@pytest.fixture(scope="module")
+def probes(case):
+    """The case's scan and near-eigenvalue probes, and its discrete
+    eigenvalues."""
+    channel, model, shooter, l_max = case
+    discrete = _discrete(channel, model, shooter, l_max)
+    return _scan(shooter, 40) + _near_eigenvalues(discrete), discrete
+
+
+def test_probe_bit_identical_to_indexed_loop(case, probes):
     channel, model, shooter, l_max = case
     u = effective_potential(channel, model, shooter.grid.r)
-    for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
+    for lam in probes[0]:
         m = shooter.match_index(lam)
         got = shooter._shoot(lam, m).result
         assert (got.node_count, got.mismatch) == reference_sweep(
@@ -175,13 +197,13 @@ def test_probe_bit_identical_to_indexed_loop(case):
         )
 
 
-def test_probe_agrees_with_y_form_loop(case):
+def test_probe_agrees_with_y_form_loop(case, probes):
     # the two forms of the recurrence differ by rounding alone: the node
     # counts agree outside the rounding band around each eigenvalue, and
     # the mismatches place the eigenvalue within rel_tol of each other
     channel, model, shooter, l_max = case
     u = effective_potential(channel, model, shooter.grid.r)
-    for lam in _scan(shooter, 40) + _near_eigenvalues(channel, model, shooter, l_max):
+    for lam in probes[0]:
         m = shooter.match_index(lam)
         probe = shooter._shoot(lam, m)
         nodes, mismatch = reference_sweep_y(channel, lam, shooter.grid, u, m)
@@ -192,6 +214,57 @@ def test_probe_agrees_with_y_form_loop(case):
             assert abs(mismatch - probe.result.mismatch) <= (
                 es.DEFAULT_REL_TOL * lam * abs(probe.slope)
             )
+
+
+def _assert_counts_eigenvalues_below(shooter, lams, discrete):
+    """Outside the rounding band of each eigenvalue, a probe's node count
+    is the number of discrete eigenvalues below it; checked on the probes
+    that lie in ``[lam_0, lam_lmax]``, below which the count is 0 and above
+    which the table knows no eigenvalue.  The count holds at any match
+    index: at the turning point the inward sweep has no node; halfway in
+    from there, as where Newton keeps an earlier probe's match index, it
+    has some.  Returns how many probes were checked."""
+    checked = 0
+    for lam in lams:
+        if not discrete[0] <= lam <= discrete[-1]:
+            continue
+        m = shooter.match_index(lam)
+        for match in (m, (shooter.i_min + m) // 2):
+            probe = shooter._shoot(lam, match)
+            if abs(probe.result.mismatch / probe.slope) > 1e-11 * lam:
+                assert probe.result.node_count == bisect.bisect_left(discrete, lam), (lam, match)
+                checked += 1
+    return checked
+
+
+def test_node_count_is_eigenvalues_below(case, probes):
+    _, _, shooter, l_max = case
+    lams, discrete = probes
+    # the scan, and 1e-9 and 1e-6 to either side of every level but the
+    # ends, whose outer sides lie outside [lam_0, lam_lmax], at two matches
+    assert _assert_counts_eigenvalues_below(shooter, lams, discrete) >= 8 * l_max
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from([2, 4, 6, 8]), st.floats(min_value=0.2, max_value=3.0)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda t: t[0],
+    ),
+    d=st.integers(min_value=3, max_value=8),
+    n=st.integers(min_value=0, max_value=20),
+    l_max=st.integers(min_value=1, max_value=8),
+)
+def test_node_count_is_eigenvalues_below_over_models(terms, d, n, l_max):
+    model = PotentialModel.from_spec("+".join(f"{c!r}*r^{e}" for e, c in terms))
+    channel = Channel(d, n)
+    grid = es._default_grid(channel, model, l_max, es.DEFAULT_POINTS_PER_WAVELENGTH)
+    shooter = es._Shooter(channel, model, grid)
+    discrete = _discrete(channel, model, shooter, l_max)
+    lams = _scan(shooter, 20) + _near_eigenvalues(discrete)
+    assert _assert_counts_eigenvalues_below(shooter, lams, discrete) >= 8 * l_max
 
 
 def test_grid_match_index_is_turning_point_index(case):
@@ -259,6 +332,28 @@ def test_sweep_counts_pinned(quartic_n0, mixed_52):
     assert sum(quartic_n0.record.sweeps) <= 140
     assert sum(es.solve_spectrum(Channel(3, 0), MIXED, 24).record.sweeps) <= 80
     assert sum(mixed_52.record.sweeps) <= 89
+
+
+def test_numerov_steps_pinned(monkeypatch):
+    # each sweep runs to the end of its slice: the outward one to the match
+    # index, the inward one from its start to there; with the 135, 76 and
+    # 89 sweeps above, and no sweep past the match index
+    steps = [0]
+    sweep = es._sweep
+
+    def counted(g, *args):
+        steps[0] += len(g)
+        return sweep(g, *args)
+
+    monkeypatch.setattr(es, "_sweep", counted)
+    for channel, model, l_max, most in (
+        (Channel(3, 0), QUARTIC, 60, 959_234),
+        (Channel(3, 0), MIXED, 24, 263_859),
+        (Channel(5, 2), MIXED, 24, 322_074),
+    ):
+        steps[0] = 0
+        es.solve_spectrum(channel, model, l_max)
+        assert steps[0] <= most, (channel, steps[0])
 
 
 def _longdouble_rounding_error(table, level):
