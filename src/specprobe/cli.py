@@ -30,13 +30,14 @@ command.  ``--version``, ``--help``, an argument or config error,
 standard library and the numpy-free ``defaults``, ``errors``,
 ``fitting``, ``formats`` and ``model``: the assumptions are read off the
 model's exponents, and a cache is checked, and its eigenvalues fitted,
-from its JSON record alone.
+from its JSON record alone.  Every record is a ``typing.NamedTuple``, so
+they load no ``inspect``, and ``configparser`` loads only to read a
+``--config`` file.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import importlib
 import json
@@ -44,7 +45,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -104,8 +104,7 @@ def __getattr__(name: str):
 __all__ = ["RunConfig", "resolve_config", "main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved run parameters; validated before any computation."""
 
     model: PotentialModel
@@ -128,8 +127,14 @@ class RunConfig:
     allow_harmonic: bool
 
 
+# configparser.ConfigParser.BOOLEAN_STATES, copied so that only --config
+# imports configparser
+_BOOLEAN_STATES = {"1": True, "yes": True, "true": True, "on": True,
+                   "0": False, "no": False, "false": False, "off": False}
+
+
 def _parse_bool(text: str) -> bool:
-    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    state = _BOOLEAN_STATES.get(text.strip().lower())
     if state is None:
         raise ValueError(f"cannot parse boolean value {text!r}")
     return state
@@ -229,8 +234,7 @@ def _channel_list(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(dict.fromkeys(pairs))
 
 
-@dataclass
-class _Key:
+class _Key(NamedTuple):
     """One run setting, declared once."""
 
     key: str  # config-file key
@@ -242,13 +246,9 @@ class _Key:
     solver: bool = False  # passed to solve_spectrum and matched against a cache
     switch: bool = False  # the flag takes no value and means "true"
 
-    def __post_init__(self):
-        if self.field == "":
-            self.field = self.key
 
-
-# in the order of the flags in --help
-_KEYS = (
+# in the order of the flags in --help; a row given no field takes its key
+_KEYS = tuple(row._replace(field=row.field or row.key) for row in (
     _Key("model", "--model", "1*r^4", str, 'potential, e.g. "1*r^4+0.5*r^6"'),
     _Key("channels", "--channels", "3:0", _channel_list,
          "comma list of d:n pairs, e.g. 3:0,3:1"),
@@ -278,7 +278,7 @@ _KEYS = (
         "output directory (or SPECPROBE_OUT)", field="out_dir"),
     _Key("allow_harmonic", "--allow-harmonic", "false", _parse_bool,
          "permit the quadratic reference model", switch=True),
-)
+))
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -302,13 +302,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _read_config_file(path) -> dict[str, str]:
+    """The settings in the file at ``path``; ``ValueError`` for a malformed
+    file or an unknown key, ``OSError`` for an unreadable one."""
+    import configparser  # only --config reads a file
+
     parser = configparser.ConfigParser()
     text = Path(path).read_text()
     try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError:
-        parser.read_string("[run]\n" + text)
-    out = {key: value for section in parser.sections() for key, value in parser.items(section)}
+        try:
+            parser.read_string(text)
+        except configparser.MissingSectionHeaderError:
+            parser.read_string("[run]\n" + text)
+        out = {key: value for section in parser.sections()
+               for key, value in parser.items(section)}
+    except configparser.Error as exc:
+        raise ValueError(str(exc)) from None
     unknown = sorted(set(out) - {row.key for row in _KEYS})
     if unknown:
         raise ValueError(f"{path}: unknown config key(s) {', '.join(unknown)}")
@@ -893,7 +901,7 @@ def main(argv=None) -> int:
             return 1
         cfg = resolve_config(args)
         return _COMMANDS[args.cmd][0](cfg, _read_run_json(cfg))
-    except (ValueError, configparser.Error) as exc:  # a malformed config file too
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -53,9 +53,7 @@ that takes the record's name.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -511,8 +509,7 @@ def shoot_mismatch(
     return shooter._shoot(lam, shooter.match_index(lam)).result
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     """One normalized eigenfunction with its spectral parameter.
 
     ``level`` is the level that was solved for; ``node_count`` is counted
@@ -554,18 +551,24 @@ def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections, shift=
     )
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
-    """Levels ``0 .. L-1`` of one channel on a shared grid: the cache record
-    and one row of samples per level."""
-
+class _SpectrumTable(NamedTuple):
     record: SpectrumRecord
     samples: np.ndarray
 
-    def __post_init__(self):
-        shape = (len(self.record.eigenvalues), self.grid.n_points)
-        if self.samples.shape != shape:
+
+class SpectrumTable(_SpectrumTable):
+    """Levels ``0 .. L-1`` of one channel on a shared grid: the cache record
+    and one row of samples per level.
+
+    It has no ``__slots__``, so its instance dict holds ``eigenvalues`` and
+    ``eigenpairs`` once they are first read.
+    """
+
+    def __new__(cls, record: SpectrumRecord, samples: np.ndarray):
+        shape = (len(record.eigenvalues), record.grid.n_points)
+        if samples.shape != shape:
             raise ValueError(f"samples do not hold {shape[0]} levels on the grid")
+        return super().__new__(cls, record, samples)
 
     @property
     def channel(self) -> Channel:
@@ -634,7 +637,7 @@ def solve_level(
     shooter = _Shooter(channel, model, grid)
     pair = shooter.solve(level, *_action_guess(channel, model, level), rel_tol)
     shift = float(_dispersion_shifts(shooter, [pair.lam])[0])
-    return dataclasses.replace(pair, lam=pair.lam + shift, shift=shift)
+    return pair._replace(lam=pair.lam + shift, shift=shift)
 
 
 def solve_spectrum(

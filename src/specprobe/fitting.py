@@ -10,14 +10,12 @@ without loading numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 __all__ = ["PowerLawFit", "fit_power_law", "gap_scaling"]
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     """Least-squares fit of ``y = exp(log_intercept) * x**exponent``."""
 
     exponent: float

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -53,21 +52,28 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Pat
     return path
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """Uniform radial grid ``r_i = r_min + i h`` with ``r = 1`` on a node."""
-
+class _RadialGrid(NamedTuple):
     r_min: float
     h: float
     n_points: int
 
-    def __post_init__(self):
-        if self.n_points < 9:
+
+class RadialGrid(_RadialGrid):
+    """Uniform radial grid ``r_i = r_min + i h`` with ``r = 1`` on a node.
+
+    A grid is the tuple ``(r_min, h, n_points)``, checked when it is built;
+    it has no ``__slots__``, so its instance dict holds the arrays ``r`` and
+    ``simpson_weights`` once they are first read.
+    """
+
+    def __new__(cls, r_min: float, h: float, n_points: int):
+        if n_points < 9:
             raise ValueError("grid needs at least nine points")
-        if not (0.0 < self.r_min < math.inf and 0.0 < self.h < math.inf):
+        if not (0.0 < r_min < math.inf and 0.0 < h < math.inf):
             raise ValueError("need finite r_min > 0 and h > 0")
-        if self.n_points % 2 == 0:
+        if n_points % 2 == 0:
             raise ValueError("need an odd point count for the composite rule")
+        return super().__new__(cls, r_min, h, n_points)
 
     @property
     def r_max(self) -> float:

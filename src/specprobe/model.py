@@ -3,8 +3,9 @@
 ``PotentialModel`` is a sum of even powers ``kappa_m r^(2 c_m)`` parsed
 from a string such as ``"1*r^4+0.5*r^6"``; ``Channel`` is the angular
 sector ``(d, n)`` and its centrifugal coefficient ``gamma``.  Both are
-plain data, so the command line checks a configuration before it loads
-numpy.  ``validate_assumptions`` states the paper's hypotheses on ``V``
+named tuples whose constructors check their fields, free of numpy, so
+the command line checks a configuration before it loads numpy.
+``validate_assumptions`` states the paper's hypotheses on ``V``
 (convexity, growth, bounded derivative ratios) in closed form, read off
 the exponents: they hold on all of ``r > 0`` for every model these
 classes accept.  Super-quadratic growth, ``V >= C r^(2+eps)`` at
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["PowerTerm", "PotentialModel", "Channel", "AssumptionReport", "validate_assumptions"]
 
@@ -29,35 +30,42 @@ _TERM_RE = re.compile(
 _TERM_SPLIT_RE = re.compile(r"(?<![eE])\+")
 
 
-@dataclass(frozen=True, order=True)
-class PowerTerm:
-    """One monomial ``coefficient * r**exponent`` of the confining potential."""
-
+class _PowerTerm(NamedTuple):
     exponent: int
     coefficient: float
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int):
+
+class PowerTerm(_PowerTerm):
+    """One monomial ``coefficient * r**exponent`` of the confining potential."""
+
+    __slots__ = ()
+
+    def __new__(cls, exponent: int, coefficient: float):
+        if not isinstance(exponent, int):
             raise ValueError("exponent must be an integer")
-        if not (math.isfinite(self.coefficient) and self.coefficient > 0.0):
+        if not (math.isfinite(coefficient) and coefficient > 0.0):
             raise ValueError("coefficient must be positive and finite")
+        return super().__new__(cls, exponent, coefficient)
 
 
-@dataclass(frozen=True)
-class PotentialModel:
+class _PotentialModel(NamedTuple):
+    terms: tuple[PowerTerm, ...]
+
+
+class PotentialModel(_PotentialModel):
     """A sum of even powers ``sum_m kappa_m r^(2 c_m)`` with ``c_m >= 1``.
 
     ``terms`` are its monomials, each with a positive even exponent;
     terms of one exponent merge, and the terms come sorted by exponent.
     """
 
-    terms: tuple[PowerTerm, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms: tuple[PowerTerm, ...]):
+        if not terms:
             raise ValueError("potential needs at least one term")
         merged: dict[int, float] = {}
-        for term in self.terms:
+        for term in terms:
             if term.exponent % 2 != 0 or term.exponent <= 0:
                 raise ValueError(
                     f"exponent {term.exponent} is not a positive even integer"
@@ -67,7 +75,7 @@ class PotentialModel:
             PowerTerm(exponent, coefficient)
             for exponent, coefficient in sorted(merged.items())
         )
-        object.__setattr__(self, "terms", canonical)
+        return super().__new__(cls, canonical)
 
     @classmethod
     def from_spec(cls, text: str) -> "PotentialModel":
@@ -116,8 +124,12 @@ def _exact(x: float) -> str:
     return text.replace("e+", "e")  # "+" separates the terms of a spec
 
 
-@dataclass(frozen=True)
-class Channel:
+class _Channel(NamedTuple):
+    d: int
+    n: int
+
+
+class Channel(_Channel):
     """Angular sector of the ``d``-dimensional problem.
 
     ``gamma`` is the coefficient of the centrifugal term and
@@ -125,14 +137,14 @@ class Channel:
     regular solution of the free problem near the origin.
     """
 
-    d: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.d, int) or self.d < 3:
+    def __new__(cls, d: int, n: int):
+        if not isinstance(d, int) or d < 3:
             raise ValueError("dimension d must be an integer >= 3")
-        if not isinstance(self.n, int) or self.n < 0:
+        if not isinstance(n, int) or n < 0:
             raise ValueError("sector index n must be a non-negative integer")
+        return super().__new__(cls, d, n)
 
     @property
     def gamma(self) -> float:
@@ -148,8 +160,7 @@ class Channel:
         return self.n + (self.d - 1) / 2.0
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     """The structural assumptions of a model on ``r > 0``, in closed form.
 
     ``r V'/(2V)`` rises from ``min_term_c``, the smallest ``c_m``, as

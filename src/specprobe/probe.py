@@ -14,7 +14,6 @@ so a ``ProbePoint`` and a ``probe.csv`` row hold ``lam`` alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -42,33 +41,41 @@ __all__ = [
 BUMP_UNIT_MASS = 0.4439938161680794
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Non-negative smooth bump sampled on an eigenfunction grid."""
-
+class _TestFunction(NamedTuple):
     center: float
     halfwidth: float
     samples: np.ndarray
     mass: float
 
-    def __post_init__(self):
-        if self.mass <= 0.0:
+
+class TestFunction(_TestFunction):
+    """Non-negative smooth bump sampled on an eigenfunction grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, center: float, halfwidth: float, samples: np.ndarray, mass: float):
+        if mass <= 0.0:
             raise ValueError("bump mass must be positive")
+        return super().__new__(cls, center, halfwidth, samples, mass)
 
     @property
     def support(self) -> tuple[float, float]:
         return self.center - self.halfwidth, self.center + self.halfwidth
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class _WindowSpec(NamedTuple):
+    sigma: float
+
+
+class WindowSpec(_WindowSpec):
     """Gaussian spectral window ``khat(mu) = exp(-(sigma mu)^2)``."""
 
-    sigma: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+    def __new__(cls, sigma: float = 1.0):
+        if not (sigma > 0.0 and math.isfinite(sigma)):
             raise ValueError("sigma must be positive and finite")
+        return super().__new__(cls, sigma)
 
 
 def window_hat(spec: WindowSpec, mu) -> float:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -688,8 +687,7 @@ def amplitude_scaling(
     return fit_power_law(points, window)
 
 
-@dataclass(frozen=True)
-class WkbSummary:
+class WkbSummary(NamedTuple):
     """Per-level semiclassical summary used by the export and reports."""
 
     d: int

@@ -3,7 +3,6 @@ shapes, config layering, caching, and determinism of the outputs."""
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -609,13 +608,12 @@ class TestSurface:
         assert from_file.channels == ((3, 0), (5, 2))
         # every key took effect: no field is left at its default
         default = resolve_config(build_parser().parse_args(["spectrum", "--out", out]))
-        same = [f.name for f in dataclasses.fields(default)
-                if getattr(default, f.name) == getattr(from_file, f.name)]
+        same = [name for name in default._fields
+                if getattr(default, name) == getattr(from_file, name)]
         assert same == ["out_dir"]
 
     def test_each_setting_is_one_run_config_field(self):
-        fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
-        assert sorted(fields) == sorted(row.field for row in cli._KEYS)
+        assert sorted(cli.RunConfig._fields) == sorted(row.field for row in cli._KEYS)
         assert [key for key, _, _ in SETTINGS] == [row.key for row in cli._KEYS]
 
     def test_readme_lists_every_config_key(self):
@@ -675,6 +673,33 @@ class TestConfigFile:
         for key in ("l_max", "lmx", "ppw"):
             assert key in err
         assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("spelling, value", [
+        (case(text), value)
+        for text, value in (("1", True), ("yes", True), ("true", True), ("on", True),
+                            ("0", False), ("no", False), ("false", False), ("off", False))
+        for case in (str.lower, str.upper)
+    ])
+    def test_boolean_spellings(self, tmp_path, spelling, value):
+        # configparser's spellings, read without importing it
+        import configparser
+
+        assert cli._BOOLEAN_STATES == configparser.ConfigParser.BOOLEAN_STATES
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"allow_harmonic = {spelling}\n")
+        argv = ["validate", "--model", "1*r^2", "--config", str(cfgfile), "--out", str(tmp_path)]
+        assert main(argv) == (0 if value else 1)
+        # the flag takes no value: it means "true", over any spelling in the file
+        assert main([*argv, "--allow-harmonic"]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["config"]["allow_harmonic"] is True
+
+    @pytest.mark.parametrize("spelling", ["maybe", "tru", "2", ""])
+    def test_unknown_boolean_spelling_is_validation_failure(self, tmp_path, capsys, spelling):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"allow_harmonic = {spelling}\n")
+        assert main(["validate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 1
+        assert "allow_harmonic: cannot parse boolean value" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
 
     @pytest.mark.parametrize("text", ["lmax = 5\nlmax = 6\n", "model = 1*r^4 % note\n"])
     def test_malformed_file_is_validation_failure(self, tmp_path, capsys, text):

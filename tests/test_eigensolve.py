@@ -7,7 +7,6 @@ below re-derives them with nothing shared with the package solver except
 the textbook recurrence.
 """
 
-import dataclasses
 import json
 import math
 
@@ -513,7 +512,7 @@ class TestDiscretizationInvariants:
 class TestPersistence:
     def test_table_is_its_record_and_samples(self, quartic_table):
         # the layout is declared once, by the record; the table adds the samples
-        assert {f.name for f in dataclasses.fields(es.SpectrumTable)} == {"record", "samples"}
+        assert es.SpectrumTable._fields == ("record", "samples")
         record = quartic_table.record
         assert quartic_table.channel == record.channel
         assert quartic_table.model == record.model

@@ -2,7 +2,9 @@
 access, and the command line loads numpy and the solver only where a
 command first needs numbers: never for ``validate`` and ``report``, and
 for ``gaps`` only on a cache miss.  A command loads only the solver
-modules it calls: a solve never loads ``kernel`` or ``probe``.
+modules it calls: a solve never loads ``kernel`` or ``probe``.  No
+command loads ``dataclasses``, and only ``--config`` loads
+``configparser``.
 
 The start-up checks run ``specprobe.cli`` as ``__main__`` in a fresh
 interpreter that prints ``sys.modules`` to stderr at exit, since this
@@ -27,6 +29,9 @@ SOLVER_MODULES = {f"specprobe.{m}" for m in
                   ("eigensolve", "wkb", "specfun", "probe", "kernel", "potential")}
 # what a solve imports: eigensolve and the modules it imports
 SOLVE_MODULES = SOLVER_MODULES - {"specprobe.probe", "specprobe.kernel"}
+# standard library modules a start without numpy need not load: dataclasses
+# and inspect (which it imports) and configparser, for --config alone
+START_FREE = {"dataclasses", "inspect", "configparser"}
 
 
 def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -128,6 +133,58 @@ def test_spectrum_loads_neither_kernel_nor_probe(tmp_path):
                                     "--out", str(tmp_path)])
     assert code == 0
     assert set(numeric(names)) & SOLVER_MODULES == SOLVE_MODULES | {"specprobe.probe"}
+
+
+@pytest.fixture(scope="module")
+def cached_out(tmp_path_factory):
+    """An output directory holding the default channel's cache, ``lmax`` 8."""
+    out = tmp_path_factory.mktemp("cached")
+    proc = python("-m", "specprobe.cli", "spectrum", "--lmax", "8", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["--help"], ["validate"], ["report"], ["gaps", "--fit-top", "6"],
+], ids=lambda argv: argv[0])
+def test_light_commands_load_no_dataclasses_inspect_or_configparser(argv, cached_out):
+    if not argv[0].startswith("-"):
+        argv = [*argv, "--lmax", "8", "--out", str(cached_out)]
+    code, names = imported_modules(argv)
+    assert code == 0
+    assert numeric(names) == []  # gaps hit the cache
+    assert START_FREE & set(names) == set()
+
+
+def test_only_a_config_file_loads_configparser(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("lmax = 8\n")
+    base = ["validate", "--out", str(tmp_path)]
+    code, names = imported_modules(base)
+    assert code == 0 and "configparser" not in names
+    code, names = imported_modules([*base, "--config", str(cfgfile)])
+    assert code == 0 and "configparser" in names
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["l_max"] == 8
+
+
+def test_numeric_commands_load_no_dataclasses(tmp_path):
+    base = ["--lmax", "14", "--lrange", "2:12", "--out", str(tmp_path)]
+    for command in ("spectrum", "probe", "kernel"):
+        code, names = imported_modules([command, *base])
+        assert code == 0 and "numpy" in names, command
+        assert "dataclasses" not in names, command
+
+
+def test_no_package_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "specprobe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in [name.split(".")[0] for name in names], path.name
 
 
 def test_every_package_name_is_its_submodules_object():

@@ -5,7 +5,6 @@ The bump profile integral int_-1^1 exp(-1/(1-u^2)) du =
 0.4439938161680794 was frozen from 40-digit quadrature.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -75,7 +74,7 @@ class TestOverlap:
         grid = quartic_n0.grid
         tf = pr.make_bump(1.0, 0.2, grid)
         norm = math.sqrt(float(grid.simpson_weights @ tf.samples**2))
-        fake = dataclasses.replace(quartic_n0.pair(0), samples=tf.samples / norm)
+        fake = quartic_n0.pair(0)._replace(samples=tf.samples / norm)
         assert pr.overlap(tf, 0.0, fake, grid) == pytest.approx(norm, rel=1e-12)
 
     def test_resonant_overlap_matches_prediction(self, quartic_n0):
@@ -180,9 +179,7 @@ class TestProbeG:
         grid = quartic_n0.grid
         phi = pr.make_bump(1.0, 0.2, grid)
         psi = pr.make_bump(1.5, 0.2, grid)
-        doubled = dataclasses.replace(
-            phi, samples=2.0 * phi.samples, mass=2.0 * phi.mass
-        )
+        doubled = pr.TestFunction(phi.center, phi.halfwidth, 2.0 * phi.samples, 2.0 * phi.mass)
         win = pr.WindowSpec(1.0)
         lam = quartic_n0.pair(30).lam
         root = math.sqrt(lam)
