@@ -19,7 +19,8 @@ ignored; an unknown key is an error), then the flags, in increasing
 priority.  The default output directory can also be set via the
 ``SPECPROBE_OUT`` environment variable.  ``run.json`` is read once,
 before a command does any work: a file that does not hold a JSON object
-is an I/O failure.
+is an I/O failure.  Every file a command writes replaces the old one
+whole (``formats.replace_files``).
 
 numpy and the solver modules load only where a command first needs
 numbers (``_load_solver``), and each command loads only the modules it
@@ -57,7 +58,7 @@ from .defaults import (
 )
 from .errors import NumericsError
 from .fitting import fit_power_law, gap_scaling
-from .formats import SpectrumFormatError, read_spectrum_record, write_csv
+from .formats import SpectrumFormatError, read_spectrum_record, replace_files, write_csv
 from .model import Channel, PotentialModel, validate_assumptions
 
 # submodule -> the names the numeric commands read from it; each needs numpy
@@ -374,9 +375,7 @@ def _update_run_json(cfg: RunConfig, doc: dict, section: str, payload: dict) -> 
     doc["config"] = _config_dict(cfg)
     doc["meta"] = _meta_dict(doc.get("meta", {}))
     doc.setdefault("results", {})[section] = payload
-    path.write_text(
-        json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=True) + "\n"
-    )
+    replace_files({path: json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=True) + "\n"})
     return path
 
 
@@ -390,15 +389,21 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
 
 def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool):
     """The cached spectrum at ``path`` if it serves ``cfg``, else None, and
-    why not.  The check reads the JSON record alone; a hit is the table,
-    samples loaded, or without ``samples`` the record."""
+    why not.  With ``samples`` the table is loaded once, its samples mapped,
+    and judged by its record, so samples that are missing or do not fit
+    the record read ``unreadable`` before any other reason; without, the
+    JSON record alone is read and a hit is the record."""
     if not path.exists():
         return None, "missing"
     try:
-        record = read_spectrum_record(path)
+        if samples:
+            table = load_spectrum(path)
+            record = table.record
+        else:
+            table = record = read_spectrum_record(path)
     except SpectrumFormatError:
         return None, "format"
-    except (ValueError, KeyError, TypeError, OSError):
+    except (ValueError, KeyError, TypeError, OSError, EOFError):
         return None, "unreadable"
     if record.model.spec_string != cfg.model.spec_string:
         return None, "model"
@@ -410,12 +415,7 @@ def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples:
         return None, "tolerances"
     if len(record.eigenvalues) < cfg.l_max + 1:
         return None, "too short"
-    if not samples:
-        return record.truncated(cfg.l_max + 1), "hit"
-    try:
-        return load_spectrum(path).truncated(cfg.l_max + 1), "hit"
-    except (ValueError, KeyError, OSError, EOFError):
-        return None, "unreadable"
+    return table.truncated(cfg.l_max + 1), "hit"
 
 
 def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
@@ -847,7 +847,7 @@ def cmd_report(cfg: RunConfig, doc: dict) -> int:
         lines.append(f"- {key}: {meta[key]}")
 
     path = cfg.out_dir / "report.md"
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    replace_files({path: "\n".join(lines) + "\n"})
     print(f"wrote {path}")
     return 0
 

@@ -48,7 +48,12 @@ table reads its channel, model and grid through the record and holds the
 eigenvalues as an array of the record's.  An ``EigenPair``'s node count
 and value and slope at ``r = 1`` are derived from its row.  The cache,
 format version 3, is the record as JSON beside one ``.npy`` of samples
-that takes the record's name.
+that takes the record's name.  A loaded table maps that file read-only
+instead of copying it, so a command pays only for the rows it reads, and
+writing to its samples raises.  A save writes both files beside their
+targets and then moves the samples and the record over the old ones
+(``formats.replace_files``), so a file that is mapped is never rewritten
+in place.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
     MIN_POINTS_PER_WAVELENGTH,
 )
 from .errors import BracketError, ConsistencyError
-from .formats import RadialGrid, SpectrumRecord, read_spectrum_record
+from .formats import RadialGrid, SpectrumRecord, read_spectrum_record, replace_files
 from .potential import Channel, PotentialModel, effective_potential
 # not called here any more; the name stays because specbench/tracing.py
 # wraps it, and test_benchmark_tooling requires every wrapped name to resolve
@@ -699,16 +704,21 @@ def solve_spectrum(
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:
-    """Persist a table as its JSON record plus a binary sample sidecar."""
+    """Persist a table as its JSON record plus a binary sample sidecar; a
+    save that fails leaves both files of an earlier table as they were."""
     path = Path(path)
-    np.save(path.with_suffix(".npy"), table.samples)
-    return table.record.write(path)
+    replace_files({
+        path.with_suffix(".npy"): lambda file: np.save(file, table.samples),
+        path: table.record.to_json(),
+    })
+    return path
 
 
 def load_spectrum(path) -> SpectrumTable:
-    """The table saved at ``path``: its record and its samples."""
+    """The table saved at ``path``: its record, and its samples mapped read-only."""
     path = Path(path)
-    return SpectrumTable(read_spectrum_record(path), np.load(path.with_suffix(".npy")))
+    record = read_spectrum_record(path)
+    return SpectrumTable(record, np.load(path.with_suffix(".npy"), mmap_mode="r"))
 
 
 def export_spectrum_csv(tables: Sequence[SpectrumTable], path) -> Path:

@@ -15,12 +15,23 @@ The record is written and read here without numpy (the grid's arrays
 import it when first read), so the command line checks a cache, and fits
 its eigenvalues, before it loads numpy; ``eigensolve.SpectrumTable`` is
 the record plus the samples.
+
+Every file the package writes, a cache's samples and record, the CSVs,
+``run.json`` and ``report.md``, goes through ``replace_files``: each file
+is written whole to a temporary file beside its target, named from the
+target and the process id, and only then moved over the target with
+``os.replace``.  A reader, or a process that has the old file mapped,
+sees the old file or the new one, never a torn one; a write that fails
+leaves every target as it was and removes the temporary files.  There is
+no ``fsync``: the aim is that no reader sees a torn file, not durability
+across power loss.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -29,6 +40,7 @@ from .model import Channel, PotentialModel
 
 __all__ = [
     "fmt",
+    "replace_files",
     "write_csv",
     "RadialGrid",
     "SPECTRUM_FORMAT_VERSION",
@@ -44,11 +56,35 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def replace_files(contents: dict) -> None:
+    """Replace each file ``path -> content`` of ``contents``; a content is a
+    text, written as ASCII, or a function that writes the bytes to the
+    binary file it is given.  Every file is written beside its target
+    before the first is moved over its own, in the order given."""
+    staged = {}
+    try:
+        for path, content in contents.items():
+            path = Path(path)
+            temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+            staged[temporary] = path
+            with open(temporary, "wb") as file:
+                if isinstance(content, str):
+                    file.write(content.encode("ascii"))
+                else:
+                    content(file)
+        for temporary, path in staged.items():
+            os.replace(temporary, path)
+    except BaseException:
+        for temporary in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Path:
     path = Path(path)
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    replace_files({path: "\n".join(lines) + "\n"})
     return path
 
 
@@ -130,8 +166,8 @@ class SpectrumRecord(NamedTuple):
             shifts=self.shifts[:count],
         )
 
-    def write(self, path) -> Path:
-        """Write the record as JSON to ``path``."""
+    def to_json(self) -> str:
+        """The record as the JSON text of its file."""
         g = self.grid
         doc = {
             "format_version": SPECTRUM_FORMAT_VERSION,
@@ -147,9 +183,7 @@ class SpectrumRecord(NamedTuple):
                 "shift": list(self.shifts),
             },
         }
-        path = Path(path)
-        path.write_text(json.dumps(doc, indent=1, sort_keys=True), encoding="ascii")
-        return path
+        return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def read_spectrum_record(path) -> SpectrumRecord:

@@ -328,6 +328,59 @@ class TestMultiTermReport:
         assert all(row.endswith("| pass |") for row in rows[1:]), rows
 
 
+def report_rows(out: Path) -> dict:
+    """Each certificate row of ``out``'s report.md: name -> (fitted, status)."""
+    table = (out / "report.md").read_text().split("## Artifacts")[0]
+    rows = [line.strip("| ").split(" | ") for line in table.splitlines()
+            if line.startswith("| ") and "---" not in line][1:]
+    return {row[0]: (row[2], row[4]) for row in rows}
+
+
+class TestReportRowsFail:
+    """Each certificate row reads ``fail`` where its fit misses the theory
+    (quartic, c = 2: gaps 1/4, amplitude 1/8, probe -1/4, appendix -3/4)."""
+
+    def test_gaps_of_sextic_eigenvalues_fail(self, tmp_path, sextic_n0):
+        # a 1*r^4 cache holding the 1*r^6 eigenvalues: they grow with gaps
+        # like lam^(1/3), not lam^(1/4)
+        from specprobe.eigensolve import SpectrumTable, save_spectrum
+        from specprobe.model import PotentialModel
+
+        record = sextic_n0.record._replace(model=PotentialModel.pure(4))
+        save_spectrum(SpectrumTable(record, sextic_n0.samples), tmp_path / "spectrum_d3_n0.json")
+        base = ["--model", "1*r^4", "--out", str(tmp_path)]
+        assert main(["gaps"] + base) == 0
+        gaps = json.loads((tmp_path / "run.json").read_text())["results"]["gaps"]
+        assert gaps["cache"] == {"d3_n0": {"hit": True}}
+        assert gaps["channels"]["d3_n0"]["exponent"] == pytest.approx(1 / 3, abs=0.02)
+        assert main(["report"] + base) == 0
+        rows = report_rows(tmp_path)
+        assert list(rows)[0] == "eigenvalue gap growth"
+        assert [status for _, status in rows.values()] == ["fail", "not run", "not run", "not run"]
+
+    @pytest.mark.parametrize("name, results, status", [
+        # lower mode: only falling short of 1/8 by more than 0.03 fails
+        ("boundary amplitude growth",
+         {"wkb": {"channels": {"d3_n0": {"amplitude": {"exponent": 0.125 - 0.031}}}}}, "fail"),
+        ("boundary amplitude growth",
+         {"wkb": {"channels": {"d3_n0": {"amplitude": {"exponent": 0.125 + 0.5}}}}}, "pass"),
+        ("probe magnitude decay",
+         {"probe": {"channels": {"d3_n0": {"exponent": -0.25 - 0.051}}}}, "fail"),
+        ("probe magnitude decay",
+         {"probe": {"channels": {"d3_n0": {"exponent": -0.25 + 0.051}}}}, "fail"),
+        ("error control integral decay",
+         {"wkb": {"appendix": {"exponent": -0.75 + 0.101}}}, "fail"),
+        ("error control integral decay",
+         {"wkb": {"appendix": {"exponent": -0.75 - 0.101}}}, "fail"),
+    ])
+    def test_fit_beyond_tolerance(self, tmp_path, name, results, status):
+        (tmp_path / "run.json").write_text(json.dumps({"results": results}))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        rows = report_rows(tmp_path)
+        assert rows[name][1] == status
+        assert [row for row, (_, got) in rows.items() if got != "not run"] == [name]
+
+
 class TestCaching:
     def test_cache_reused_for_smaller_lmax(self, tmp_path):
         base = ["--channels", "3:0", "--out", str(tmp_path)]
@@ -537,6 +590,23 @@ class TestCaching:
         assert main(["spectrum"] + base) == 0
         assert capsys.readouterr().err == "cache: d3_n0 miss (unreadable)\n"
         assert (tmp_path / "spectrum_d3_n0.npy").exists()
+
+    @pytest.mark.parametrize("spoil", [
+        lambda npy: npy.unlink(),
+        lambda npy: npy.write_bytes(b""),
+        lambda npy: npy.write_bytes(npy.read_bytes()[:-8]),
+    ], ids=["missing", "empty", "truncated"])
+    def test_unreadable_samples_outrank_other_reasons(self, tmp_path, capsys, spoil):
+        # a command that reads the samples loads the table once and judges
+        # it by the record: samples it cannot map miss as unreadable, even
+        # where the model differs too; gaps reads the record alone
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        for command, reason in (("gaps", "model"), ("spectrum", "unreadable")):
+            assert main(["spectrum"] + base) == 0  # a 1*r^4 cache, solved afresh
+            spoil(tmp_path / "spectrum_d3_n0.npy")
+            capsys.readouterr()
+            assert main([command, "--model", "2*r^4"] + base) == 0
+            assert capsys.readouterr().err == f"cache: d3_n0 miss ({reason})\n"
 
     def test_cache_record_in_each_reading_section(self, workspace):
         results = json.loads((workspace / "run.json").read_text())["results"]
@@ -834,6 +904,32 @@ class TestExitCodes:
         assert main(["report", "--out", str(tmp_path / "fresh")]) == 0
         text = (tmp_path / "fresh" / "report.md").read_text()
         assert text.count("not run") >= 8
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize("command, name, flags", [
+        ("validate", "run.json", []),
+        ("spectrum", "spectrum.csv", []),
+        ("report", "report.md", []),
+        # a solve whose cache cannot be saved
+        ("spectrum", "spectrum_d3_n0.npy", ["--rel-tol", "1e-9"]),
+        ("spectrum", "spectrum_d3_n0.json", ["--rel-tol", "1e-9"]),
+    ])
+    def test_previous_file_stays_whole(self, tmp_path, capsys, full_disk, command, name, flags):
+        base = ["--lmax", "5", "--out", str(tmp_path)]
+        for step in ("spectrum", "report"):
+            assert main([step] + base) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        with full_disk(name):
+            assert main([command] + base + flags) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        # no temporary file is left either
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # the next command reads run.json and hits the cache
+        assert main(["report"] + base) == 0
+        assert main(["spectrum"] + base) == 0
+        assert capsys.readouterr().err == "cache: d3_n0 hit\n"
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ the textbook recurrence.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,6 +537,40 @@ class TestPersistence:
             assert a.f_at_1 == b.f_at_1
             assert a.fprime_at_1 == b.fprime_at_1
             assert np.array_equal(a.samples, b.samples)
+
+    def test_load_maps_the_samples_read_only(self, quartic_table, tmp_path):
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        samples = es.load_spectrum(path).samples
+        assert isinstance(samples, np.memmap)
+        assert Path(samples.filename) == path.with_suffix(".npy").resolve()
+        assert samples.tobytes() == quartic_table.samples.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0, 0] = 1.0
+        assert es.load_spectrum(path).samples.tobytes() == quartic_table.samples.tobytes()
+
+    def test_saving_over_a_mapped_table_leaves_its_samples(self, quartic_table, tmp_path):
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        mapped = es.load_spectrum(path)
+        short = quartic_table.truncated(3)
+        changed = es.SpectrumTable(short.record, -short.samples)
+        es.save_spectrum(changed, path)
+        # the old file lives on under the mapping; the path names the new one
+        assert mapped.samples.tobytes() == quartic_table.samples.tobytes()
+        fresh = es.load_spectrum(path)
+        assert fresh.record == changed.record
+        assert fresh.samples.tobytes() == changed.samples.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["quartic.json", "quartic.npy"]
+
+    @pytest.mark.parametrize("name", ["quartic.npy", "quartic.json"])
+    def test_a_failed_save_leaves_the_previous_files(self, quartic_table, tmp_path, full_disk,
+                                                     name):
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        short = quartic_table.truncated(3)
+        with full_disk(name), pytest.raises(OSError, match="No space left"):
+            es.save_spectrum(es.SpectrumTable(short.record, -short.samples), path)
+        # both files are written before either replaces its target
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_version_guard(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")

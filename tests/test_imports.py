@@ -3,8 +3,9 @@ access, and the command line loads numpy and the solver only where a
 command first needs numbers: never for ``validate`` and ``report``, and
 for ``gaps`` only on a cache miss.  A command loads only the solver
 modules it calls: a solve never loads ``kernel`` or ``probe``.  No
-command loads ``dataclasses``, and only ``--config`` loads
-``configparser``.
+command loads ``dataclasses``, only ``--config`` loads ``configparser``,
+and no light command loads ``tempfile``, since the package replaces the
+files it writes without it.
 
 The start-up checks run ``specprobe.cli`` as ``__main__`` in a fresh
 interpreter that prints ``sys.modules`` to stderr at exit, since this
@@ -30,8 +31,9 @@ SOLVER_MODULES = {f"specprobe.{m}" for m in
 # what a solve imports: eigensolve and the modules it imports
 SOLVE_MODULES = SOLVER_MODULES - {"specprobe.probe", "specprobe.kernel"}
 # standard library modules a start without numpy need not load: dataclasses
-# and inspect (which it imports) and configparser, for --config alone
-START_FREE = {"dataclasses", "inspect", "configparser"}
+# and inspect (which it imports), configparser, for --config alone, and
+# tempfile, which the writes of run.json and report.md do without
+START_FREE = {"dataclasses", "inspect", "configparser", "tempfile"}
 
 
 def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
@@ -45,9 +47,12 @@ def python(*args: str, cwd=None) -> subprocess.CompletedProcess:
 
 # runs ``python -m specprobe.cli argv`` and, at exit, prints every loaded
 # module, also those loaded through ``importlib.import_module`` (the solver
-# modules ``cli`` binds by name), which ``-X importtime`` leaves out
+# modules ``cli`` binds by name), which ``-X importtime`` leaves out.  The
+# interpreter's own start may load START_FREE modules (a ``.pth`` file of
+# site can load tempfile); they are dropped first, so a later import shows.
 _REPORT_MODULES = (
     "import atexit, runpy, sys\n"
+    f"for name in {sorted(START_FREE)!r}: sys.modules.pop(name, None)\n"
     "atexit.register(lambda: print('modules:', *sorted(sys.modules), file=sys.stderr))\n"
     "runpy.run_module('specprobe.cli', run_name='__main__', alter_sys=True)\n"
 )
