@@ -9,18 +9,20 @@ exponent certification table.  Exit codes: 0 success, 1 validation
 failure, 2 numerical failure, 3 I/O failure.
 
 Every run setting is one row of ``_KEYS``: its config-file key, flag,
-default, help text, checked parser and ``RunConfig`` field.  The rows
-build the command line flags, the accepted config-file keys, the checks
-of ``resolve_config`` and the ``config`` section of ``run.json``.  They
-are declared beside the ``RunConfig`` fields, one row to a field, and a
-test keeps the two in step.  Values come from the defaults, then an
-optional flat ``key = value`` file (``[section]`` headers optional and
-ignored; an unknown key is an error), then the flags, in increasing
+default, help text, checked parser, and ``RunConfig`` field and its type.
+The rows build ``RunConfig`` itself, the command line flags, the
+accepted config-file keys, the checks of ``resolve_config`` and the
+``config`` section of ``run.json``.  Values come from the defaults, then
+an optional flat ``key = value`` file (``[section]`` headers optional
+and ignored; an unknown key is an error), then the flags, in increasing
 priority.  The default output directory can also be set via the
-``SPECPROBE_OUT`` environment variable.  ``run.json`` is read once,
-before a command does any work: a file that does not hold a JSON object
-is an I/O failure.  Every file a command writes replaces the old one
-whole (``formats.replace_files``).
+``SPECPROBE_OUT`` environment variable.  ``main`` reads ``run.json``
+once, before a command does any work (a file that does not hold a JSON
+object is an I/O failure), and is its one writer: a command returns its
+results section, which ``main`` records under the command's name, and
+``report`` returns none.  A command run under another model than the
+one ``run.json`` records drops the old model's results.  Every file a
+command writes replaces the old one whole (``formats.replace_files``).
 
 numpy and the solver modules load only where a command first needs
 numbers (``_load_solver``), and each command loads only the modules it
@@ -103,29 +105,6 @@ def __getattr__(name: str):
 
 
 __all__ = ["RunConfig", "resolve_config", "main"]
-
-
-class RunConfig(NamedTuple):
-    """Fully resolved run parameters; validated before any computation."""
-
-    model: PotentialModel
-    channels: tuple[tuple[int, int], ...]
-    l_max: int
-    rel_tol: float
-    points_per_wavelength: float
-    sigma: float
-    phi: tuple[float, float]
-    psi: tuple[float, float]
-    l_range: tuple[int, int]
-    fit_top: int
-    appendix_base: float
-    appendix_doublings: int
-    kernel_t: tuple[float, ...]
-    kernel_r: tuple[float, ...]
-    kernel_s: tuple[float, ...]
-    kernel_levels: int
-    out_dir: Path
-    allow_harmonic: bool
 
 
 # configparser.ConfigParser.BOOLEAN_STATES, copied so that only --config
@@ -242,44 +221,54 @@ class _Key(NamedTuple):
     flag: str  # command line flag
     default: str  # as config-file text
     parse: Callable[[str], object]  # text -> checked value
+    kind: object  # the type of its RunConfig field
     help: str | None = None
     field: str = ""  # RunConfig field and run.json name: the key's own unless given
     solver: bool = False  # passed to solve_spectrum and matched against a cache
     switch: bool = False  # the flag takes no value and means "true"
 
 
-# in the order of the flags in --help; a row given no field takes its key
+# in the order of the flags in --help and of the RunConfig fields; a row
+# given no field takes its key
 _KEYS = tuple(row._replace(field=row.field or row.key) for row in (
-    _Key("model", "--model", "1*r^4", str, 'potential, e.g. "1*r^4+0.5*r^6"'),
-    _Key("channels", "--channels", "3:0", _channel_list,
+    _Key("model", "--model", "1*r^4", str, PotentialModel, 'potential, e.g. "1*r^4+0.5*r^6"'),
+    _Key("channels", "--channels", "3:0", _channel_list, tuple[tuple[int, int], ...],
          "comma list of d:n pairs, e.g. 3:0,3:1"),
-    _Key("lmax", "--lmax", "60", _number(int, 0), "highest level to solve", field="l_max"),
-    _Key("rel_tol", "--rel-tol", repr(DEFAULT_REL_TOL), _number(float, MIN_REL_TOL),
+    _Key("lmax", "--lmax", "60", _number(int, 0), int, "highest level to solve", field="l_max"),
+    _Key("rel_tol", "--rel-tol", repr(DEFAULT_REL_TOL), _number(float, MIN_REL_TOL), float,
          solver=True),
     _Key("points_per_wavelength", "--ppw", repr(DEFAULT_POINTS_PER_WAVELENGTH),
-         _number(float, MIN_POINTS_PER_WAVELENGTH), "grid points per wavelength", solver=True),
-    _Key("sigma", "--sigma", "1.0", _number(float, 0.0, above=True), "spectral window scale"),
-    _Key("phi", "--phi", "1.0:0.2", _bump, "first bump as center:halfwidth"),
-    _Key("psi", "--psi", "1.5:0.2", _bump, "second bump as center:halfwidth"),
-    _Key("lrange", "--lrange", "20:50", _level_range, "probe and fit window as lo:hi levels",
-         field="l_range"),
-    _Key("fit_top", "--fit-top", "30", _number(int, 6), "gaps used in the gap fit"),
-    _Key("appendix_base", "--appendix-base", "400", _number(float, 0.0, above=True)),
+         _number(float, MIN_POINTS_PER_WAVELENGTH), float, "grid points per wavelength",
+         solver=True),
+    _Key("sigma", "--sigma", "1.0", _number(float, 0.0, above=True), float,
+         "spectral window scale"),
+    _Key("phi", "--phi", "1.0:0.2", _bump, tuple[float, float],
+         "first bump as center:halfwidth"),
+    _Key("psi", "--psi", "1.5:0.2", _bump, tuple[float, float],
+         "second bump as center:halfwidth"),
+    _Key("lrange", "--lrange", "20:50", _level_range, tuple[int, int],
+         "probe and fit window as lo:hi levels", field="l_range"),
+    _Key("fit_top", "--fit-top", "30", _number(int, 6), int, "gaps used in the gap fit"),
+    _Key("appendix_base", "--appendix-base", "400", _number(float, 0.0, above=True), float),
     # five rungs at least, to fit a slope
-    _Key("appendix_doublings", "--appendix-doublings", "6", _number(int, 5)),
-    _Key("kernel_t", "--t", "0:1:0.25", _grid_values(positive=False),
+    _Key("appendix_doublings", "--appendix-doublings", "6", _number(int, 5), int),
+    _Key("kernel_t", "--t", "0:1:0.25", _grid_values(positive=False), tuple[float, ...],
          "kernel times, start:stop:step or comma list"),
-    _Key("kernel_r", "--r", "0.6:1.4:0.2", _grid_values(positive=True),
+    _Key("kernel_r", "--r", "0.6:1.4:0.2", _grid_values(positive=True), tuple[float, ...],
          "kernel radii, start:stop:step or comma list"),
-    _Key("kernel_s", "--s", "0.6:1.4:0.2", _grid_values(positive=True),
+    _Key("kernel_s", "--s", "0.6:1.4:0.2", _grid_values(positive=True), tuple[float, ...],
          "kernel radii, start:stop:step or comma list"),
-    _Key("kernel_levels", "--levels", "20", _number(int, 0), "kernel truncation level"),
+    _Key("kernel_levels", "--levels", "20", _number(int, 0), int, "kernel truncation level"),
     _Key("out", "--out", "", lambda text: Path(
-        text or os.environ.get("SPECPROBE_OUT") or "specprobe-out"),
+        text or os.environ.get("SPECPROBE_OUT") or "specprobe-out"), Path,
         "output directory (or SPECPROBE_OUT)", field="out_dir"),
-    _Key("allow_harmonic", "--allow-harmonic", "false", _parse_bool,
+    _Key("allow_harmonic", "--allow-harmonic", "false", _parse_bool, bool,
          "permit the quadratic reference model", switch=True),
 ))
+
+RunConfig = NamedTuple("RunConfig", [(row.field, row.kind) for row in _KEYS])
+RunConfig.__doc__ = ("Fully resolved run parameters, one field per ``_KEYS`` row; "
+                     "validated before any computation.")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -368,15 +357,18 @@ def _read_run_json(cfg: RunConfig) -> dict:
     return doc
 
 
-def _update_run_json(cfg: RunConfig, doc: dict, section: str, payload: dict) -> Path:
+def _update_run_json(cfg: RunConfig, doc: dict, section: str, payload: dict) -> None:
     """Write ``doc``, read by ``_read_run_json``, back with this run's
-    config and meta and ``payload`` as results' ``section``."""
+    config and meta and ``payload`` as results' ``section``.  The results
+    recorded under another model are dropped, so that ``report`` never
+    judges them against this model's theory."""
     path = cfg.out_dir / "run.json"
+    if doc.get("config", {}).get("model") != cfg.model.spec_string:
+        doc["results"] = {}
     doc["config"] = _config_dict(cfg)
     doc["meta"] = _meta_dict(doc.get("meta", {}))
     doc.setdefault("results", {})[section] = payload
     replace_files({path: json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=True) + "\n"})
-    return path
 
 
 def _channel_key(d: int, n: int) -> str:
@@ -449,7 +441,7 @@ def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
     return tables, cache
 
 
-def cmd_validate(cfg: RunConfig, doc: dict) -> int:
+def cmd_validate(cfg: RunConfig, doc: dict) -> dict:
     # a model that breaks an assumption exits 1 when it is parsed; the
     # rest hold on all of r > 0, and these are their closed forms
     report = validate_assumptions(cfg.model)
@@ -465,18 +457,17 @@ def cmd_validate(cfg: RunConfig, doc: dict) -> int:
     for d, n in cfg.channels:
         ch = Channel(d, n)
         print(f"channel d={d} n={n}: gamma={ch.gamma:g}, bessel order={ch.bessel_order:g}")
-    _update_run_json(cfg, doc, "validate", {
+    print("validation passed")
+    return {
         "passed": True,
         "min_term_c": report.min_term_c,
         "c": report.c,
         "ratio_bounds": list(report.ratio_bounds),
         "superquadratic": report.superquadratic,
-    })
-    print("validation passed")
-    return 0
+    }
 
 
-def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
+def cmd_spectrum(cfg: RunConfig, doc: dict) -> dict:
     tables, cache = _tables(cfg)
     path = export_spectrum_csv(list(tables.values()), cfg.out_dir / "spectrum.csv")
     payload = {"channels": {}, "rows": 0, "cache": cache}
@@ -496,9 +487,8 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> int:
             entry[f"{stat}_mean"] = sum(counts) / len(counts)
         payload["channels"][_channel_key(d, n)] = entry
         payload["rows"] += len(lams)
-    _update_run_json(cfg, doc, "spectrum", payload)
     print(f"wrote {path} ({payload['rows']} rows)")
-    return 0
+    return payload
 
 
 class _Certificate(NamedTuple):
@@ -524,7 +514,7 @@ _CERTIFICATES = {
 }
 
 
-def cmd_gaps(cfg: RunConfig, doc: dict) -> int:
+def cmd_gaps(cfg: RunConfig, doc: dict) -> dict:
     if cfg.l_max < 5:
         raise ValueError(f"gaps needs lmax >= 5, six levels to fit, got {cfg.l_max}")
     tables, cache = _tables(cfg, samples=False)
@@ -541,10 +531,7 @@ def cmd_gaps(cfg: RunConfig, doc: dict) -> int:
             "theoretical": theory,
         }
         print(f"d={d} n={n}: gap exponent {fit.exponent:.4f} (theory {theory:.4f})")
-    _update_run_json(
-        cfg, doc, "gaps", {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
-    )
-    return 0
+    return {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
 
 
 def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
@@ -630,7 +617,7 @@ def _check_appendix_base(cfg: RunConfig) -> None:
         )
 
 
-def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
+def cmd_wkb(cfg: RunConfig, doc: dict) -> dict:
     if cfg.l_max < 4:
         raise ValueError(f"wkb needs lmax >= 4, five levels to fit, got {cfg.l_max}")
     _check_appendix_base(cfg)
@@ -652,7 +639,6 @@ def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
         "langer": _langer_payload(cfg, tables[first], Channel(*first)),
         "cache": cache,
     }
-    _update_run_json(cfg, doc, "wkb", payload)
     amp = channels_payload[_channel_key(*first)]["amplitude"]
     print(f"wrote {path}")
     print(
@@ -660,10 +646,10 @@ def cmd_wkb(cfg: RunConfig, doc: dict) -> int:
         f"appendix exponent {payload['appendix']['exponent']:.4f} "
         f"(theory {payload['appendix']['theoretical']:.4f})"
     )
-    return 0
+    return payload
 
 
-def cmd_probe(cfg: RunConfig, doc: dict) -> int:
+def cmd_probe(cfg: RunConfig, doc: dict) -> dict:
     # checked before the solve: probe_G needs the window weight at the
     # table's top level below 1e-14, and at tau = lam_lmax it is khat(0) = 1
     lo, hi = cfg.l_range
@@ -706,21 +692,15 @@ def cmd_probe(cfg: RunConfig, doc: dict) -> int:
             f"{seq.lower_bound_const:.6g}"
         )
     path = write_csv(cfg.out_dir / "probe.csv", PROBE_CSV_HEADER, rows)
-    _update_run_json(
-        cfg,
-        doc,
-        "probe",
-        {
-            "channels": channels_payload,
-            "l_range": list(cfg.l_range),
-            "sigma": cfg.sigma,
-            "phi": list(cfg.phi),
-            "psi": list(cfg.psi),
-            "cache": cache,
-        },
-    )
     print(f"wrote {path}")
-    return 0
+    return {
+        "channels": channels_payload,
+        "l_range": list(cfg.l_range),
+        "sigma": cfg.sigma,
+        "phi": list(cfg.phi),
+        "psi": list(cfg.psi),
+        "cache": cache,
+    }
 
 
 def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
@@ -737,7 +717,7 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
     return snapped
 
 
-def cmd_kernel(cfg: RunConfig, doc: dict) -> int:
+def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
     tables, cache = _tables(cfg)
     _load_solver("kernel")
     table = tables[cfg.channels[0]]
@@ -771,14 +751,13 @@ def cmd_kernel(cfg: RunConfig, doc: dict) -> int:
         "snapped_s": ss,
         "cache": cache,
     }
-    _update_run_json(cfg, doc, "kernel", payload)
     print(f"wrote {path}")
     print(
         f"parseval {payload['parseval']:.9f} (expect {cap + 1}); "
         f"hermitian deviation {herm:.3e}; "
         f"t=0 min eigenvalue {payload['t0_min_eigenvalue']:.3e}"
     )
-    return 0
+    return payload
 
 
 def _fitted(results: dict, path: list[str]) -> dict:
@@ -808,7 +787,7 @@ def _row_status(theory: float, fitted: dict, tol: float, mode: str) -> str:
     return "pass"
 
 
-def cmd_report(cfg: RunConfig, doc: dict) -> int:
+def cmd_report(cfg: RunConfig, doc: dict) -> None:
     stored_cfg = doc.get("config", _config_dict(cfg))
     meta = doc["meta"] if "meta" in doc else _meta_dict({})
     results = doc.get("results", {})
@@ -849,10 +828,10 @@ def cmd_report(cfg: RunConfig, doc: dict) -> int:
     path = cfg.out_dir / "report.md"
     replace_files({path: "\n".join(lines) + "\n"})
     print(f"wrote {path}")
-    return 0
 
 
-# subcommand -> (function, help), in the order of --help
+# subcommand -> (function, help), in the order of --help; a function takes
+# the config and run.json as read, and returns its results section, if any
 _COMMANDS = {
     "validate": (cmd_validate, "check the structural assumptions on the potential"),
     "spectrum": (cmd_spectrum, "solve and cache the discrete spectrum, write spectrum.csv"),
@@ -900,7 +879,11 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         cfg = resolve_config(args)
-        return _COMMANDS[args.cmd][0](cfg, _read_run_json(cfg))
+        doc = _read_run_json(cfg)
+        section = _COMMANDS[args.cmd][0](cfg, doc)
+        if section is not None:
+            _update_run_json(cfg, doc, args.cmd, section)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -144,6 +144,11 @@ class SpectrumFormatError(ValueError):
     """A saved table in a format version other than ``SPECTRUM_FORMAT_VERSION``."""
 
 
+# a record's per-level fields -> their keys in the JSON record's "levels"
+_PER_LEVEL = {"eigenvalues": "lambda", "sweeps": "sweeps", "bisections": "bisections",
+              "shifts": "shift"}
+
+
 class SpectrumRecord(NamedTuple):
     """A cached table's JSON record: everything but the samples, which sit
     beside it in the ``.npy`` file of the same name."""
@@ -159,12 +164,7 @@ class SpectrumRecord(NamedTuple):
 
     def truncated(self, count: int) -> "SpectrumRecord":
         """The record of the first ``count`` levels."""
-        return self._replace(
-            eigenvalues=self.eigenvalues[:count],
-            sweeps=self.sweeps[:count],
-            bisections=self.bisections[:count],
-            shifts=self.shifts[:count],
-        )
+        return self._replace(**{field: getattr(self, field)[:count] for field in _PER_LEVEL})
 
     def to_json(self) -> str:
         """The record as the JSON text of its file."""
@@ -176,12 +176,7 @@ class SpectrumRecord(NamedTuple):
             "n": self.channel.n,
             "grid": {"r_min": g.r_min, "h": g.h, "n_points": g.n_points},
             "tolerances": self.tolerances,
-            "levels": {
-                "lambda": list(self.eigenvalues),
-                "sweeps": list(self.sweeps),
-                "bisections": list(self.bisections),
-                "shift": list(self.shifts),
-            },
+            "levels": {key: list(getattr(self, field)) for field, key in _PER_LEVEL.items()},
         }
         return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -201,17 +196,14 @@ def read_spectrum_record(path) -> SpectrumRecord:
             f"unsupported spectrum format version {doc.get('format_version')}"
         )
     g, levels = doc["grid"], doc["levels"]
-    per_level = [levels[key] for key in ("lambda", "sweeps", "bisections", "shift")]
-    if len({len(values) for values in per_level}) != 1:
+    per_level = {field: tuple(levels[key]) for field, key in _PER_LEVEL.items()}
+    if len({len(values) for values in per_level.values()}) != 1:
         raise ValueError(f"{path}: the per-level lists differ in length")
-    lams, sweeps, bisections, shifts = per_level
+    per_level["eigenvalues"] = tuple(float(lam) for lam in per_level["eigenvalues"])
     return SpectrumRecord(
         channel=Channel(doc["d"], doc["n"]),
         model=PotentialModel.from_spec(doc["model"]),
         grid=RadialGrid(g["r_min"], g["h"], g["n_points"]),
         tolerances=doc["tolerances"],
-        eigenvalues=tuple(float(lam) for lam in lams),
-        sweeps=tuple(sweeps),
-        bisections=tuple(bisections),
-        shifts=tuple(shifts),
+        **per_level,
     )

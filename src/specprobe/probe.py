@@ -38,8 +38,6 @@ __all__ = [
     "PROBE_CSV_HEADER",
 ]
 
-BUMP_UNIT_MASS = 0.4439938161680794
-
 
 class _TestFunction(NamedTuple):
     center: float

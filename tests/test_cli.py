@@ -381,6 +381,66 @@ class TestReportRowsFail:
         assert [row for row, (_, got) in rows.items() if got != "not run"] == [name]
 
 
+class TestRunJson:
+    def test_main_writes_each_section_once_and_report_none(self, tmp_path, monkeypatch):
+        from specprobe import formats
+
+        real_open, opened = open, []
+
+        def spied_open(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return real_open(path, *args, **kwargs)
+
+        # formats.replace_files opens every file the package writes
+        monkeypatch.setattr(formats, "open", spied_open, raising=False)
+        base = ["--lmax", "13", "--out", str(tmp_path)]
+        flags = {
+            "wkb": ["--lrange", "2:12", "--appendix-base", "200", "--appendix-doublings", "5"],
+            "probe": ["--lrange", "2:11"],
+            "kernel": ["--levels", "6", "--t", "0:0.5:0.5", "--r", "1.0", "--s", "1.0"],
+        }
+        results = {}
+        for command in SUBCOMMANDS:
+            opened.clear()
+            assert main([command, *flags.get(command, []), *base]) == 0
+            written = json.loads((tmp_path / "run.json").read_text())["results"]
+            run_json_writes = [name for name in opened if name.startswith("run.json")]
+            if command == "report":
+                assert run_json_writes == []
+                assert written == results
+            else:
+                assert len(run_json_writes) == 1, command
+                assert set(written) == set(results) | {command}
+                assert {key: value for key, value in written.items() if key != command} == results
+                results = written
+
+    def test_another_model_drops_the_old_results(self, tmp_path):
+        base = ["--out", str(tmp_path)]
+        assert main(["gaps", "--model", "1*r^4", "--lmax", "30", "--fit-top", "10"] + base) == 0
+        assert main(["validate", "--model", "1*r^6"] + base) == 0
+        assert list(json.loads((tmp_path / "run.json").read_text())["results"]) == ["validate"]
+        assert main(["report", "--model", "1*r^6"] + base) == 0
+        # the quartic gap fit is not judged against the sextic theory
+        assert report_rows(tmp_path)["eigenvalue gap growth"] == ("not run", "not run")
+
+
+class TestAmplitudeWindow:
+    @pytest.mark.parametrize("flags, levels", [
+        pytest.param([], [20, 50], id="defaults"),
+        pytest.param(["--lmax", "40"], [20, 40], id="cut-to-lmax"),
+        # fewer than five levels of --lrange up to lmax: every level above U(1)
+        pytest.param(["--lmax", "22"], [0, 22], id="fallback-above-lrange"),
+        pytest.param(["--lmax", "22", "--lrange", "0:3"], [0, 22], id="fallback-short-lrange"),
+    ])
+    def test_fit_levels(self, tmp_path, quartic_n0, flags, levels):
+        cfg = resolve_config(build_parser().parse_args(["wkb", *flags, "--out", str(tmp_path)]))
+        cli._load_solver("potential")
+        cli._load_solver("wkb")
+        table = quartic_n0.truncated(cfg.l_max + 1)
+        payload = cli._amplitude_payload(cfg, table, quartic_n0.channel)
+        assert payload["levels"] == levels
+
+
 class TestCaching:
     def test_cache_reused_for_smaller_lmax(self, tmp_path):
         base = ["--channels", "3:0", "--out", str(tmp_path)]
@@ -683,7 +743,6 @@ class TestSurface:
         assert same == ["out_dir"]
 
     def test_each_setting_is_one_run_config_field(self):
-        assert sorted(cli.RunConfig._fields) == sorted(row.field for row in cli._KEYS)
         assert [key for key, _, _ in SETTINGS] == [row.key for row in cli._KEYS]
 
     def test_readme_lists_every_config_key(self):
