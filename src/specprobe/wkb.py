@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -547,18 +547,30 @@ def _scaled_g(channel, model, lam, big_t, rs: np.ndarray) -> np.ndarray:
     return (rs - big_t) * (5.0 / (36.0 * -zeta * np.abs(zeta)) - ucal)
 
 
-def _scaled_g_near(channel, model, lam, big_t) -> np.polynomial.Chebyshev:
+def _scaled_g_near(channel, model, lam, big_t) -> Callable[[np.ndarray], np.ndarray]:
     """Interpolant of ``(r - T) g(r)`` on ``[(1 - _NEAR_T) T, (1 + _NEAR_T) T]``.
 
-    Degree 23 on the 24 first-kind Chebyshev nodes, none of which is ``T``.
-    The formula loses about ``3 log10(T / |r - T|)`` digits to cancellation;
-    the nearest nodes sit ``0.0065 T`` away, where that is 6.5 digits.
+    Degree 23 on the 24 first-kind Chebyshev nodes, none of which is ``T``:
+    the coefficients are the cosine sums of the values at the nodes, and
+    the returned function evaluates the series over an array of radii by
+    Clenshaw's recurrence.  The formula loses about
+    ``3 log10(T / |r - T|)`` digits to cancellation; the nearest nodes sit
+    ``0.0065 T`` away, where that is 6.5 digits.
     """
-    return np.polynomial.Chebyshev.interpolate(
-        lambda rs: _scaled_g(channel, model, lam, big_t, rs),
-        23,
-        domain=[(1.0 - _NEAR_T) * big_t, (1.0 + _NEAR_T) * big_t],
-    )
+    half = _NEAR_T * big_t
+    theta = math.pi * (np.arange(24) + 0.5) / 24
+    values = _scaled_g(channel, model, lam, big_t, big_t + half * np.cos(theta))
+    coef = (2.0 / 24) * (np.cos(np.outer(np.arange(24), theta)) @ values)
+    coef[0] *= 0.5
+
+    def near(rs: np.ndarray) -> np.ndarray:
+        x = (rs - big_t) / half
+        b1 = b2 = np.zeros(x.shape)
+        for c in coef[:0:-1]:
+            b1, b2 = 2.0 * x * b1 - b2 + c, b1
+        return x * b1 - b2 + coef[0]
+
+    return near
 
 
 def appendix_error_integral(channel: Channel, model: PotentialModel, lam: float) -> float:

@@ -22,6 +22,8 @@ import textwrap
 import types
 from pathlib import Path
 
+import pytest
+
 from specprobe import cli
 
 SPECBENCH = Path(__file__).resolve().parents[1] / "specbench"
@@ -77,29 +79,39 @@ def test_workload_configs_carry_what_time_layers_reads(monkeypatch, tmp_path):
 # The seven subcommands in one process, each under redirect_stdout and
 # redirect_stderr as the traced benchmark run calls them, then one result
 # line.  Output written past the redirect (to fd 1, to a stream bound at
-# import, or from an exit hook) would land next to that line.
+# import, or from an exit hook) would land next to that line.  Given the
+# tracer's path (not "-"), the run installs its Tracer before the first
+# command and calls each one inside a tracer span, as the traced run does.
 IN_PROCESS_RUN = textwrap.dedent(
     """
-    import contextlib, io, json, sys
+    import contextlib, io, json, sys, types
     from specprobe import cli
 
+    run = cli.main
+    if sys.argv[1] != "-":
+        tracing = types.ModuleType("tracing")
+        exec(compile(open(sys.argv[1]).read(), sys.argv[1], "exec"), tracing.__dict__)
+        tracer = tracing.Tracer()
+        tracer.install()
+        run = lambda argv: tracer.span(f"cli.{argv[0]}", cli.main, argv)
     rcs = []
     for command in ("validate", "spectrum", "gaps", "wkb", "probe", "kernel", "report"):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            rcs.append(cli.main([command, *sys.argv[1:]]))
+            rcs.append(run([command, *sys.argv[2:]]))
     print(json.dumps({"result": "in-process run", "rcs": rcs}))
     """
 )
 
 
-def test_in_process_run_prints_only_its_result(tmp_path):
+@pytest.mark.parametrize("tracer", ["-", str(TRACING)], ids=["untraced", "traced"])
+def test_in_process_run_prints_only_its_result(tracer, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("SPECPROBE_OUT", None)
     argv = ["--model", "1*r^4", "--channels", "3:0", "--lmax", "14", "--lrange", "2:12",
             "--t", "0,0.5", "--out", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-c", IN_PROCESS_RUN, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", IN_PROCESS_RUN, tracer, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -3,9 +3,11 @@ access, and the command line loads numpy and the solver only where a
 command first needs numbers: never for ``validate`` and ``report``, and
 for ``gaps`` only on a cache miss.  A command loads only the solver
 modules it calls: a solve never loads ``kernel`` or ``probe``.  No
-command loads ``dataclasses``, only ``--config`` loads ``configparser``,
-and no light command loads ``tempfile``, since the package replaces the
-files it writes without it.
+command loads ``dataclasses`` or ``numpy.polynomial`` (the Gauss-Legendre
+rule and the Chebyshev interpolant near ``T`` are computed in the
+package), only ``--config`` loads ``configparser``, and no light command
+loads ``tempfile``, since the package replaces the files it writes
+without it.
 
 The start-up checks run ``specprobe.cli`` as ``__main__`` in a fresh
 interpreter that prints ``sys.modules`` to stderr at exit, since this
@@ -174,10 +176,12 @@ def test_only_a_config_file_loads_configparser(tmp_path):
 
 def test_numeric_commands_load_no_dataclasses(tmp_path):
     base = ["--lmax", "14", "--lrange", "2:12", "--out", str(tmp_path)]
-    for command in ("spectrum", "probe", "kernel"):
+    for command in ("spectrum", "wkb", "probe", "kernel"):
         code, names = imported_modules([command, *base])
         assert code == 0 and "numpy" in names, command
         assert "dataclasses" not in names, command
+        # the quadrature rule and the appendix interpolant are the package's own
+        assert "numpy.polynomial" not in names, command
 
 
 def test_no_package_module_imports_dataclasses():

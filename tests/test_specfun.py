@@ -10,6 +10,7 @@ from scipy import special
 from specprobe.errors import QuadratureError
 from specprobe.fitting import fit_power_law
 from specprobe.specfun import (
+    _gl_rule,
     bessel_j,
     integrate_sqrt_singular,
     langer_profile,
@@ -122,6 +123,26 @@ def test_langer_domain():
         langer_profile(0.0)
     with pytest.raises(ValueError):
         langer_profile(-2.0)
+
+
+def test_gl_rule_matches_leggauss():
+    # leggauss's own weights are about 1.3e-12 off at 48 points
+    for order in range(1, 65):
+        nodes, weights = _gl_rule(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=2e-16, err_msg=str(order))
+        np.testing.assert_allclose(weights, ref_weights, rtol=2e-12, atol=0.0, err_msg=str(order))
+
+
+def test_gl_rule_is_symmetric_and_exact_to_degree_2n_minus_1():
+    for order in range(1, 65):
+        nodes, weights = _gl_rule(order)
+        assert np.array_equal(nodes, -nodes[::-1]) and np.all(np.diff(nodes) > 0.0), order
+        assert np.array_equal(weights, weights[::-1]), order
+        assert math.fsum(weights) == pytest.approx(2.0, rel=0.0, abs=1e-14)
+        for k in range(2 * order):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(weights @ nodes**k - exact) <= 1e-14, (order, k)
 
 
 def test_integrate_smooth():

@@ -661,6 +661,11 @@ class TestAppendixIntegral:
         rs = big_t * np.concatenate([np.linspace(0.9, 0.95, 9), np.linspace(1.05, 1.0999, 9)])
         direct = wkb._scaled_g(channel, model, lam, big_t, rs)
         np.testing.assert_allclose(near(rs), direct, rtol=1e-8, atol=0.0)
+        # and at its own 24 first-kind Chebyshev nodes it is the formula to rounding
+        rs = big_t + wkb._NEAR_T * big_t * np.cos(math.pi * (np.arange(24) + 0.5) / 24)
+        direct = wkb._scaled_g(channel, model, lam, big_t, rs)
+        np.testing.assert_allclose(near(rs), direct, rtol=0.0,
+                                   atol=1e-13 * np.max(np.abs(direct)))
 
 
 class TestSummaries:
