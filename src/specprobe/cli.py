@@ -63,7 +63,10 @@ from .fitting import fit_power_law, gap_scaling
 from .formats import SpectrumFormatError, read_spectrum_record, replace_files, write_csv
 from .model import Channel, PotentialModel, validate_assumptions
 
-# submodule -> the names the numeric commands read from it; each needs numpy
+# submodule -> the names the numeric commands read from it; each needs numpy.
+# save_spectrum is no longer called here (a solve saves its own table); the
+# name stays because specbench/tracing.py wraps cli.save_spectrum, and
+# test_benchmark_tooling requires every wrapped name to resolve
 _SOLVER = {
     "eigensolve": ("SpectrumTable", "export_spectrum_csv", "load_spectrum", "save_spectrum",
                    "solve_spectrum"),
@@ -381,10 +384,11 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
 
 def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool):
     """The cached spectrum at ``path`` if it serves ``cfg``, else None, and
-    why not.  With ``samples`` the table is loaded once, its samples mapped,
-    and judged by its record, so samples that are missing or do not fit
-    the record read ``unreadable`` before any other reason; without, the
-    JSON record alone is read and a hit is the record."""
+    why not.  With ``samples`` the table is loaded once, its ``.npy``
+    opened and its header and size checked against the record, and judged
+    by its record, so samples that are missing or do not fit the record
+    read ``unreadable`` before any other reason; without, the JSON record
+    alone is read and a hit is the record."""
     if not path.exists():
         return None, "missing"
     try:
@@ -414,9 +418,10 @@ def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
     """Every channel's ``SpectrumTable``, reused from its cache when that
     matches the config, else solved and cached; and per channel, whether
     the cache hit or why it missed (also one line on stderr) and, on a
-    miss, the wall seconds of the solve.  Without ``samples`` each entry is
-    the table's ``SpectrumRecord`` instead, hit or miss: its eigenvalues,
-    counters and corrections; numpy then loads only for a solve."""
+    miss, the wall seconds of the solve and its save.  Without ``samples``
+    each entry is the table's ``SpectrumRecord`` instead, hit or miss: its
+    eigenvalues, counters and corrections; numpy then loads only for a
+    solve."""
     if samples:
         _load_solver("eigensolve")
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
@@ -428,9 +433,9 @@ def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
         if table is None:
             _load_solver("eigensolve")
             start = time.perf_counter()
-            table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, **solver)
+            # saved to the cache as it is solved, one row at a time
+            table = solve_spectrum(Channel(d, n), cfg.model, cfg.l_max, path=path, **solver)
             entry = {"hit": False, "reason": why, "solve_s": time.perf_counter() - start}
-            save_spectrum(table, path)
             if not samples:
                 table = table.record
         tables[(d, n)] = table

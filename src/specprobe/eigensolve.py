@@ -48,20 +48,29 @@ table reads its channel, model and grid through the record and holds the
 eigenvalues as an array of the record's.  An ``EigenPair``'s node count
 and value and slope at ``r = 1`` are derived from its row.  The cache,
 format version 3, is the record as JSON beside one ``.npy`` of samples
-that takes the record's name.  A loaded table maps that file read-only
-instead of copying it, so a command pays only for the rows it reads, and
-writing to its samples raises.  A save writes both files beside their
-targets and then moves the samples and the record over the old ones
-(``formats.replace_files``), so a file that is mapped is never rewritten
-in place.
+that takes the record's name.  A solve given the cache's path writes the
+``.npy`` header first and then each level's row as the level converges,
+so it never holds more than one row; the record follows once the
+dispersion shifts are known.  A loaded table checks the ``.npy`` header
+and size against the record once and then reads what a command asks for,
+a row or a block of columns, from the file it opened into a new
+read-only array (``_SampleFile``), so a process holds O(N) samples, not
+O(L N).  Every write stages both files beside their targets and then
+moves the samples and the record over the old ones
+(``formats.replace_files``): a solve or a save that fails leaves an
+earlier table's files as they were, and a table loaded before goes on
+reading the file it opened.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import weakref
+from collections.abc import Sequence
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -556,20 +565,105 @@ def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections, shift=
     )
 
 
+class _SampleFile:
+    """The samples of a saved table, read on demand from its ``.npy`` file.
+
+    ``open`` opens the file once and checks its header against its size;
+    each ``read`` copies whole rows, or one column range of each row, from
+    the open file at their offsets into a new read-only array.  A file
+    replaced after it was opened goes on being read, since the reads go
+    through the descriptor and not the path.  ``head`` is the first rows of
+    the same file, and the descriptor is closed once the file and every
+    head of it are freed.
+    """
+
+    __slots__ = ("fd", "offset", "shape", "_whole", "__weakref__")
+
+    def __init__(self, fd: int, offset: int, shape: tuple[int, int], whole=None):
+        self.fd, self.offset, self.shape = fd, offset, shape
+        self._whole = whole  # the file a head keeps open
+        if whole is None:
+            weakref.finalize(self, os.close, fd)
+
+    @classmethod
+    def open(cls, path) -> "_SampleFile":
+        """The file at ``path``; ``ValueError`` unless it is a version 1.0
+        ``.npy`` of a C-ordered float64 matrix, in exactly the bytes its
+        header declares."""
+        fmt = np.lib.format
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with os.fdopen(fd, "rb", closefd=False) as file:
+                if fmt.read_magic(file) != (1, 0):
+                    raise ValueError(f"{path}: not a version 1.0 .npy file")
+                shape, fortran_order, dtype = fmt.read_array_header_1_0(file)
+                offset = file.tell()
+            if len(shape) != 2 or fortran_order or dtype != np.dtype(float):
+                raise ValueError(f"{path}: not a C-ordered float64 matrix")
+            if os.fstat(fd).st_size != offset + 8 * shape[0] * shape[1]:
+                raise ValueError(f"{path}: the size disagrees with the header")
+        except BaseException:
+            os.close(fd)
+            raise
+        return cls(fd, offset, shape)
+
+    def head(self, count: int) -> "_SampleFile":
+        return _SampleFile(self.fd, self.offset, (count, self.shape[1]), self._whole or self)
+
+    def read(self, levels: range, columns: range) -> np.ndarray:
+        """Rows ``levels`` at ``columns``, both unit-step ranges inside the shape."""
+        out = np.empty((len(levels), len(columns)))
+        width = self.shape[1]
+        start = self.offset + 8 * (levels.start * width + columns.start)
+        if len(columns) == width:  # whole rows lie next to each other
+            parts = [(out, start)]
+        else:
+            parts = [(row, start + 8 * k * width) for k, row in enumerate(out)]
+        for buffer, at in parts:
+            if os.preadv(self.fd, [buffer], at) != buffer.nbytes:
+                raise EOFError("the samples file ends before its header says")
+        out.flags.writeable = False
+        return out
+
+
+class _EigenPairs(Sequence):
+    """A table's levels as eigenpairs, each built from its row when it is
+    read; a slice is a tuple of them.  It holds no row."""
+
+    __slots__ = ("table",)
+
+    def __init__(self, table: "SpectrumTable"):
+        self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table.record.eigenvalues)
+
+    def __getitem__(self, index):
+        levels = range(len(self))[index]
+        if isinstance(index, slice):
+            return tuple(self.table.pair(level) for level in levels)
+        return self.table.pair(levels)
+
+
 class _SpectrumTable(NamedTuple):
     record: SpectrumRecord
-    samples: np.ndarray
+    samples: np.ndarray | _SampleFile
 
 
 class SpectrumTable(_SpectrumTable):
     """Levels ``0 .. L-1`` of one channel on a shared grid: the cache record
     and one row of samples per level.
 
-    It has no ``__slots__``, so its instance dict holds ``eigenvalues`` and
-    ``eigenpairs`` once they are first read.
+    The samples are an ``(L, N)`` array for a table held in memory, and
+    for a loaded table its ``.npy`` file (``_SampleFile``), from which
+    each read copies what it asks for.  ``row``, ``block`` and
+    ``eigenpairs`` serve both.  The table has no ``__slots__``, so its
+    instance dict holds ``eigenvalues`` once it is first read;
+    ``eigenpairs`` is a view that reads each pair's row when that pair is
+    read, and keeps none.
     """
 
-    def __new__(cls, record: SpectrumRecord, samples: np.ndarray):
+    def __new__(cls, record: SpectrumRecord, samples: np.ndarray | _SampleFile):
         shape = (len(record.eigenvalues), record.grid.n_points)
         if samples.shape != shape:
             raise ValueError(f"samples do not hold {shape[0]} levels on the grid")
@@ -591,23 +685,50 @@ class SpectrumTable(_SpectrumTable):
     def eigenvalues(self) -> np.ndarray:
         return np.array(self.record.eigenvalues, dtype=float)
 
+    def _read(self, levels: range, columns: range) -> np.ndarray:
+        if isinstance(self.samples, _SampleFile):
+            return self.samples.read(levels, columns)
+        return self.samples[levels.start : levels.stop, columns.start : columns.stop]
+
+    def row(self, level: int) -> np.ndarray:
+        """The samples of one level: a view of the row in memory, or a
+        read-only copy read from the file."""
+        level = range(len(self.eigenvalues))[level]
+        return self._read(range(level, level + 1), range(self.grid.n_points))[0]
+
+    def block(self, columns: slice | Sequence[int] = slice(None),
+              levels: slice = slice(None)) -> np.ndarray:
+        """Samples of ``levels`` (every level by default) at ``columns``, a
+        unit-step slice of the grid or a list of grid indices, one row per
+        level; a loaded table reads only those."""
+        levels = range(len(self.eigenvalues))[levels]
+        if isinstance(columns, slice):
+            return self._read(levels, range(self.grid.n_points)[columns])
+        out = np.empty((len(levels), len(columns)))
+        for k, i in enumerate(columns):
+            out[:, k] = self._read(levels, range(i, i + 1))[:, 0]
+        return out
+
     def pair(self, level: int) -> EigenPair:
         if not 0 <= level < len(self.eigenvalues):
             raise IndexError(f"level {level} outside 0..{len(self.eigenvalues) - 1}")
         rec = self.record
         return _eigenpair(
-            self.grid, level, self.eigenvalues[level], self.samples[level],
+            self.grid, level, self.eigenvalues[level], self.row(level),
             rec.sweeps[level], rec.bisections[level], rec.shifts[level],
         )
 
-    @cached_property
-    def eigenpairs(self) -> tuple[EigenPair, ...]:
-        """Every level as an eigenpair; the samples are views of the rows."""
-        return tuple(self.pair(level) for level in range(len(self.eigenvalues)))
+    @property
+    def eigenpairs(self) -> Sequence[EigenPair]:
+        """Every level as an eigenpair, read when it is indexed; in memory
+        the samples are views of the rows."""
+        return _EigenPairs(self)
 
     def truncated(self, count: int) -> "SpectrumTable":
         """The table of the first ``count`` levels."""
-        return SpectrumTable(self.record.truncated(count), self.samples[:count])
+        samples = self.samples
+        head = samples.head(count) if isinstance(samples, _SampleFile) else samples[:count]
+        return SpectrumTable(self.record.truncated(count), head)
 
 
 def _action_guess(channel: Channel, model: PotentialModel, level: int):
@@ -652,6 +773,7 @@ def solve_spectrum(
     grid: RadialGrid | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     points_per_wavelength: float = DEFAULT_POINTS_PER_WAVELENGTH,
+    path=None,
 ) -> SpectrumTable:
     """All eigenpairs of levels ``0 .. l_max`` on one shared grid.
 
@@ -660,19 +782,48 @@ def solve_spectrum(
     the three below, each later level from the cubic through the four
     below, whose last finite difference is the expected first step.
     The dispersion shifts of all levels are taken in one call at the end.
+
+    Without ``path`` the samples are held in one array.  With it the table
+    is saved there as it is solved (see ``save_spectrum``), each level's
+    row written as the level converges, and the table returned reads its
+    samples from the saved file; a solve that fails leaves the files of
+    an earlier table at ``path`` as they were.
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
     if grid is None:
         grid = _default_grid(channel, model, l_max, points_per_wavelength)
     shooter = _Shooter(channel, model, grid)
-    c = model.growth_index
+    shape = (l_max + 1, grid.n_points)
+    tolerances = {"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength}
+    if path is None:
+        samples = np.empty(shape)
+        return SpectrumTable(_solve_levels(shooter, l_max, tolerances, samples.__setitem__),
+                             samples)
+    path = Path(path)
+    solved = []
+
+    def stream(file):
+        _write_samples_header(file, shape)
+        keep = lambda level, row: file.write(row)
+        solved.append(_solve_levels(shooter, l_max, tolerances, keep))
+
+    replace_files({
+        path.with_suffix(".npy"): stream,
+        path: lambda file: file.write(solved[0].to_json().encode("ascii")),
+    })
+    return SpectrumTable(solved[0], _SampleFile.open(path.with_suffix(".npy")))
+
+
+def _solve_levels(shooter: _Shooter, l_max: int, tolerances: dict, keep) -> SpectrumRecord:
+    """The record of levels ``0 .. l_max``; ``keep(level, row)`` receives
+    each level's samples as the level converges."""
+    c = shooter.model.growth_index
     power = (c + 1.0) / (2.0 * c)
-    samples = np.empty((l_max + 1, grid.n_points))
     lams, sweeps, bisections = [], [], []
     for level in range(l_max + 1):
         if level < 3:
-            guess, gap = _action_guess(channel, model, level)
+            guess, gap = _action_guess(shooter.channel, shooter.model, level)
             expect = math.inf
         else:
             below = np.array(lams[-4:]) ** power
@@ -681,44 +832,57 @@ def solve_spectrum(
             guess = ahead ** (1.0 / power)
             # d lam / d(lam^p) = lam / (p lam^p) carries the last difference over
             gap, expect = guess - lams[-1], abs(diffs[-1]) * guess / (power * ahead)
-        pair = shooter.solve(level, guess, gap, rel_tol, expect)
+        pair = shooter.solve(level, guess, gap, tolerances["rel_tol"], expect)
         if lams and pair.lam <= lams[-1]:
             raise ConsistencyError(f"level {level}: eigenvalues not increasing")
-        samples[level] = pair.samples
+        keep(level, pair.samples)
         lams.append(pair.lam)
         sweeps.append(pair.sweeps)
         bisections.append(pair.bisections)
     lams = np.array(lams)
     shifts = _dispersion_shifts(shooter, lams)
-    record = SpectrumRecord(
-        channel=channel,
-        model=model,
-        grid=grid,
-        tolerances={"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength},
+    return SpectrumRecord(
+        channel=shooter.channel,
+        model=shooter.model,
+        grid=shooter.grid,
+        tolerances=tolerances,
         eigenvalues=tuple((lams + shifts).tolist()),
         sweeps=tuple(sweeps),
         bisections=tuple(bisections),
         shifts=tuple(shifts.tolist()),
     )
-    return SpectrumTable(record, samples)
+
+
+def _write_samples_header(file, shape: tuple[int, int]) -> None:
+    """The ``.npy`` header ``np.save`` writes for a float64 array of ``shape``."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+              "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(file, header)
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:
-    """Persist a table as its JSON record plus a binary sample sidecar; a
-    save that fails leaves both files of an earlier table as they were."""
+    """Persist a table as its JSON record plus a binary sample sidecar, the
+    ``.npy`` that ``np.save`` writes of its samples, row by row; a save that
+    fails leaves both files of an earlier table as they were."""
     path = Path(path)
-    replace_files({
-        path.with_suffix(".npy"): lambda file: np.save(file, table.samples),
-        path: table.record.to_json(),
-    })
+    count = len(table.eigenvalues)
+
+    def write_samples(file):
+        _write_samples_header(file, (count, table.grid.n_points))
+        for level in range(count):
+            file.write(np.ascontiguousarray(table.row(level), dtype=float))
+
+    replace_files({path.with_suffix(".npy"): write_samples, path: table.record.to_json()})
     return path
 
 
 def load_spectrum(path) -> SpectrumTable:
-    """The table saved at ``path``: its record, and its samples mapped read-only."""
+    """The table saved at ``path``: its record, and its samples read from
+    the ``.npy`` on demand.  A sample file whose header or size disagrees
+    with the record raises ``ValueError`` here, before any read."""
     path = Path(path)
     record = read_spectrum_record(path)
-    return SpectrumTable(record, np.load(path.with_suffix(".npy"), mmap_mode="r"))
+    return SpectrumTable(record, _SampleFile.open(path.with_suffix(".npy")))
 
 
 def export_spectrum_csv(tables: Sequence[SpectrumTable], path) -> Path:

@@ -22,28 +22,39 @@ __all__ = [
 ]
 
 
-def _levels(table, level_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and sample rows of levels ``0 .. level_cap``."""
+# grid columns per block of the Gram matrix's sum
+_COLUMN_BLOCK = 1024
+
+
+def _check_cap(table, level_cap: int) -> None:
     count = len(table.eigenvalues)
     if not (0 <= level_cap < count):
         raise ValueError(
             f"truncation level {level_cap} outside the solved range 0..{count - 1}"
         )
-    return table.eigenvalues[: level_cap + 1], table.samples[: level_cap + 1]
 
 
 def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> np.ndarray:
-    """Kernel matrix over a set of grid radii at one time."""
-    lams, f = _levels(table, level_cap)
-    f = f[:, [table.grid.index_of(r) for r in radii]]
-    phases = np.exp(-1j * lams * t)
+    """Kernel matrix over a set of grid radii at one time; only the samples
+    at those radii are read."""
+    _check_cap(table, level_cap)
+    f = table.block([table.grid.index_of(r) for r in radii], slice(level_cap + 1))
+    phases = np.exp(-1j * table.eigenvalues[: level_cap + 1] * t)
     return (f.T * phases) @ f
 
 
 def gram_matrix(table, level_cap: int) -> np.ndarray:
-    """Simpson-weighted Gram matrix of the first ``level_cap + 1`` levels."""
-    _, f = _levels(table, level_cap)
-    return (f * table.grid.simpson_weights) @ f.T
+    """Simpson-weighted Gram matrix of the first ``level_cap + 1`` levels,
+    summed over blocks of ``_COLUMN_BLOCK`` grid columns, so that one block
+    of samples is held at a time."""
+    _check_cap(table, level_cap)
+    weights = table.grid.simpson_weights
+    g = np.zeros((level_cap + 1, level_cap + 1))
+    for start in range(0, table.grid.n_points, _COLUMN_BLOCK):
+        columns = slice(start, start + _COLUMN_BLOCK)
+        f = table.block(columns, slice(level_cap + 1))
+        g += (f * weights[columns]) @ f.T
+    return g
 
 
 def parseval_check(table, level_cap: int) -> float:

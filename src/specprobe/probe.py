@@ -105,25 +105,47 @@ def make_bump(center: float, halfwidth: float, grid) -> TestFunction:
     return TestFunction(center=center, halfwidth=halfwidth, samples=samples, mass=mass)
 
 
-def overlap(tf: TestFunction, phase: float, pair, grid):
+def _support(tf: TestFunction) -> slice:
+    inside = np.flatnonzero(tf.samples)
+    return slice(inside[0], inside[-1] + 1)
+
+
+def _weights(tf: TestFunction, phase: float, grid, support: slice) -> np.ndarray:
+    """Simpson weights times ``tf e^(i r phase)`` on ``support``."""
+    modulation = np.exp(1j * phase * grid.r[support])
+    return grid.simpson_weights[support] * tf.samples[support] * modulation
+
+
+def overlap(tf: TestFunction, phase: float, pair, grid) -> complex:
     """Modulated pairing ``int exp(i r phase) tf(r) f(r) dr`` by Simpson.
 
-    ``pair`` is anything with ``samples`` of shape ``(..., N)``: one
-    eigenpair, giving a complex number, or a whole table, giving one
-    pairing per level.  Only the support of ``tf`` is summed, and a row of
-    a table sums in the same order as the eigenpair of that row.
+    ``pair`` is one eigenpair.  Only the support of ``tf`` is summed, in
+    the order in which ``probe_G`` sums each level of a table.
     """
-    if tf.samples.shape[-1:] != pair.samples.shape[-1:]:
+    if tf.samples.shape != pair.samples.shape:
         raise ValueError("test function and eigenpair live on different grids")
-    inside = np.flatnonzero(tf.samples)
-    support = slice(inside[0], inside[-1] + 1)
-    weights = (
-        grid.simpson_weights[support]
-        * tf.samples[support]
-        * np.exp(1j * phase * grid.r[support])
-    )
-    out = np.sum(pair.samples[..., support] * weights, axis=-1)
-    return complex(out) if out.ndim == 0 else out
+    support = _support(tf)
+    return complex(np.sum(pair.samples[support] * _weights(tf, phase, grid, support)))
+
+
+def _overlaps(table, tf: TestFunction, phases: Sequence[float]) -> np.ndarray:
+    """``overlap`` of every level of ``table`` at each of ``phases``, one row
+    per phase.  The table's samples on the support of ``tf`` are read once,
+    in blocks of levels that hold about one grid row of samples."""
+    grid = table.grid
+    if tf.samples.shape != (grid.n_points,):
+        raise ValueError("test function and eigenpair live on different grids")
+    support = _support(tf)
+    weights = [_weights(tf, phase, grid, support) for phase in phases]
+    count = len(table.eigenvalues)
+    out = np.empty((len(weights), count), dtype=complex)
+    step = max(1, grid.n_points // (support.stop - support.start))
+    for lo in range(0, count, step):
+        levels = slice(lo, lo + step)
+        rows = table.block(support, levels)
+        for row, w in zip(out, weights):
+            row[levels] = np.sum(rows * w, axis=-1)
+    return out
 
 
 def predicted_overlap(c_lambda: complex, lam: float, mass: float) -> complex:
@@ -161,7 +183,13 @@ def probe_G(
     Requires the table to extend far enough that the truncated tail is
     below 1e-14 in window weight.
     """
-    lams = table.eigenvalues
+    a = _overlaps(table, phi, [j])[0]
+    b = _overlaps(table, psi, [-k])[0]
+    return _windowed_sum(table.eigenvalues, tau, window, a, b)
+
+
+def _windowed_sum(lams: np.ndarray, tau: float, window: WindowSpec, a, b) -> complex:
+    """``sum_l khat(lam_l - tau) a_l b_l`` over the levels of ``lams``."""
     tail = window_hat(window, float(lams[-1]) - tau)
     if tail >= 1e-14:
         raise TruncationError(
@@ -169,8 +197,7 @@ def probe_G(
             f"last window weight {tail:.3e}",
             tail_bound=float(tail),
         )
-    a = window_hat(window, lams - tau) * overlap(phi, j, table, table.grid)
-    b = overlap(psi, -k, table, table.grid)
+    a = window_hat(window, lams - tau) * a
     # the product written out in real arithmetic, as Python's complex
     # product does it: numpy's complex multiply may fuse the operations, and
     # the resonant term must equal the product of its overlaps to the bit
@@ -225,14 +252,18 @@ def probe_sequence(
     _check_support_allowed(psi, channel, model, float(table.eigenvalues[lo]))
 
     inv_two_c = 1.0 / (2.0 * model.growth_index)
+    lams = table.eigenvalues
+    roots = [math.sqrt(float(lams[level])) for level in range(lo, hi + 1)]
+    # the overlaps of every level at every probe's phase, read once
+    at_phi = _overlaps(table, phi, roots)
+    at_psi = _overlaps(table, psi, [-root for root in roots])
     points = []
     fit_data = []
     lower = math.inf
-    for level in range(lo, hi + 1):
+    for level, root, a, b in zip(range(lo, hi + 1), roots, at_phi, at_psi):
         pair = table.pair(level)
         lam = pair.lam
-        root = math.sqrt(lam)
-        g = probe_G(table, lam, root, root, window, phi, psi)
+        g = _windowed_sum(lams, lam, window, a, b)
         c_re = rephased_amplitude(extract_C_lambda(pair, channel, model), lam)
         predicted = abs(c_re) ** 2 * phi.mass * psi.mass / (4.0 * root)
         iso = isolation_check(table, level, window)

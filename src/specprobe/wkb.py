@@ -14,9 +14,10 @@ it.  Phase and turning-point coordinate are integrals of ``sqrt|lam - U|``
 between a radius and ``T`` by the same rule (``_root_integrals``), and
 the error-control integral runs on it too, its pieces split at the zeros
 of its integrand (``_kinked_integrals``).  No integral here is adaptive.
-Tables are read only through ``eigenvalues`` and ``eigenpairs``, and
-eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
-``fprime_at_1``, so this module needs no solver.
+Tables are read only through ``eigenpairs``, each pair once per pass,
+and eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
+``fprime_at_1``, so this module needs no solver, and a table read from
+disk holds one row at a time.
 """
 
 from __future__ import annotations
@@ -722,8 +723,9 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     come from one array iteration each, on the potential minimum found once,
     and the phases from 1 to the turning points from one call of the rule.
     """
-    pairs = table.eigenpairs
-    lams = np.array([pair.lam for pair in pairs], dtype=float)
+    # one read of each pair's row: the fields the summaries take from it
+    pairs = [(p.level, p.lam, p.f_at_1, p.fprime_at_1) for p in table.eigenpairs]
+    lams = np.array([lam for _, lam, _, _ in pairs], dtype=float)
     r_c = _potential_min_radius(channel, model)
     big_t = _outer_edges(channel, model, _checked_levels(channel, model, lams, r_c))
     big_x = _bare_edges(model, lams)
@@ -733,11 +735,11 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     actions = _bare_action(model, lams, big_x)[0].tolist()
     phases = _root_integrals(channel, model, lams, np.ones_like(lams), big_t).tolist()
     out = []
-    for i, pair in enumerate(pairs):
+    for i, (level, lam, f_at_1, fprime_at_1) in enumerate(pairs):
         action = actions[i]
-        residual = action - quantization_target(channel, pair.level)
-        if pair.lam > u1:
-            c_lam = amplitude_from_boundary(pair.f_at_1, pair.fprime_at_1, pair.lam, u1, u1p)
+        residual = action - quantization_target(channel, level)
+        if lam > u1:
+            c_lam = amplitude_from_boundary(f_at_1, fprime_at_1, lam, u1, u1p)
             phase_z = phases[i]
         else:
             c_lam = complex(math.nan, math.nan)
@@ -747,8 +749,8 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
             WkbSummary(
                 d=channel.d,
                 n=channel.n,
-                level=pair.level,
-                lam=pair.lam,
+                level=level,
+                lam=lam,
                 action=action,
                 residual=residual,
                 turning_t=float(big_t[i]),

@@ -9,13 +9,15 @@ These tests fail instead when the package drops what those scripts read.
 The traced run also calls ``cli.main`` in its own process under redirected
 streams and then prints its result, which must stay the last line.
 The scripts are read as text and run in fresh namespaces, so nothing is
-written next to them.
+written next to them; the end-to-end traced run copies the package and
+the scripts and runs there.
 """
 
 import importlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -163,3 +165,28 @@ def test_tracer_installed_before_any_command_counts_its_calls(tmp_path):
     assert got["rcs"] == [0, 0]
     assert got["counts"]["cli>eigensolve.solve_spectrum"] == 1
     assert got["counts"]["cli>eigensolve.load_spectrum"] == 1
+
+
+@pytest.mark.parametrize("workload", ["quartic_cold_certify", "mixed_cold_channels"])
+def test_traced_run_reports_every_layer(tmp_path, workload):
+    # time_layers hands a loaded table to probe_G, probe_sequence and the
+    # kernel functions, and prints "layer timing ... absent" for a reader
+    # that raises AttributeError or TypeError on it, dropping the metric
+    # without failing the run; so the whole traced run is checked here, on
+    # a copy of the package and the scripts
+    root = SPECBENCH.parent
+    for name in ("src", "specbench"):
+        shutil.copytree(root / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".specbench"))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SPECPROBE_OUT")}
+    proc = subprocess.run(
+        [sys.executable, "specbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("layer timing")]
+    result = json.loads(lines[-1])
+    assert result["correct"] is True, proc.stderr
+    (notes,) = [json.loads(line[len("notes: "):]) for line in lines if line.startswith("notes: ")]
+    assert notes["missing_boundaries"] == []

@@ -537,7 +537,7 @@ class TestCaching:
             assert capsys.readouterr().err == "cache: d3_n0 hit\n"
         old = load_spectrum(json_path)
         assert old.grid == table.grid
-        assert old.samples.tobytes() == table.samples.tobytes()
+        assert old.block().tobytes() == table.block().tobytes()
 
     def test_record_with_a_decay_margin_is_solved_again(self, tmp_path, capsys):
         # records written while the grid took a decay margin carry it among
@@ -655,10 +655,11 @@ class TestCaching:
         lambda npy: npy.unlink(),
         lambda npy: npy.write_bytes(b""),
         lambda npy: npy.write_bytes(npy.read_bytes()[:-8]),
-    ], ids=["missing", "empty", "truncated"])
+        lambda npy: npy.write_bytes(npy.read_bytes() + bytes(8)),
+    ], ids=["missing", "empty", "truncated", "extended"])
     def test_unreadable_samples_outrank_other_reasons(self, tmp_path, capsys, spoil):
         # a command that reads the samples loads the table once and judges
-        # it by the record: samples it cannot map miss as unreadable, even
+        # it by the record: samples it cannot read miss as unreadable, even
         # where the model differs too; gaps reads the record alone
         base = ["--lmax", "5", "--out", str(tmp_path)]
         for command, reason in (("gaps", "model"), ("spectrum", "unreadable")):

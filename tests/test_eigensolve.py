@@ -522,13 +522,17 @@ class TestPersistence:
         short = quartic_table.truncated(3)
         assert short.record == record.truncated(3)
         assert short.samples.tobytes() == quartic_table.samples[:3].tobytes()
+        # the eigenpairs are read from the rows, not kept: in memory each
+        # pair's samples are a view of its row
+        assert np.shares_memory(quartic_table.eigenpairs[5].samples, quartic_table.samples[5])
+        assert [pair.level for pair in short.eigenpairs] == [0, 1, 2]
 
     def test_round_trip(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
         loaded = es.load_spectrum(path)
         assert loaded.record == quartic_table.record
-        for field in ("eigenvalues", "samples"):
-            a, b = getattr(loaded, field), getattr(quartic_table, field)
+        for a, b in ((loaded.eigenvalues, quartic_table.eigenvalues),
+                     (loaded.block(), quartic_table.samples)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
         for a, b in zip(loaded.eigenpairs, quartic_table.eigenpairs):
@@ -538,27 +542,36 @@ class TestPersistence:
             assert a.fprime_at_1 == b.fprime_at_1
             assert np.array_equal(a.samples, b.samples)
 
-    def test_load_maps_the_samples_read_only(self, quartic_table, tmp_path):
+    def test_load_reads_read_only_rows_from_its_file(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
-        samples = es.load_spectrum(path).samples
-        assert isinstance(samples, np.memmap)
-        assert Path(samples.filename) == path.with_suffix(".npy").resolve()
-        assert samples.tobytes() == quartic_table.samples.tobytes()
+        loaded = es.load_spectrum(path)
+        # the file is opened once, at load: its rows are read from it even
+        # after its path is gone
+        path.with_suffix(".npy").unlink()
+        row = loaded.row(4)
+        assert row.tobytes() == quartic_table.samples[4].tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            samples[0, 0] = 1.0
-        assert es.load_spectrum(path).samples.tobytes() == quartic_table.samples.tobytes()
+            row[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.pair(2).samples[0] = 1.0
+        # each read is a copy of what it asks for, not a view of a mapping
+        assert not isinstance(row.base, np.memmap) and not np.shares_memory(row, loaded.row(4))
+        block = loaded.block(slice(100, 140), slice(2, 5))
+        assert block.tobytes() == quartic_table.samples[2:5, 100:140].tobytes()
+        assert not block.flags.writeable
+        assert loaded.block().tobytes() == quartic_table.samples.tobytes()
 
-    def test_saving_over_a_mapped_table_leaves_its_samples(self, quartic_table, tmp_path):
+    def test_saving_over_a_loaded_table_leaves_its_samples(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
-        mapped = es.load_spectrum(path)
+        loaded = es.load_spectrum(path)
         short = quartic_table.truncated(3)
         changed = es.SpectrumTable(short.record, -short.samples)
         es.save_spectrum(changed, path)
-        # the old file lives on under the mapping; the path names the new one
-        assert mapped.samples.tobytes() == quartic_table.samples.tobytes()
+        # the old file lives on under the loaded table; the path names the new one
+        assert loaded.block().tobytes() == quartic_table.samples.tobytes()
         fresh = es.load_spectrum(path)
         assert fresh.record == changed.record
-        assert fresh.samples.tobytes() == changed.samples.tobytes()
+        assert fresh.block().tobytes() == changed.samples.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["quartic.json", "quartic.npy"]
 
     @pytest.mark.parametrize("name", ["quartic.npy", "quartic.json"])
@@ -571,6 +584,51 @@ class TestPersistence:
             es.save_spectrum(es.SpectrumTable(short.record, -short.samples), path)
         # both files are written before either replaces its target
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_failed_solve_leaves_the_previous_files(self, quartic_table, tmp_path,
+                                                      monkeypatch):
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        solve = es._Shooter.solve
+
+        def fail_at_level_5(self, level, *args):
+            if level == 5:
+                raise ConsistencyError("level 5: injected failure")
+            return solve(self, level, *args)
+
+        monkeypatch.setattr(es._Shooter, "solve", fail_at_level_5)
+        with pytest.raises(ConsistencyError, match="injected"):
+            es.solve_spectrum(CH30, QUARTIC, 8, path=path)
+        # five rows were written to the staged file; it is gone, and no
+        # other *.tmp file is left
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("name", ["quartic.npy", "quartic.json"])
+    def test_a_full_disk_during_a_solve_leaves_the_previous_files(self, quartic_table, tmp_path,
+                                                                  full_disk, name):
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with full_disk(name), pytest.raises(OSError, match="No space left"):
+            es.solve_spectrum(CH30, QUARTIC, 5, path=path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("spoil", [
+        lambda npy, other: npy.write_bytes(npy.read_bytes()[:-8]),
+        lambda npy, other: npy.write_bytes(npy.read_bytes() + bytes(8)),
+        lambda npy, other: npy.write_bytes(other.read_bytes()),
+        lambda npy, other: np.save(npy, np.load(npy).astype(np.float32)),
+        lambda npy, other: np.save(npy, np.asfortranarray(np.load(npy))),
+        lambda npy, other: npy.write_bytes(b"not a numpy file"),
+    ], ids=["short", "long", "other-table", "float32", "fortran", "no-header"])
+    def test_samples_that_disagree_fail_at_load(self, quartic_table, tmp_path, spoil):
+        # a file whose size disagrees with its header, or whose header
+        # disagrees with the record, fails when it is loaded, not at the
+        # first read past its end
+        path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
+        other = es.save_spectrum(quartic_table.truncated(3), tmp_path / "other.json")
+        spoil(path.with_suffix(".npy"), other.with_suffix(".npy"))
+        with pytest.raises(ValueError):
+            es.load_spectrum(path)
 
     def test_version_guard(self, quartic_table, tmp_path):
         path = es.save_spectrum(quartic_table, tmp_path / "quartic.json")
