@@ -539,20 +539,13 @@ def cmd_gaps(cfg: RunConfig, doc: dict) -> dict:
     return {"channels": channels_payload, "fit_top": cfg.fit_top, "cache": cache}
 
 
-def _amplitude_payload(cfg: RunConfig, table: SpectrumTable, ch: Channel) -> dict:
-    u1 = effective_potential(ch, cfg.model, 1.0)
-    count = len(table.eigenvalues)
-    n_skip = int(np.count_nonzero(table.eigenvalues <= u1))
-    usable = count - n_skip
-    lo = max(cfg.l_range[0] - n_skip, 0)
-    hi = min(cfg.l_range[1] + 1 - n_skip, usable)
-    window = (lo, hi) if hi - lo >= 5 else None
-    fit = amplitude_scaling(table, ch, cfg.model, window=window)
+def _amplitude_payload(cfg: RunConfig, summaries: list) -> dict:
+    fit, levels = amplitude_scaling(summaries, cfg.l_range)
     return {
         "exponent": fit.exponent,
         "r_squared": fit.r_squared,
         "theoretical": _CERTIFICATES["amplitude"].exponent(cfg.model.growth_index),
-        "levels": [lo + n_skip, hi - 1 + n_skip] if window else [n_skip, count - 1],
+        "levels": list(levels),
     }
 
 
@@ -631,11 +624,9 @@ def cmd_wkb(cfg: RunConfig, doc: dict) -> dict:
     summaries = []
     channels_payload = {}
     for (d, n), table in tables.items():
-        ch = Channel(d, n)
-        summaries.extend(summarize(table, ch, cfg.model))
-        channels_payload[_channel_key(d, n)] = {
-            "amplitude": _amplitude_payload(cfg, table, ch)
-        }
+        rows = summarize(table, Channel(d, n), cfg.model)
+        summaries.extend(rows)
+        channels_payload[_channel_key(d, n)] = {"amplitude": _amplitude_payload(cfg, rows)}
     path = export_wkb_csv(summaries, cfg.out_dir / "wkb.csv")
     first = cfg.channels[0]
     payload = {

@@ -48,18 +48,17 @@ table reads its channel, model and grid through the record and holds the
 eigenvalues as an array of the record's.  An ``EigenPair``'s node count
 and value and slope at ``r = 1`` are derived from its row.  The cache,
 format version 3, is the record as JSON beside one ``.npy`` of samples
-that takes the record's name.  A solve given the cache's path writes the
-``.npy`` header first and then each level's row as the level converges,
-so it never holds more than one row; the record follows once the
-dispersion shifts are known.  A loaded table checks the ``.npy`` header
-and size against the record once and then reads what a command asks for,
-a row or a block of columns, from the file it opened into a new
-read-only array (``_SampleFile``), so a process holds O(N) samples, not
-O(L N).  Every write stages both files beside their targets and then
-moves the samples and the record over the old ones
-(``formats.replace_files``): a solve or a save that fails leaves an
-earlier table's files as they were, and a table loaded before goes on
-reading the file it opened.
+that takes the record's name.  One writer (``_write_table``) stages the
+``.npy`` header, the rows and then the record beside their targets, and
+moves both files over the old ones (``formats.replace_files``).  A solve
+given the cache's path passes it each level's row as the level converges,
+so it never holds more than one row; a save passes the rows of a table it
+has.  A write that fails leaves an earlier table's files as they were,
+and a table loaded before goes on reading the file it opened.  A loaded
+table checks the ``.npy`` header and size against the record once and
+then reads what a command asks for, a row or a block of columns, from the
+file it opened into a new read-only array (``_SampleFile``), so a process
+holds O(N) samples, not O(L N).
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ import math
 import os
 import weakref
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -111,7 +110,6 @@ __all__ = [
 ]
 
 DEFAULT_MIN_POINTS = 1000
-_DECAY_PIECES = 8  # pieces of build_grid's decay integral per call of the rule
 BARRIER_EXPONENT = 300.0  # most decay the outward sweep climbs: e^300 ~ 1e130
 # decay from the match point at which the inward sweep starts: e^-40 ~ 4.2e-18
 # is below half an ulp of the samples there, so the zeros beyond lose nothing
@@ -145,19 +143,14 @@ def build_grid(
 
     # the decay int sqrt(U - lam_max) past T, over the pieces
     # [T, 1.05 T + 0.5] and then each 1.2 times the last, summed in order
-    # up to the piece that reaches INWARD_DECAY; _DECAY_PIECES at a time
-    edges = [big_t, big_t * 1.05 + 0.5]
-    acc, done = 0.0, 0
-    while acc < INWARD_DECAY:
-        while len(edges) < done + _DECAY_PIECES + 1:
-            edges.append(edges[-1] * 1.2)
-        lo, hi = np.array(edges[done:-1]), np.array(edges[done + 1 :])
-        for piece in _root_integrals(channel, model, np.full(lo.shape, lam_max), lo, hi).tolist():
-            acc += piece
-            done += 1
-            if acc >= INWARD_DECAY:
-                break
-    r_far = edges[done]
+    # up to the piece that reaches INWARD_DECAY
+    lo, r_far, acc = big_t, big_t * 1.05 + 0.5, 0.0
+    while True:
+        acc += float(_root_integrals(channel, model, np.array([lam_max]),
+                                     np.array([lo]), np.array([r_far]))[0])
+        if acc >= INWARD_DECAY:
+            break
+        lo, r_far = r_far, r_far * 1.2
 
     r_min = min(1e-3, 0.1 * lam_max**-0.25)
     h_wave = 2.0 * math.pi / (points_per_wavelength * math.sqrt(lam_max))
@@ -699,13 +692,15 @@ class SpectrumTable(_SpectrumTable):
     def block(self, columns: slice | Sequence[int] = slice(None),
               levels: slice = slice(None)) -> np.ndarray:
         """Samples of ``levels`` (every level by default) at ``columns``, a
-        unit-step slice of the grid or a list of grid indices, one row per
-        level; a loaded table reads only those."""
+        unit-step slice of the grid or a list of grid indices, which index
+        as a list's do, one row per level; a loaded table reads only those."""
         levels = range(len(self.eigenvalues))[levels]
+        points = range(self.grid.n_points)
         if isinstance(columns, slice):
-            return self._read(levels, range(self.grid.n_points)[columns])
+            return self._read(levels, points[columns])
         out = np.empty((len(levels), len(columns)))
         for k, i in enumerate(columns):
+            i = points[i]
             out[:, k] = self._read(levels, range(i, i + 1))[:, 0]
         return out
 
@@ -784,10 +779,10 @@ def solve_spectrum(
     The dispersion shifts of all levels are taken in one call at the end.
 
     Without ``path`` the samples are held in one array.  With it the table
-    is saved there as it is solved (see ``save_spectrum``), each level's
-    row written as the level converges, and the table returned reads its
-    samples from the saved file; a solve that fails leaves the files of
-    an earlier table at ``path`` as they were.
+    is saved there as it is solved, through the writer of ``save_spectrum``,
+    each level's row staged as the level converges, and the table returned
+    reads its samples from the saved file; a solve that fails leaves the
+    files of an earlier table at ``path`` as they were.
     """
     if l_max < 0:
         raise ValueError("l_max must be non-negative")
@@ -801,18 +796,8 @@ def solve_spectrum(
         return SpectrumTable(_solve_levels(shooter, l_max, tolerances, samples.__setitem__),
                              samples)
     path = Path(path)
-    solved = []
-
-    def stream(file):
-        _write_samples_header(file, shape)
-        keep = lambda level, row: file.write(row)
-        solved.append(_solve_levels(shooter, l_max, tolerances, keep))
-
-    replace_files({
-        path.with_suffix(".npy"): stream,
-        path: lambda file: file.write(solved[0].to_json().encode("ascii")),
-    })
-    return SpectrumTable(solved[0], _SampleFile.open(path.with_suffix(".npy")))
+    record = _write_table(path, shape, partial(_solve_levels, shooter, l_max, tolerances))
+    return SpectrumTable(record, _SampleFile.open(path.with_suffix(".npy")))
 
 
 def _solve_levels(shooter: _Shooter, l_max: int, tolerances: dict, keep) -> SpectrumRecord:
@@ -853,26 +838,38 @@ def _solve_levels(shooter: _Shooter, l_max: int, tolerances: dict, keep) -> Spec
     )
 
 
-def _write_samples_header(file, shape: tuple[int, int]) -> None:
-    """The ``.npy`` header ``np.save`` writes for a float64 array of ``shape``."""
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-              "fortran_order": False, "shape": shape}
-    np.lib.format.write_array_header_1_0(file, header)
+def _write_table(path: Path, shape: tuple[int, int], fill) -> SpectrumRecord:
+    """Stage the ``.npy`` header ``np.save`` writes for a float64 array of
+    ``shape``, the rows that ``fill(keep)`` passes to ``keep(level, row)``
+    in level order and the record it returns, then move both files over the
+    old ones in one ``replace_files``; returns the record."""
+    record = None
+
+    def samples(file):
+        nonlocal record
+        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
+                  "fortran_order": False, "shape": shape}
+        np.lib.format.write_array_header_1_0(file, header)
+        record = fill(lambda level, row: file.write(row))
+
+    replace_files({path.with_suffix(".npy"): samples,
+                   path: lambda file: file.write(record.to_json().encode("ascii"))})
+    return record
 
 
 def save_spectrum(table: SpectrumTable, path) -> Path:
     """Persist a table as its JSON record plus a binary sample sidecar, the
-    ``.npy`` that ``np.save`` writes of its samples, row by row; a save that
-    fails leaves both files of an earlier table as they were."""
+    ``.npy`` that ``np.save`` writes of its samples, row by row through the
+    writer of a solve to a path; a save that fails leaves both files of an
+    earlier table as they were."""
     path = Path(path)
-    count = len(table.eigenvalues)
 
-    def write_samples(file):
-        _write_samples_header(file, (count, table.grid.n_points))
-        for level in range(count):
-            file.write(np.ascontiguousarray(table.row(level), dtype=float))
+    def fill(keep):
+        for level in range(len(table.eigenvalues)):
+            keep(level, np.ascontiguousarray(table.row(level), dtype=float))
+        return table.record
 
-    replace_files({path.with_suffix(".npy"): write_samples, path: table.record.to_json()})
+    _write_table(path, table.samples.shape, fill)
     return path
 
 

@@ -17,7 +17,9 @@ of its integrand (``_kinked_integrals``).  No integral here is adaptive.
 Tables are read only through ``eigenpairs``, each pair once per pass,
 and eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
 ``fprime_at_1``, so this module needs no solver, and a table read from
-disk holds one row at a time.
+disk holds one row at a time.  The ``wkb`` command reads a table once,
+for its summaries (``summarize``), and again only at the Langer ladder's
+levels; the amplitude fit (``amplitude_scaling``) reads the summaries.
 """
 
 from __future__ import annotations
@@ -689,15 +691,18 @@ def _refine_zeros(fun, a, b, fa, fb) -> np.ndarray:
 
 
 def amplitude_scaling(
-    table, channel: Channel, model: PotentialModel, window: tuple[int, int] | None = None
-) -> PowerLawFit:
-    """Power-law fit of the boundary amplitude modulus against the eigenvalue."""
-    points = []
-    u1 = effective_potential(channel, model, 1.0)
-    for pair in table.eigenpairs:
-        if pair.lam > u1:
-            points.append((pair.lam, abs(extract_C_lambda(pair, channel, model))))
-    return fit_power_law(points, window)
+    summaries: Sequence[WkbSummary], l_range: tuple[int, int] | None = None
+) -> tuple[PowerLawFit, tuple[int, int]]:
+    """Power-law fit of ``|C_lambda|`` against the eigenvalue over one
+    channel's ``summarize`` rows, and the first and last level fitted: the
+    levels with an amplitude (``lam > U(1)``) inside ``l_range``, both ends
+    included, when at least five are there, else all levels with one."""
+    usable = [s for s in summaries if not cmath.isnan(s.c_lambda)]
+    inside = [s for s in usable if l_range and l_range[0] <= s.level <= l_range[1]]
+    if len(inside) >= 5:
+        usable = inside
+    fit = fit_power_law([(s.lam, abs(s.c_lambda)) for s in usable])
+    return fit, (usable[0].level, usable[-1].level)
 
 
 class WkbSummary(NamedTuple):

@@ -140,7 +140,7 @@ def test_criterion_06_amplitude_growth(quartic_n0):
         for p in quartic_n0.eigenpairs[20:51]
     ]
     floor = min(scaled)
-    fit = wkb.amplitude_scaling(quartic_n0, ch, QUARTIC, window=(20, 51))
+    fit, _ = wkb.amplitude_scaling(wkb.summarize(quartic_n0, ch, QUARTIC), l_range=(20, 50))
     ok = floor > 0.0 and fit.exponent >= 0.095
     _report(
         6,

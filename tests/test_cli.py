@@ -2,6 +2,7 @@
 shapes, config layering, caching, and determinism of the outputs."""
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -437,7 +438,7 @@ class TestAmplitudeWindow:
         cli._load_solver("potential")
         cli._load_solver("wkb")
         table = quartic_n0.truncated(cfg.l_max + 1)
-        payload = cli._amplitude_payload(cfg, table, quartic_n0.channel)
+        payload = cli._amplitude_payload(cfg, cli.summarize(table, quartic_n0.channel, cfg.model))
         assert payload["levels"] == levels
 
 
@@ -1032,3 +1033,28 @@ class TestWkbCounters:
         assert main(["wkb"] + base) == 0
         assert counts["integrate_sqrt_singular"] == 0
         assert counts["effective_potential"] <= 597
+
+    def test_quartic_wkb_reads_each_row_once_plus_the_ladder(self, tmp_path, monkeypatch,
+                                                             quartic_n0):
+        # summarize reads each of the 61 rows once and the Langer ladder its
+        # levels again; the amplitude fit reads the summaries, not the table
+        from specprobe import eigensolve
+
+        eigensolve.save_spectrum(quartic_n0, tmp_path / "spectrum_d3_n0.json")
+        reads = collections.Counter()
+        read = eigensolve._SampleFile.read
+
+        def counted(self, levels, columns):
+            reads.update(levels)
+            return read(self, levels, columns)
+
+        monkeypatch.setattr(eigensolve._SampleFile, "read", counted)
+        assert main(["wkb", "--model", "1*r^4", "--channels", "3:0", "--lmax", "60",
+                     "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "run.json").read_text())["results"]["wkb"]
+        assert results["cache"] == {"d3_n0": {"hit": True}}
+        ladder = results["langer"]["levels"]
+        assert sorted(reads) == list(range(61))
+        assert sorted(level for level, count in reads.items() if count == 2) == ladder
+        assert max(reads.values()) == 2
+        assert sum(reads.values()) == 66

@@ -56,12 +56,25 @@ def test_streamed_files_are_the_saved_files(tables):
     assert npy == buffer.getvalue()
 
 
+def test_block_indexes_columns_as_a_list_does(tables):
+    memory, _, _, loaded, _ = tables
+    n = memory.grid.n_points
+    for columns in ([-1], [n - 1], [0, -2, 5]):
+        assert np.array_equal(loaded.block(columns), memory.block(columns))
+    assert np.array_equal(loaded.block([-1]), memory.samples[:, -1:])
+    for table in (memory, loaded):
+        for columns in ([n], [-n - 1]):
+            with pytest.raises(IndexError):
+                table.block(columns)
+
+
 def test_wkb_readers_agree_to_the_bit(tables):
     memory, _, _, loaded, _ = tables
     ch, model = memory.channel, memory.model
     # repr is exact for floats and keeps the NaN of a level below U(1)
     assert repr(wkb.summarize(loaded, ch, model)) == repr(wkb.summarize(memory, ch, model))
-    assert wkb.amplitude_scaling(loaded, ch, model) == wkb.amplitude_scaling(memory, ch, model)
+    assert (wkb.amplitude_scaling(wkb.summarize(loaded, ch, model))
+            == wkb.amplitude_scaling(wkb.summarize(memory, ch, model)))
     top = len(memory.eigenvalues) - 1
     for level in (4, 8, 16, top):
         assert (wkb.langer_residual(loaded.pair(level), ch, model, loaded.grid)

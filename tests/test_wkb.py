@@ -431,7 +431,7 @@ class TestAmplitude:
             fp1 = 0.25 * u1p * f1 / gap
             pairs.append(fake_pair(lam, l, f_at_1=f1, fprime_at_1=fp1))
         table = types.SimpleNamespace(eigenpairs=tuple(pairs))
-        fit = wkb.amplitude_scaling(table, CH30, QUARTIC)
+        fit, _ = wkb.amplitude_scaling(wkb.summarize(table, CH30, QUARTIC))
         assert fit.exponent == pytest.approx(0.125, abs=1e-9)
 
 
