@@ -88,8 +88,14 @@ def _load_solver(module: str) -> None:
     where it first needs them.  The names stay module attributes that the commands look up at
     call time, and they are never bound again, so a wrapper set on one of
     them from outside (a tracer) serves every later command.
+
+    A process's first numpy import runs OpenBLAS on one thread
+    (``OPENBLAS_NUM_THREADS=1`` unless set or numpy is loaded): a second
+    thread's worker busy-waits, about 65 ms of a numeric start's time.
     """
     global np
+    if "numpy" not in sys.modules:
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     source = importlib.import_module(f".{module}", __package__)

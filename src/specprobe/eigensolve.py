@@ -87,6 +87,7 @@ from .specfun import integrate_sqrt_singular
 from .wkb import (
     _root_integrals,
     allowed_integrals,
+    boundary_values,
     classical_edges,
     inverse_action,
     level_density,
@@ -543,14 +544,13 @@ class EigenPair(NamedTuple):
 def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections, shift=0.0) -> EigenPair:
     """Eigenpair of one row of samples, with the fields derived from them."""
     f = samples
-    k1 = grid.index_of(1.0)
-    fp1 = (f[k1 - 2] - 8.0 * f[k1 - 1] + 8.0 * f[k1 + 1] - f[k1 + 2]) / (12.0 * grid.h)
+    f1, fp1 = boundary_values(grid, f.__getitem__)
     return EigenPair(
         level=level,
         lam=float(lam),
         samples=f,
         node_count=int(np.count_nonzero(f[:-1] * f[1:] < 0.0)),
-        f_at_1=float(f[k1]),
+        f_at_1=float(f1),
         fprime_at_1=float(fp1),
         sweeps=int(sweeps),
         bisections=int(bisections),

@@ -14,12 +14,12 @@ it.  Phase and turning-point coordinate are integrals of ``sqrt|lam - U|``
 between a radius and ``T`` by the same rule (``_root_integrals``), and
 the error-control integral runs on it too, its pieces split at the zeros
 of its integrand (``_kinked_integrals``).  No integral here is adaptive.
-Tables are read only through ``eigenpairs``, each pair once per pass,
-and eigenpairs through ``lam``, ``level``, ``samples``, ``f_at_1``,
-``fprime_at_1``, so this module needs no solver, and a table read from
-disk holds one row at a time.  The ``wkb`` command reads a table once,
-for its summaries (``summarize``), and again only at the Langer ladder's
-levels; the amplitude fit (``amplitude_scaling``) reads the summaries.
+Tables are read through ``eigenvalues``, ``grid``, ``block`` and
+``eigenpairs`` (``lam``, ``level``, ``samples``, ``f_at_1``,
+``fprime_at_1``), so this module needs no solver, and a table read from
+disk holds one row at a time.  The ``wkb`` command reads each level's five
+samples around ``r = 1`` in one block (``summarize``), and whole rows only
+at the Langer ladder's levels; ``amplitude_scaling`` reads the summaries.
 """
 
 from __future__ import annotations
@@ -421,6 +421,14 @@ def allowed_interval(
     return float(a[0]), float(b[0])
 
 
+def boundary_values(grid, read):
+    """``f(1)`` and ``f'(1)`` (five-point central difference) from ``read(columns)``,
+    the samples at a slice of ``grid``'s columns: one row, or one per level."""
+    k1 = grid.index_of(1.0)
+    f = read(slice(k1 - 2, k1 + 3))
+    return f[..., 2], (f[..., 0] - 8.0 * f[..., 1] + 8.0 * f[..., 3] - f[..., 4]) / (12.0 * grid.h)
+
+
 def amplitude_from_boundary(
     f1: float, fp1: float, lam: float, u1: float, u1p: float
 ) -> complex:
@@ -728,9 +736,9 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     come from one array iteration each, on the potential minimum found once,
     and the phases from 1 to the turning points from one call of the rule.
     """
-    # one read of each pair's row: the fields the summaries take from it
-    pairs = [(p.level, p.lam, p.f_at_1, p.fprime_at_1) for p in table.eigenpairs]
-    lams = np.array([lam for _, lam, _, _ in pairs], dtype=float)
+    # the five samples around r = 1 of every level, in one read
+    f1, fp1 = (v.tolist() for v in boundary_values(table.grid, table.block))
+    lams = table.eigenvalues
     r_c = _potential_min_radius(channel, model)
     big_t = _outer_edges(channel, model, _checked_levels(channel, model, lams, r_c))
     big_x = _bare_edges(model, lams)
@@ -740,11 +748,11 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
     actions = _bare_action(model, lams, big_x)[0].tolist()
     phases = _root_integrals(channel, model, lams, np.ones_like(lams), big_t).tolist()
     out = []
-    for i, (level, lam, f_at_1, fprime_at_1) in enumerate(pairs):
+    for i, lam in enumerate(lams.tolist()):
         action = actions[i]
-        residual = action - quantization_target(channel, level)
+        residual = action - quantization_target(channel, i)
         if lam > u1:
-            c_lam = amplitude_from_boundary(f_at_1, fprime_at_1, lam, u1, u1p)
+            c_lam = amplitude_from_boundary(f1[i], fp1[i], lam, u1, u1p)
             phase_z = phases[i]
         else:
             c_lam = complex(math.nan, math.nan)
@@ -754,7 +762,7 @@ def summarize(table, channel: Channel, model: PotentialModel) -> list[WkbSummary
             WkbSummary(
                 d=channel.d,
                 n=channel.n,
-                level=level,
+                level=i,
                 lam=lam,
                 action=action,
                 residual=residual,

@@ -190,3 +190,26 @@ def test_traced_run_reports_every_layer(tmp_path, workload):
     assert result["correct"] is True, proc.stderr
     (notes,) = [json.loads(line[len("notes: "):]) for line in lines if line.startswith("notes: ")]
     assert notes["missing_boundaries"] == []
+
+
+@pytest.mark.parametrize("workload", ["quartic_cold_certify", "mixed_cold_channels"])
+def test_untraced_run_reports_every_end_to_end_metric(tmp_path, workload):
+    # the subprocess chain whose metrics the benchmark compares, on a copy
+    # of the package and the scripts
+    root = SPECBENCH.parent
+    for name in ("src", "specbench"):
+        shutil.copytree(root / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".specbench"))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "SPECPROBE_OUT")}
+    proc = subprocess.run(
+        [sys.executable, "specbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = result["metrics"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)
+    assert all(metrics[m["name"]]["unit"] == m["unit"] for m in declared)
+    assert all(isinstance(metrics[m["name"]]["value"], float) for m in declared), metrics

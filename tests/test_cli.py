@@ -1036,17 +1036,21 @@ class TestWkbCounters:
 
     def test_quartic_wkb_reads_each_row_once_plus_the_ladder(self, tmp_path, monkeypatch,
                                                              quartic_n0):
-        # summarize reads each of the 61 rows once and the Langer ladder its
-        # levels again; the amplitude fit reads the summaries, not the table
+        # summarize reads the five samples around r = 1 of each of the 61
+        # levels, in one block, and the Langer ladder its levels' whole rows;
+        # the amplitude fit reads the summaries, not the table
         from specprobe import eigensolve
 
         eigensolve.save_spectrum(quartic_n0, tmp_path / "spectrum_d3_n0.json")
-        reads = collections.Counter()
+        whole, columns = collections.Counter(), collections.Counter()
         read = eigensolve._SampleFile.read
 
-        def counted(self, levels, columns):
-            reads.update(levels)
-            return read(self, levels, columns)
+        def counted(self, levels, cols):
+            if len(cols) == self.shape[1]:
+                whole.update(levels)
+            else:
+                columns.update(dict.fromkeys(levels, len(cols)))
+            return read(self, levels, cols)
 
         monkeypatch.setattr(eigensolve._SampleFile, "read", counted)
         assert main(["wkb", "--model", "1*r^4", "--channels", "3:0", "--lmax", "60",
@@ -1054,7 +1058,6 @@ class TestWkbCounters:
         results = json.loads((tmp_path / "run.json").read_text())["results"]["wkb"]
         assert results["cache"] == {"d3_n0": {"hit": True}}
         ladder = results["langer"]["levels"]
-        assert sorted(reads) == list(range(61))
-        assert sorted(level for level, count in reads.items() if count == 2) == ladder
-        assert max(reads.values()) == 2
-        assert sum(reads.values()) == 66
+        assert len(ladder) == 5
+        assert sorted(whole) == ladder and set(whole.values()) == {1}
+        assert columns == dict.fromkeys(range(61), 5)

@@ -184,6 +184,54 @@ def test_numeric_commands_load_no_dataclasses(tmp_path):
         assert "numpy.polynomial" not in names, command
 
 
+def _blas_is_openblas() -> bool:
+    import numpy as np
+
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# OpenBLAS's worker threads show as tasks of the process
+needs_openblas_tasks = pytest.mark.skipif(
+    not (Path("/proc/self/task").is_dir() and _blas_is_openblas()),
+    reason="needs /proc/self/task and numpy on OpenBLAS")
+
+# the tasks of a fresh interpreter once the command line has loaded numpy,
+# and the OpenBLAS thread setting it then reads
+_THREADS_AFTER_LOAD = (
+    "import os\n"
+    "from specprobe import cli\n"
+    "cli._load_solver('eigensolve')\n"
+    "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@needs_openblas_tasks
+@pytest.mark.parametrize("preset, threads", [(None, "1"), ("2", "2")])
+def test_numeric_commands_run_openblas_on_one_thread_unless_told(monkeypatch, preset, threads):
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    proc = python("-c", _THREADS_AFTER_LOAD)
+    assert proc.returncode == 0, proc.stderr
+    tasks, setting = proc.stdout.split()
+    assert setting == threads
+    if preset is None:
+        assert tasks == "1"
+
+
+def test_a_process_that_loaded_numpy_keeps_its_environment(monkeypatch):
+    # the cached loader is called through, so the check runs in this process
+    import numpy  # noqa: F401
+    from specprobe import cli
+
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    cli._load_solver.__wrapped__("eigensolve")
+    assert dict(os.environ) == before
+
+
 def test_no_package_module_imports_dataclasses():
     for path in sorted((ROOT / "src" / "specprobe").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from specprobe import wkb
 from specprobe.eigensolve import solve_spectrum
 from specprobe.errors import ThresholdError
+from specprobe.formats import RadialGrid
 from specprobe.fitting import fit_power_law, gap_scaling
 from specprobe.model import PowerTerm
 from specprobe.potential import Channel, PotentialModel, effective_potential, eval_potential
@@ -47,6 +48,17 @@ def fake_pair(lam, level=0, f_at_1=0.0, fprime_at_1=0.0, samples=None):
     return types.SimpleNamespace(
         lam=lam, level=level, f_at_1=f_at_1, fprime_at_1=fprime_at_1, samples=samples
     )
+
+
+def fake_table(pairs):
+    """The table ``summarize`` reads, of pairs at levels 0, 1, ...: their
+    eigenvalues and, on a nine-point grid centred on ``r = 1``, samples
+    linear in ``r`` that give back each pair's ``f(1)`` and ``f'(1)``."""
+    h = 2.0**-6
+    grid = RadialGrid(1.0 - 4.0 * h, h, 9)
+    samples = np.array([[p.f_at_1 + p.fprime_at_1 * (r - 1.0) for r in grid.r] for p in pairs])
+    return types.SimpleNamespace(eigenvalues=np.array([p.lam for p in pairs]), grid=grid,
+                                 block=lambda columns: samples[:, columns])
 
 
 class TestTurningPoints:
@@ -430,7 +442,7 @@ class TestAmplitude:
             f1 = lam**0.125 * gap**-0.25
             fp1 = 0.25 * u1p * f1 / gap
             pairs.append(fake_pair(lam, l, f_at_1=f1, fprime_at_1=fp1))
-        table = types.SimpleNamespace(eigenpairs=tuple(pairs))
+        table = fake_table(pairs)
         fit, _ = wkb.amplitude_scaling(wkb.summarize(table, CH30, QUARTIC))
         assert fit.exponent == pytest.approx(0.125, abs=1e-9)
 
@@ -680,7 +692,7 @@ class TestSummaries:
             else:
                 f1 = fp1 = 0.0
             pairs.append(fake_pair(lam, l, f_at_1=f1, fprime_at_1=fp1))
-        table = types.SimpleNamespace(eigenpairs=tuple(pairs))
+        table = fake_table(pairs)
         return wkb.summarize(table, CH30, QUARTIC)
 
     def test_summarize_handles_subthreshold_levels(self):
