@@ -45,9 +45,10 @@ _EXPORTS = {
     ),
     "kernel": (
         "export_kernel_grid",
-        "gram_matrix",
         "kernel_matrix",
+        "orthonormality_defect",
         "parseval_check",
+        "symmetric_eigenvalues",
     ),
     "model": (
         "AssumptionReport",
@@ -97,7 +98,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # the submodules, which load on first access too (``specprobe.wkb``)
-_SUBMODULES = {*_EXPORTS, "defaults", "formats"}
+_SUBMODULES = {*_EXPORTS, "defaults", "formats", "table"}
 
 __all__ = list(_MODULE_OF)
 

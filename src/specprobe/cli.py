@@ -33,7 +33,9 @@ command.  ``--version``, ``--help``, an argument or config error,
 standard library and the numpy-free ``defaults``, ``errors``,
 ``fitting``, ``formats`` and ``model``: the assumptions are read off the
 model's exponents, and a cache is checked, and its eigenvalues fitted,
-from its JSON record alone.  Every record is a ``typing.NamedTuple``, so
+from its JSON record alone.  ``kernel`` on a cache hit adds only the
+numpy-free ``table`` and ``kernel``: it reads a few samples and the Gram
+terms of the record.  Every record is a ``typing.NamedTuple``, so
 they load no ``inspect``, and ``configparser`` loads only to read a
 ``--config`` file.
 """
@@ -63,17 +65,19 @@ from .fitting import fit_power_law, gap_scaling
 from .formats import SpectrumFormatError, read_spectrum_record, replace_files, write_csv
 from .model import Channel, PotentialModel, validate_assumptions
 
-# submodule -> the names the numeric commands read from it; each needs numpy.
+# submodule -> the names the numeric commands read from it; all but table and kernel need numpy.
 # save_spectrum is no longer called here (a solve saves its own table); the
 # name stays because specbench/tracing.py wraps cli.save_spectrum, and
 # test_benchmark_tooling requires every wrapped name to resolve
 _SOLVER = {
     "eigensolve": ("SpectrumTable", "export_spectrum_csv", "load_spectrum", "save_spectrum",
                    "solve_spectrum"),
-    "kernel": ("export_kernel_grid", "kernel_matrix", "parseval_check"),
+    "kernel": ("export_kernel_grid", "kernel_matrix", "orthonormality_defect",
+               "parseval_check", "symmetric_eigenvalues"),
     "potential": ("effective_potential",),
     "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence",
               "window_hat"),
+    "table": ("open_spectrum",),
     "wkb": ("amplitude_scaling", "appendix_error_integral", "export_wkb_csv",
             "langer_residual", "summarize"),
 }
@@ -81,11 +85,13 @@ _SOLVER = {
 
 @functools.cache
 def _load_solver(module: str) -> None:
-    """Bind numpy and the ``_SOLVER`` names of ``module`` into this module, once.
+    """Bind the ``_SOLVER`` names of ``module``, and numpy once it is
+    loaded, into this module, once.
 
     Parsing, config checks, ``validate``, ``report`` and a cache hit of
-    ``gaps`` need none of them, so each command loads the modules it calls
-    where it first needs them.  The names stay module attributes that the commands look up at
+    ``gaps`` need none of them, and a cache hit of ``kernel`` only the
+    numpy-free ``table`` and ``kernel``, so each command loads the modules
+    it calls where it first needs them.  The names stay module attributes that the commands look up at
     call time, and they are never bound again, so a wrapper set on one of
     them from outside (a tracer) serves every later command.
 
@@ -96,10 +102,10 @@ def _load_solver(module: str) -> None:
     global np
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np
-
     source = importlib.import_module(f".{module}", __package__)
     globals().update({name: getattr(source, name) for name in _SOLVER[module]})
+    if sys.modules.get("numpy") is not None:
+        import numpy as np
 
 
 def __getattr__(name: str):
@@ -714,16 +720,20 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
             raise ValueError(
                 f"kernel radius {v:g} lies off the grid [{grid.r_min!r}, {grid.r_max!r}]"
             )
-        idx = int(np.argmin(np.abs(grid.r - v)))
-        snapped.append(float(grid.r[idx]))
+        i = round((v - grid.r_min) / grid.h)  # the nearest of i - 1, i, i + 1, lower on a tie
+        near = range(max(i - 1, 0), min(i + 2, grid.n_points))
+        snapped.append(min((grid.r_min + grid.h * k for k in near), key=lambda r: abs(r - v)))
     return snapped
 
 
 def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
-    tables, cache = _tables(cfg)
+    # the records, solved on a miss, then the first channel's samples, without numpy
+    records, cache = _tables(cfg, samples=False)
     _load_solver("kernel")
-    table = tables[cfg.channels[0]]
-    cap = min(cfg.kernel_levels, len(table.eigenvalues) - 1)
+    _load_solver("table")
+    count = len(records[cfg.channels[0]].eigenvalues)
+    table = open_spectrum(_cache_path(cfg, *cfg.channels[0])).truncated(count)
+    cap = min(cfg.kernel_levels, count - 1)
     rs = _snap_to_grid(table.grid, cfg.kernel_r)
     ss = _snap_to_grid(table.grid, cfg.kernel_s)
     path = export_kernel_grid(table, list(cfg.kernel_t), rs, ss, cap, cfg.out_dir / "kernel.csv")
@@ -735,20 +745,23 @@ def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
             continue
         forward = kernel_matrix(table, t, radii, cap)
         backward = kernel_matrix(table, -t, radii, cap)
-        scale = float(np.abs(forward).max())
-        deviation = float(np.abs(backward - forward.conj()).max()) / scale
+        scale = max(abs(x) for row in forward for x in row)
+        worst = max((abs(b - f.conjugate()) for rows in zip(backward, forward)
+                     for b, f in zip(*rows)), key=lambda v: (math.isnan(v), v))  # NaN wins
+        deviation = worst / scale if scale else math.nan
         if not math.isfinite(deviation):
             raise NumericsError(f"kernel at t = {t:g}: hermitian deviation is {deviation}")
         herm = max(herm, deviation)
-    m0 = kernel_matrix(table, 0.0, radii, cap).real
-    eigs = np.linalg.eigvalsh(m0)
+    eigs = symmetric_eigenvalues([[x.real for x in row]
+                                  for row in kernel_matrix(table, 0.0, radii, cap)])
     payload = {
         "level_cap": cap,
         "parseval": parseval_check(table, cap),
         "parseval_expected": cap + 1,
+        "orthonormality": orthonormality_defect(table, cap),
         "hermitian_deviation": herm,
-        "t0_min_eigenvalue": float(eigs.min()),
-        "t0_max_eigenvalue": float(eigs.max()),
+        "t0_min_eigenvalue": eigs[0],
+        "t0_max_eigenvalue": eigs[-1],
         "snapped_r": rs,
         "snapped_s": ss,
         "cache": cache,
@@ -756,7 +769,7 @@ def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
     print(f"wrote {path}")
     print(
         f"parseval {payload['parseval']:.9f} (expect {cap + 1}); "
-        f"hermitian deviation {herm:.3e}; "
+        f"orthonormality {payload['orthonormality']:.3e}; hermitian deviation {herm:.3e}; "
         f"t=0 min eigenvalue {payload['t0_min_eigenvalue']:.3e}"
     )
     return payload

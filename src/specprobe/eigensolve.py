@@ -41,33 +41,20 @@ levels, its level spacing from ``wkb.allowed_integrals``), which leaves
 about 4e-11 relative error at 180 points per wavelength; the samples stay
 the discrete eigenvectors.
 
-A ``SpectrumTable`` is its cache record (``formats.SpectrumRecord``:
-channel, model, ``RadialGrid``, solver settings, and the per-level
-eigenvalues, counters and corrections) plus the samples ``(L, N)``; the
-table reads its channel, model and grid through the record and holds the
-eigenvalues as an array of the record's.  An ``EigenPair``'s node count
-and value and slope at ``r = 1`` are derived from its row.  The cache,
-format version 3, is the record as JSON beside one ``.npy`` of samples
-that takes the record's name.  One writer (``_write_table``) stages the
-``.npy`` header, the rows and then the record beside their targets, and
-moves both files over the old ones (``formats.replace_files``).  A solve
-given the cache's path passes it each level's row as the level converges,
-so it never holds more than one row; a save passes the rows of a table it
-has.  A write that fails leaves an earlier table's files as they were,
-and a table loaded before goes on reading the file it opened.  A loaded
-table checks the ``.npy`` header and size against the record once and
-then reads what a command asks for, a row or a block of columns, from the
-file it opened into a new read-only array (``_SampleFile``), so a process
-holds O(N) samples, not O(L N).
+A solve returns a ``table.SpectrumTable``; an ``EigenPair``'s node count
+and value and slope at ``r = 1`` are derived from its row.  One writer
+(``_write_table``) stages the cache's ``.npy``, to which a solve given
+the path passes each level's row as it converges, then reads it back for
+the record's Gram terms (``_with_gram``, which a table solved in memory
+gets too), and moves the ``.npy`` and the record over the old ones in
+one ``formats.replace_files``; a write that fails leaves them as they were.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import weakref
 from collections.abc import Sequence
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -79,8 +66,9 @@ from .defaults import (  # also read from here, as eigensolve.DEFAULT_*
     MIN_POINTS_PER_WAVELENGTH,
 )
 from .errors import BracketError, ConsistencyError
-from .formats import RadialGrid, SpectrumRecord, read_spectrum_record, replace_files
+from .formats import RadialGrid, SpectrumRecord, replace_files
 from .potential import Channel, PotentialModel, effective_potential
+from .table import SpectrumTable, _SampleFile, npy_header, open_spectrum
 # not called here any more; the name stays because specbench/tracing.py
 # wraps it, and test_benchmark_tooling requires every wrapped name to resolve
 from .specfun import integrate_sqrt_singular
@@ -387,7 +375,7 @@ class _Shooter:
             f = -f
         # a power of two rescales the samples exactly, keeping f * f finite
         f *= 2.0 ** -math.frexp(float(np.max(np.abs(f))))[1]
-        norm_sq = float(np.dot(grid.simpson_weights, f * f))
+        norm_sq = float(np.sum(grid.simpson_weights * f * f))  # no BLAS, so no thread order
         if norm_sq <= 0.0 or not math.isfinite(norm_sq):
             raise ConsistencyError("assembled eigenfunction has a bad norm")
         f /= math.sqrt(norm_sq)
@@ -558,174 +546,6 @@ def _eigenpair(grid: RadialGrid, level, lam, samples, sweeps, bisections, shift=
     )
 
 
-class _SampleFile:
-    """The samples of a saved table, read on demand from its ``.npy`` file.
-
-    ``open`` opens the file once and checks its header against its size;
-    each ``read`` copies whole rows, or one column range of each row, from
-    the open file at their offsets into a new read-only array.  A file
-    replaced after it was opened goes on being read, since the reads go
-    through the descriptor and not the path.  ``head`` is the first rows of
-    the same file, and the descriptor is closed once the file and every
-    head of it are freed.
-    """
-
-    __slots__ = ("fd", "offset", "shape", "_whole", "__weakref__")
-
-    def __init__(self, fd: int, offset: int, shape: tuple[int, int], whole=None):
-        self.fd, self.offset, self.shape = fd, offset, shape
-        self._whole = whole  # the file a head keeps open
-        if whole is None:
-            weakref.finalize(self, os.close, fd)
-
-    @classmethod
-    def open(cls, path) -> "_SampleFile":
-        """The file at ``path``; ``ValueError`` unless it is a version 1.0
-        ``.npy`` of a C-ordered float64 matrix, in exactly the bytes its
-        header declares."""
-        fmt = np.lib.format
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            with os.fdopen(fd, "rb", closefd=False) as file:
-                if fmt.read_magic(file) != (1, 0):
-                    raise ValueError(f"{path}: not a version 1.0 .npy file")
-                shape, fortran_order, dtype = fmt.read_array_header_1_0(file)
-                offset = file.tell()
-            if len(shape) != 2 or fortran_order or dtype != np.dtype(float):
-                raise ValueError(f"{path}: not a C-ordered float64 matrix")
-            if os.fstat(fd).st_size != offset + 8 * shape[0] * shape[1]:
-                raise ValueError(f"{path}: the size disagrees with the header")
-        except BaseException:
-            os.close(fd)
-            raise
-        return cls(fd, offset, shape)
-
-    def head(self, count: int) -> "_SampleFile":
-        return _SampleFile(self.fd, self.offset, (count, self.shape[1]), self._whole or self)
-
-    def read(self, levels: range, columns: range) -> np.ndarray:
-        """Rows ``levels`` at ``columns``, both unit-step ranges inside the shape."""
-        out = np.empty((len(levels), len(columns)))
-        width = self.shape[1]
-        start = self.offset + 8 * (levels.start * width + columns.start)
-        if len(columns) == width:  # whole rows lie next to each other
-            parts = [(out, start)]
-        else:
-            parts = [(row, start + 8 * k * width) for k, row in enumerate(out)]
-        for buffer, at in parts:
-            if os.preadv(self.fd, [buffer], at) != buffer.nbytes:
-                raise EOFError("the samples file ends before its header says")
-        out.flags.writeable = False
-        return out
-
-
-class _EigenPairs(Sequence):
-    """A table's levels as eigenpairs, each built from its row when it is
-    read; a slice is a tuple of them.  It holds no row."""
-
-    __slots__ = ("table",)
-
-    def __init__(self, table: "SpectrumTable"):
-        self.table = table
-
-    def __len__(self) -> int:
-        return len(self.table.record.eigenvalues)
-
-    def __getitem__(self, index):
-        levels = range(len(self))[index]
-        if isinstance(index, slice):
-            return tuple(self.table.pair(level) for level in levels)
-        return self.table.pair(levels)
-
-
-class _SpectrumTable(NamedTuple):
-    record: SpectrumRecord
-    samples: np.ndarray | _SampleFile
-
-
-class SpectrumTable(_SpectrumTable):
-    """Levels ``0 .. L-1`` of one channel on a shared grid: the cache record
-    and one row of samples per level.
-
-    The samples are an ``(L, N)`` array for a table held in memory, and
-    for a loaded table its ``.npy`` file (``_SampleFile``), from which
-    each read copies what it asks for.  ``row``, ``block`` and
-    ``eigenpairs`` serve both.  The table has no ``__slots__``, so its
-    instance dict holds ``eigenvalues`` once it is first read;
-    ``eigenpairs`` is a view that reads each pair's row when that pair is
-    read, and keeps none.
-    """
-
-    def __new__(cls, record: SpectrumRecord, samples: np.ndarray | _SampleFile):
-        shape = (len(record.eigenvalues), record.grid.n_points)
-        if samples.shape != shape:
-            raise ValueError(f"samples do not hold {shape[0]} levels on the grid")
-        return super().__new__(cls, record, samples)
-
-    @property
-    def channel(self) -> Channel:
-        return self.record.channel
-
-    @property
-    def model(self) -> PotentialModel:
-        return self.record.model
-
-    @property
-    def grid(self) -> RadialGrid:
-        return self.record.grid
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array(self.record.eigenvalues, dtype=float)
-
-    def _read(self, levels: range, columns: range) -> np.ndarray:
-        if isinstance(self.samples, _SampleFile):
-            return self.samples.read(levels, columns)
-        return self.samples[levels.start : levels.stop, columns.start : columns.stop]
-
-    def row(self, level: int) -> np.ndarray:
-        """The samples of one level: a view of the row in memory, or a
-        read-only copy read from the file."""
-        level = range(len(self.eigenvalues))[level]
-        return self._read(range(level, level + 1), range(self.grid.n_points))[0]
-
-    def block(self, columns: slice | Sequence[int] = slice(None),
-              levels: slice = slice(None)) -> np.ndarray:
-        """Samples of ``levels`` (every level by default) at ``columns``, a
-        unit-step slice of the grid or a list of grid indices, which index
-        as a list's do, one row per level; a loaded table reads only those."""
-        levels = range(len(self.eigenvalues))[levels]
-        points = range(self.grid.n_points)
-        if isinstance(columns, slice):
-            return self._read(levels, points[columns])
-        out = np.empty((len(levels), len(columns)))
-        for k, i in enumerate(columns):
-            i = points[i]
-            out[:, k] = self._read(levels, range(i, i + 1))[:, 0]
-        return out
-
-    def pair(self, level: int) -> EigenPair:
-        if not 0 <= level < len(self.eigenvalues):
-            raise IndexError(f"level {level} outside 0..{len(self.eigenvalues) - 1}")
-        rec = self.record
-        return _eigenpair(
-            self.grid, level, self.eigenvalues[level], self.row(level),
-            rec.sweeps[level], rec.bisections[level], rec.shifts[level],
-        )
-
-    @property
-    def eigenpairs(self) -> Sequence[EigenPair]:
-        """Every level as an eigenpair, read when it is indexed; in memory
-        the samples are views of the rows."""
-        return _EigenPairs(self)
-
-    def truncated(self, count: int) -> "SpectrumTable":
-        """The table of the first ``count`` levels."""
-        samples = self.samples
-        head = samples.head(count) if isinstance(samples, _SampleFile) else samples[:count]
-        return SpectrumTable(self.record.truncated(count), head)
-
-
 def _action_guess(channel: Channel, model: PotentialModel, level: int):
     """WKB eigenvalue guess and the gap it expects above it."""
     lam = inverse_action(model, quantization_target(channel, level))
@@ -793,11 +613,11 @@ def solve_spectrum(
     tolerances = {"rel_tol": rel_tol, "points_per_wavelength": points_per_wavelength}
     if path is None:
         samples = np.empty(shape)
-        return SpectrumTable(_solve_levels(shooter, l_max, tolerances, samples.__setitem__),
-                             samples)
+        record = _solve_levels(shooter, l_max, tolerances, samples.__setitem__)
+        return SpectrumTable(_with_gram(SpectrumTable(record, samples)), samples)
     path = Path(path)
     record = _write_table(path, shape, partial(_solve_levels, shooter, l_max, tolerances))
-    return SpectrumTable(record, _SampleFile.open(path.with_suffix(".npy")))
+    return SpectrumTable(record, _SampleFile.open(path.with_suffix(".npy"), shape))
 
 
 def _solve_levels(shooter: _Shooter, l_max: int, tolerances: dict, keep) -> SpectrumRecord:
@@ -838,19 +658,37 @@ def _solve_levels(shooter: _Shooter, l_max: int, tolerances: dict, keep) -> Spec
     )
 
 
+def _with_gram(table: SpectrumTable) -> SpectrumRecord:
+    """The table's record with the per-level terms of its samples' Simpson
+    Gram matrix ``G``, summed over column blocks of about one grid row by
+    ``einsum``, which uses no BLAS, so the terms do not move with its
+    thread count."""
+    grid, count = table.grid, len(table.record.eigenvalues)
+    width = max(1, grid.n_points // count)
+    g = np.zeros((count, count))
+    for start in range(0, grid.n_points, width):
+        columns = slice(start, start + width)
+        f = np.ascontiguousarray(table.block(columns))
+        g += np.einsum("ik,jk->ij", f * grid.simpson_weights[columns], f)
+    terms = [float(row[l] ** 2 + 2.0 * np.sum(row[:l] ** 2)) for l, row in enumerate(g)]
+    g.flat[:: count + 1] -= 1.0  # G - I
+    defects = [float(np.max(np.abs(row[: l + 1]))) for l, row in enumerate(g)]
+    return table.record._replace(parseval_terms=tuple(terms), gram_defects=tuple(defects))
+
+
 def _write_table(path: Path, shape: tuple[int, int], fill) -> SpectrumRecord:
-    """Stage the ``.npy`` header ``np.save`` writes for a float64 array of
-    ``shape``, the rows that ``fill(keep)`` passes to ``keep(level, row)``
-    in level order and the record it returns, then move both files over the
-    old ones in one ``replace_files``; returns the record."""
+    """Stage the ``.npy`` header, the rows that ``fill(keep)`` passes to
+    ``keep(level, row)`` in level order and the record it returns, with
+    the staged samples' Gram terms, then move both files over the old ones
+    in one ``replace_files``; returns the record."""
     record = None
 
     def samples(file):
         nonlocal record
-        header = {"descr": np.lib.format.dtype_to_descr(np.dtype(float)),
-                  "fortran_order": False, "shape": shape}
-        np.lib.format.write_array_header_1_0(file, header)
+        file.write(npy_header(shape))
         record = fill(lambda level, row: file.write(row))
+        file.flush()
+        record = _with_gram(SpectrumTable(record, _SampleFile.open(file.name, shape)))
 
     replace_files({path.with_suffix(".npy"): samples,
                    path: lambda file: file.write(record.to_json().encode("ascii"))})
@@ -874,12 +712,9 @@ def save_spectrum(table: SpectrumTable, path) -> Path:
 
 
 def load_spectrum(path) -> SpectrumTable:
-    """The table saved at ``path``: its record, and its samples read from
-    the ``.npy`` on demand.  A sample file whose header or size disagrees
-    with the record raises ``ValueError`` here, before any read."""
-    path = Path(path)
-    record = read_spectrum_record(path)
-    return SpectrumTable(record, _SampleFile.open(path.with_suffix(".npy")))
+    """The table saved at ``path``, as ``table.open_spectrum`` opens it; the
+    numeric commands load through this name."""
+    return open_spectrum(path)
 
 
 def export_spectrum_csv(tables: Sequence[SpectrumTable], path) -> Path:

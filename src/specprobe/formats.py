@@ -13,8 +13,11 @@ grid is a ``RadialGrid``, ``(r_min, h, n_points)`` with the far end
 derived, built on reading, so the grid's own checks judge every record.
 The record is written and read here without numpy (the grid's arrays
 import it when first read), so the command line checks a cache, and fits
-its eigenvalues, before it loads numpy; ``eigensolve.SpectrumTable`` is
-the record plus the samples.
+its eigenvalues, before it loads numpy; ``table.SpectrumTable`` is the
+record plus the samples.  The record also holds, per level, two terms of
+the samples' Simpson Gram matrix, which the table writer computes, so
+that the kernel reads its Parseval sum and orthonormality defect without
+the samples.
 
 Every file the package writes, a cache's samples and record, the CSVs,
 ``run.json`` and ``report.md``, goes through ``replace_files``: each file
@@ -49,7 +52,7 @@ __all__ = [
     "read_spectrum_record",
 ]
 
-SPECTRUM_FORMAT_VERSION = 3
+SPECTRUM_FORMAT_VERSION = 4
 
 
 def fmt(x: float) -> str:
@@ -146,7 +149,8 @@ class SpectrumFormatError(ValueError):
 
 # a record's per-level fields -> their keys in the JSON record's "levels"
 _PER_LEVEL = {"eigenvalues": "lambda", "sweeps": "sweeps", "bisections": "bisections",
-              "shifts": "shift"}
+              "shifts": "shift", "parseval_terms": "parseval_term",
+              "gram_defects": "gram_defect"}
 
 
 class SpectrumRecord(NamedTuple):
@@ -161,6 +165,10 @@ class SpectrumRecord(NamedTuple):
     sweeps: tuple[int, ...]
     bisections: tuple[int, ...]
     shifts: tuple[float, ...]
+    # by level l of the samples' Simpson Gram matrix G, from the table writer:
+    # G_ll^2 + 2 sum_{m<l} G_lm^2, and max |G_lm - delta_lm| over m <= l
+    parseval_terms: tuple[float, ...] = ()
+    gram_defects: tuple[float, ...] = ()
 
     def truncated(self, count: int) -> "SpectrumRecord":
         """The record of the first ``count`` levels."""

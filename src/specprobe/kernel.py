@@ -6,61 +6,76 @@ The level-L channel kernel is
 
 with real normalized eigenfunctions.  The full radial kernel carries the
 additional weight (r s)^(-(d-1)/2), exported alongside the raw values.
+
+No numpy: a kernel matrix is a list of rows of sums over the levels, the
+Parseval sum and the orthonormality defect are read off the Gram terms
+the table writer stores per level, and ``K(0)``'s eigenvalues come from
+cyclic Jacobi rotations.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from typing import Sequence
 
-import numpy as np
-
-__all__ = [
-    "kernel_matrix",
-    "gram_matrix",
-    "parseval_check",
-    "export_kernel_grid",
-]
-
-
-# grid columns per block of the Gram matrix's sum
-_COLUMN_BLOCK = 1024
+__all__ = ["kernel_matrix", "parseval_check", "orthonormality_defect", "symmetric_eigenvalues",
+           "export_kernel_grid"]
 
 
 def _check_cap(table, level_cap: int) -> None:
-    count = len(table.eigenvalues)
+    count = len(table.record.eigenvalues)
     if not (0 <= level_cap < count):
         raise ValueError(
             f"truncation level {level_cap} outside the solved range 0..{count - 1}"
         )
 
 
-def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> np.ndarray:
-    """Kernel matrix over a set of grid radii at one time; only the samples
-    at those radii are read."""
+def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> list[list[complex]]:
+    """Kernel matrix over a set of grid radii at one time, as a list of
+    rows; only the samples at those radii are read."""
     _check_cap(table, level_cap)
-    f = table.block([table.grid.index_of(r) for r in radii], slice(level_cap + 1))
-    phases = np.exp(-1j * table.eigenvalues[: level_cap + 1] * t)
-    return (f.T * phases) @ f
-
-
-def gram_matrix(table, level_cap: int) -> np.ndarray:
-    """Simpson-weighted Gram matrix of the first ``level_cap + 1`` levels,
-    summed over blocks of ``_COLUMN_BLOCK`` grid columns, so that one block
-    of samples is held at a time."""
-    _check_cap(table, level_cap)
-    weights = table.grid.simpson_weights
-    g = np.zeros((level_cap + 1, level_cap + 1))
-    for start in range(0, table.grid.n_points, _COLUMN_BLOCK):
-        columns = slice(start, start + _COLUMN_BLOCK)
-        f = table.block(columns, slice(level_cap + 1))
-        g += (f * weights[columns]) @ f.T
-    return g
+    f = table.columns([table.grid.index_of(r) for r in radii], slice(level_cap + 1))
+    phases = [cmath.exp(-1j * lam * t) for lam in table.record.eigenvalues[: level_cap + 1]]
+    return [[sum(p * x * y for p, x, y in zip(phases, fr, fs)) for fs in f] for fr in f]
 
 
 def parseval_check(table, level_cap: int) -> float:
-    """Double integral of |K(0,r,s)|^2; equals L+1 for orthonormal levels."""
-    g = gram_matrix(table, level_cap)
-    return float(np.sum(g * g))
+    """Double integral of |K(0,r,s)|^2, the sum of the squared Gram matrix
+    of the first ``level_cap + 1`` levels; equals L+1 for orthonormal levels."""
+    _check_cap(table, level_cap)
+    return sum(table.record.parseval_terms[: level_cap + 1])
+
+
+def orthonormality_defect(table, level_cap: int) -> float:
+    """``max |G - I|`` over the Gram matrix of the first ``level_cap + 1`` levels."""
+    _check_cap(table, level_cap)
+    return max(table.record.gram_defects[: level_cap + 1])
+
+
+def symmetric_eigenvalues(a: Sequence[Sequence[float]]) -> list[float]:
+    """Eigenvalues, ascending, of a small real symmetric matrix (its rows),
+    by cyclic Jacobi rotations, each of which zeroes one off-diagonal pair,
+    until none is above 1e-18 of the Frobenius norm: dropping those moves
+    no eigenvalue by more than the matrix's order times that (Weyl)."""
+    a = [list(map(float, row)) for row in a]
+    tiny = 1e-18 * math.sqrt(sum(x * x for row in a for x in row))
+    pairs = [(p, q) for p in range(len(a)) for q in range(p + 1, len(a))]
+    for _ in range(60):
+        if all(abs(a[p][q]) <= tiny for p, q in pairs):
+            break
+        for p, q in ((p, q) for p, q in pairs if abs(a[p][q]) > tiny):
+            # tan of the angle that zeroes a[p][q], the smaller root
+            theta = 0.5 * (a[q][q] - a[p][p]) / a[p][q]
+            tan = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(tan, 1.0)
+            s = tan * c
+            for row in a:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            a[p], a[q] = ([c * x - s * y for x, y in zip(a[p], a[q])],
+                          [s * x + c * y for x, y in zip(a[p], a[q])])
+            a[p][q] = a[q][p] = 0.0
+    return sorted(row[i] for i, row in enumerate(a))
 
 
 def export_kernel_grid(
@@ -86,7 +101,7 @@ def export_kernel_grid(
         matrix = kernel_matrix(table, float(t), radii, level_cap)
         for r in rs:
             for s in ss:
-                value = complex(matrix[pos[r], pos[s]])
+                value = complex(matrix[pos[r]][pos[s]])
                 weighted = (float(r) * float(s)) ** power * value
                 rows.append(
                     [fmt(x) for x in (t, r, s, value.real, value.imag, weighted.real, weighted.imag)]

@@ -266,13 +266,13 @@ def test_criterion_12_kernel_invariants(quartic_n0):
     radii = [float(grid.r[i]) for i in range(k - 10 * step, k + 11 * step, 2 * step)]
     herm = 0.0
     for t in (0.7, 1.3):
-        forward = kernel_matrix(quartic_n0, t, radii, 20)
-        backward = kernel_matrix(quartic_n0, -t, radii, 20)
+        forward = np.array(kernel_matrix(quartic_n0, t, radii, 20))
+        backward = np.array(kernel_matrix(quartic_n0, -t, radii, 20))
         herm = max(
             herm,
             float(np.abs(backward - forward.conj()).max() / np.abs(forward).max()),
         )
-    eigs = np.linalg.eigvalsh(kernel_matrix(quartic_n0, 0.0, radii, 20).real)
+    eigs = np.linalg.eigvalsh(np.array(kernel_matrix(quartic_n0, 0.0, radii, 20)).real)
     psd_defect = max(0.0, float(-eigs.min() / eigs.max()))
     parseval = parseval_check(quartic_n0, 20)
     ok = herm <= 1e-12 and psd_defect <= 1e-12 and abs(parseval - 21.0) <= 1e-6

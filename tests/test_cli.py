@@ -584,7 +584,7 @@ class TestCaching:
         assert main(["spectrum"] + base) == 0
         assert npy.stat().st_mtime_ns != stamp
         rewritten = json.loads(json_path.read_text())
-        assert rewritten["format_version"] == 3
+        assert rewritten["format_version"] == 4
         assert len(rewritten["levels"]["lambda"]) == 6
         assert (tmp_path / "spectrum.csv").read_bytes() == csv_before
 
@@ -638,7 +638,7 @@ class TestCaching:
         doc = json.loads((tmp_path / "run.json").read_text())
         entry = doc["results"][command]["cache"]["d3_n0"]
         assert (entry["hit"], entry["reason"]) == (False, reason)
-        assert json.loads(json_path.read_text())["format_version"] == 3
+        assert json.loads(json_path.read_text())["format_version"] == 4
 
     def test_missing_samples_miss_only_where_read(self, tmp_path, capsys):
         base = ["--lmax", "5", "--out", str(tmp_path)]
@@ -898,8 +898,9 @@ class TestKernelGrid:
 
         cli._load_solver("kernel")
         exact = cli.kernel_matrix
-        monkeypatch.setattr(cli, "kernel_matrix", lambda table, t, radii, cap: (
-            exact(table, t, radii, cap) * (math.nan if t < 0.0 else 1.0)))
+        monkeypatch.setattr(cli, "kernel_matrix", lambda table, t, radii, cap: [
+            [x * (math.nan if t < 0.0 else 1.0) for x in row]
+            for row in exact(table, t, radii, cap)])
         rc = main(["kernel", "--lmax", "4", "--levels", "3", "--t", "0,0.5",
                    "--out", str(tmp_path)])
         assert rc == 2
@@ -1061,3 +1062,22 @@ class TestWkbCounters:
         assert len(ladder) == 5
         assert sorted(whole) == ladder and set(whole.values()) == {1}
         assert columns == dict.fromkeys(range(61), 5)
+
+
+def test_numeric_commands_call_no_lapack(tmp_path, monkeypatch):
+    # every numpy.linalg function raises: no numeric command calls one
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numeric command called numpy.linalg")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.eigvalsh(np.eye(2))
+    base = ["--lmax", "14", "--lrange", "2:12", "--out", str(tmp_path)]
+    for command in ("spectrum", "wkb", "probe", "kernel"):
+        assert main([command, *base]) == 0, command
+    kernel = json.loads((tmp_path / "run.json").read_text())["results"]["kernel"]
+    assert 0.0 < kernel["t0_min_eigenvalue"] <= kernel["t0_max_eigenvalue"]

@@ -1,8 +1,11 @@
 """What loads when: the package's names load their submodule on first
 access, and the command line loads numpy and the solver only where a
 command first needs numbers: never for ``validate`` and ``report``, and
-for ``gaps`` only on a cache miss.  A command loads only the solver
-modules it calls: a solve never loads ``kernel`` or ``probe``.  No
+for ``gaps`` and ``kernel`` only on a cache miss; on a hit ``kernel``
+loads only its own module and the table reader, both numpy-free, and
+these four commands run where numpy cannot be imported at all.  A
+command loads only the solver modules it calls: a solve never loads
+``kernel`` or ``probe``.  No
 command loads ``dataclasses`` or ``numpy.polynomial`` (the Gauss-Legendre
 rule and the Chebyshev interpolant near ``T`` are computed in the
 package), only ``--config`` loads ``configparser``, and no light command
@@ -161,6 +164,38 @@ def test_light_commands_load_no_dataclasses_inspect_or_configparser(argv, cached
     assert code == 0
     assert numeric(names) == []  # gaps hit the cache
     assert START_FREE & set(names) == set()
+    assert "specprobe.table" not in names
+    if argv == ["--version"]:  # the same package modules as before the table reader
+        assert {n for n in names if n.startswith("specprobe")} == {
+            "specprobe", *(f"specprobe.{m}" for m in
+                           ("defaults", "errors", "fitting", "formats", "model"))}
+
+
+def test_kernel_on_a_cache_hit_loads_no_numpy(cached_out):
+    code, names = imported_modules(["kernel", "--lmax", "8", "--out", str(cached_out)])
+    assert code == 0
+    # of the solver modules only its own, which needs no numpy, and the table reader
+    assert numeric(names) == ["specprobe.kernel"] and "specprobe.table" in names
+    assert START_FREE & set(names) == set()
+    kernel = json.loads((cached_out / "run.json").read_text())["results"]["kernel"]
+    assert kernel["cache"] == {"d3_n0": {"hit": True}}
+
+
+# the command line where numpy cannot be imported, as after ``pip uninstall numpy``
+_WITHOUT_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "runpy.run_module('specprobe.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def test_commands_on_a_cache_run_without_numpy(cached_out):
+    for argv in (["validate"], ["gaps", "--fit-top", "6"], ["kernel"], ["report"]):
+        proc = python("-c", _WITHOUT_NUMPY, *argv, "--lmax", "8", "--out", str(cached_out))
+        assert proc.returncode == 0, (argv, proc.stderr)
+    # a solve needs numpy
+    proc = python("-c", _WITHOUT_NUMPY, "kernel", "--lmax", "9", "--out", str(cached_out))
+    assert proc.returncode != 0 and "numpy" in proc.stderr
 
 
 def test_only_a_config_file_loads_configparser(tmp_path):
@@ -178,7 +213,8 @@ def test_numeric_commands_load_no_dataclasses(tmp_path):
     base = ["--lmax", "14", "--lrange", "2:12", "--out", str(tmp_path)]
     for command in ("spectrum", "wkb", "probe", "kernel"):
         code, names = imported_modules([command, *base])
-        assert code == 0 and "numpy" in names, command
+        # kernel reads the cache that spectrum wrote, without numpy
+        assert code == 0 and ("numpy" in names) == (command != "kernel"), command
         assert "dataclasses" not in names, command
         # the quadrature rule and the appendix interpolant are the package's own
         assert "numpy.polynomial" not in names, command

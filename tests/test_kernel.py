@@ -1,12 +1,17 @@
 """Truncated kernel tests: Hermitian symmetry, positivity at t=0, the
 Parseval sum, and the export grid."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specprobe import eigensolve as es
 from specprobe import kernel as ke
+from specprobe.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +25,7 @@ def radii(quartic_n0):
 
 def kernel_entry(table, t, r, s, level_cap):
     """Truncated kernel value at one (t, r, s): an entry of ``kernel_matrix``."""
-    return complex(ke.kernel_matrix(table, t, [r, s], level_cap)[0, 1])
+    return complex(ke.kernel_matrix(table, t, [r, s], level_cap)[0][1])
 
 
 class TestChannelKernel:
@@ -46,7 +51,7 @@ class TestChannelKernel:
             np.exp(-0.8j * lam) * f[i] * f[j]
             for lam, f in zip(quartic_n0.eigenvalues[:16], quartic_n0.samples[:16])
         )
-        assert m[1, 3] == pytest.approx(direct, rel=1e-10)
+        assert m[1][3] == pytest.approx(direct, rel=1e-10)
 
     def test_level_out_of_range(self, quartic_n0):
         with pytest.raises(ValueError):
@@ -58,24 +63,24 @@ class TestChannelKernel:
 class TestMatrixStructure:
     def test_hermitian_in_time(self, quartic_n0, radii):
         for t in (0.4, 1.7):
-            forward = ke.kernel_matrix(quartic_n0, t, radii, 20)
-            backward = ke.kernel_matrix(quartic_n0, -t, radii, 20)
+            forward = np.array(ke.kernel_matrix(quartic_n0, t, radii, 20))
+            backward = np.array(ke.kernel_matrix(quartic_n0, -t, radii, 20))
             scale = np.abs(forward).max()
             assert np.abs(backward - forward.conj()).max() <= 1e-12 * scale
 
     def test_complex_symmetric(self, quartic_n0, radii):
-        m = ke.kernel_matrix(quartic_n0, 1.1, radii, 20)
+        m = np.array(ke.kernel_matrix(quartic_n0, 1.1, radii, 20))
         assert np.abs(m - m.T).max() <= 1e-12 * np.abs(m).max()
 
     def test_t0_positive_semidefinite(self, quartic_n0, radii):
-        m = ke.kernel_matrix(quartic_n0, 0.0, radii, 20)
+        m = np.array(ke.kernel_matrix(quartic_n0, 0.0, radii, 20))
         assert np.abs(m.imag).max() == 0.0
         eigs = np.linalg.eigvalsh(m.real)
         assert eigs.min() >= -1e-12 * eigs.max()
 
     def test_truncation_monotone_on_diagonal(self, quartic_n0, radii):
-        lo = np.diag(ke.kernel_matrix(quartic_n0, 0.0, radii, 10)).real
-        hi = np.diag(ke.kernel_matrix(quartic_n0, 0.0, radii, 20)).real
+        lo = np.diag(np.array(ke.kernel_matrix(quartic_n0, 0.0, radii, 10))).real
+        hi = np.diag(np.array(ke.kernel_matrix(quartic_n0, 0.0, radii, 20))).real
         assert np.all(hi >= lo - 1e-15)
 
     def test_no_recurrence_on_sampled_times(self, quartic_n0):
@@ -87,12 +92,21 @@ class TestMatrixStructure:
         assert peak < 0.99 * base
 
 
+def direct_gram(table, level_cap):
+    f = table.block(slice(None), slice(level_cap + 1))
+    return (f * table.grid.simpson_weights) @ f.T
+
+
 class TestParseval:
     def test_gram_near_identity(self, quartic_n0):
-        g = ke.gram_matrix(quartic_n0, 20)
+        g = direct_gram(quartic_n0, 20)
         assert np.abs(np.diag(g) - 1.0).max() <= 1e-8
         off = g - np.diag(np.diag(g))
         assert np.abs(off).max() <= 1e-3
+        # the writer's per-level defects give max |G - I| at every cap
+        for cap in (0, 5, 20):
+            defect = np.abs(direct_gram(quartic_n0, cap) - np.eye(cap + 1)).max()
+            assert ke.orthonormality_defect(quartic_n0, cap) == pytest.approx(defect, rel=1e-6)
 
     def test_parseval_sum(self, quartic_n0):
         assert ke.parseval_check(quartic_n0, 20) == pytest.approx(21.0, abs=1e-6)
@@ -164,3 +178,37 @@ class TestExport:
     def test_empty_grid_rejected(self, quartic_n0, tmp_path):
         with pytest.raises(ValueError):
             ke.export_kernel_grid(quartic_n0, [], [1.0], [1.0], 5, tmp_path / "x.csv")
+
+
+def test_orthonormality_sees_a_mixed_row(quartic_n0, tmp_path):
+    # level 12 picks up 1e-7 of level 5: the writer's Gram terms show it
+    # from cap 12 on, and the kernel command reports it
+    samples = quartic_n0.samples.copy()
+    samples[12] += 1e-7 * samples[5]
+    es.save_spectrum(es.SpectrumTable(quartic_n0.record, samples), tmp_path / "spectrum_d3_n0.json")
+    mixed = es.load_spectrum(tmp_path / "spectrum_d3_n0.json")
+    for cap in (5, 11):
+        assert ke.orthonormality_defect(mixed, cap) == ke.orthonormality_defect(quartic_n0, cap)
+    # unmixed, the defect at cap 20 is 3.7e-8
+    clean = ke.orthonormality_defect(quartic_n0, 20)
+    assert clean < 4e-8 and ke.orthonormality_defect(mixed, 12) > 8e-8
+    assert main(["kernel", "--lmax", "60", "--out", str(tmp_path)]) == 0
+    section = json.loads((tmp_path / "run.json").read_text())["results"]["kernel"]
+    assert section["cache"] == {"d3_n0": {"hit": True}}
+    assert section["orthonormality"] == ke.orthonormality_defect(mixed, 20) > 2.0 * clean
+
+
+@st.composite
+def spd_matrices(draw):
+    n = draw(st.integers(1, 9))
+    b = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                               min_size=n, max_size=n)))
+    return b @ b.T + 1e-3 * np.eye(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spd_matrices())
+def test_jacobi_eigenvalues_match_lapack(a):
+    eigs = ke.symmetric_eigenvalues(a.tolist())
+    expect = np.linalg.eigvalsh(a)
+    assert np.abs(np.array(eigs) - expect).max() <= 1e-13 * np.abs(expect).max()

@@ -101,12 +101,14 @@ def test_kernel_agrees(tables, tmp_path):
     for table, name in ((memory, "memory.csv"), (loaded, "loaded.csv")):
         ke.export_kernel_grid(table, [0.0, 0.3, 1.1], radii, radii[1:], 20, tmp_path / name)
     assert (tmp_path / "memory.csv").read_bytes() == (tmp_path / "loaded.csv").read_bytes()
-    parseval = ke.parseval_check(memory, 20)
-    assert ke.parseval_check(loaded, 20) == pytest.approx(parseval, rel=1e-14, abs=0.0)
-    # the Gram matrix summed in column blocks against the one-shot product
-    f = memory.samples[:21]
-    whole = (f * grid.simpson_weights) @ f.T
-    assert parseval == pytest.approx(float(np.sum(whole * whole)), rel=1e-14, abs=0.0)
+    # the stored Parseval terms, of the Gram matrix the writer sums in column
+    # blocks, against the one-shot product, in memory and loaded
+    for cap in (0, 7, 20):
+        f = memory.samples[: cap + 1]
+        whole = (f * grid.simpson_weights) @ f.T
+        for table in (memory, loaded):
+            assert ke.parseval_check(table, cap) == pytest.approx(
+                float(np.sum(whole * whole)), rel=1e-14, abs=0.0)
 
 
 def test_loaded_rows_are_read_only(tables):
@@ -165,6 +167,7 @@ def peaks_in_rows(tmp_path_factory):
             "probe_sequence": lambda: pr.probe_sequence(table, phi, psi, pr.WindowSpec(1.0),
                                                         (10, 25)),
             "parseval_check": lambda: ke.parseval_check(table, 20),
+            "gram terms": lambda: es._with_gram(table),
         }
         measured.update({name: traced_peak(op) for name, op in ops.items()})
         row = 8 * grid.n_points
@@ -178,7 +181,8 @@ def peaks_in_rows(tmp_path_factory):
     ("solve to file", 26.0),
     ("summarize", 7.0),
     ("probe_sequence", 17.0),
-    ("parseval_check", 11.0),
+    ("parseval_check", 11.0),  # reads no samples since the writer stores the Gram terms
+    ("gram terms", 9.0),
 ])
 def test_peak_memory_grows_with_the_grid_alone(peaks_in_rows, operation, bound):
     peak = peaks_in_rows[operation]
