@@ -49,6 +49,7 @@ _EXPORTS = {
         "orthonormality_defect",
         "parseval_check",
         "symmetric_eigenvalues",
+        "t0_eigenvalues",
     ),
     "model": (
         "AssumptionReport",

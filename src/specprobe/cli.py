@@ -26,18 +26,18 @@ command writes replaces the old one whole (``formats.replace_files``).
 
 numpy and the solver modules load only where a command first needs
 numbers (``_load_solver``), and each command loads only the modules it
-calls: ``eigensolve`` in ``_tables``, for a command that reads the
-samples or solves a spectrum, and ``probe`` or ``kernel`` in its own
-command.  ``--version``, ``--help``, an argument or config error,
+calls: ``eigensolve`` in ``_tables``, for a command that loads the
+samples through it or solves a spectrum, and ``probe`` or ``kernel`` in
+its own command.  ``--version``, ``--help``, an argument or config error,
 ``validate``, ``report`` and ``gaps`` on a cache hit import only the
 standard library and the numpy-free ``defaults``, ``errors``,
 ``fitting``, ``formats`` and ``model``: the assumptions are read off the
 model's exponents, and a cache is checked, and its eigenvalues fitted,
 from its JSON record alone.  ``kernel`` on a cache hit adds only the
-numpy-free ``table`` and ``kernel``: it reads a few samples and the Gram
-terms of the record.  Every record is a ``typing.NamedTuple``, so
-they load no ``inspect``, and ``configparser`` loads only to read a
-``--config`` file.
+numpy-free ``table``, which opens the caches, and ``kernel``, which reads
+a few samples and the record's Gram terms.  Every record is a
+``typing.NamedTuple``, so they load no ``inspect``, and ``configparser``
+loads only to read a ``--config`` file.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ _SOLVER = {
     "eigensolve": ("SpectrumTable", "export_spectrum_csv", "load_spectrum", "save_spectrum",
                    "solve_spectrum"),
     "kernel": ("export_kernel_grid", "kernel_matrix", "orthonormality_defect",
-               "parseval_check", "symmetric_eigenvalues"),
+               "parseval_check", "t0_eigenvalues"),
     "potential": ("effective_potential",),
     "probe": ("PROBE_CSV_HEADER", "WindowSpec", "make_bump", "probe_rows", "probe_sequence",
               "window_hat"),
@@ -85,8 +85,7 @@ _SOLVER = {
 
 @functools.cache
 def _load_solver(module: str) -> None:
-    """Bind the ``_SOLVER`` names of ``module``, and numpy once it is
-    loaded, into this module, once.
+    """Bind the ``_SOLVER`` names of ``module`` into this module, once.
 
     Parsing, config checks, ``validate``, ``report`` and a cache hit of
     ``gaps`` need none of them, and a cache hit of ``kernel`` only the
@@ -99,13 +98,10 @@ def _load_solver(module: str) -> None:
     (``OPENBLAS_NUM_THREADS=1`` unless set or numpy is loaded): a second
     thread's worker busy-waits, about 65 ms of a numeric start's time.
     """
-    global np
     if "numpy" not in sys.modules:
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     source = importlib.import_module(f".{module}", __package__)
     globals().update({name: getattr(source, name) for name in _SOLVER[module]})
-    if sys.modules.get("numpy") is not None:
-        import numpy as np
 
 
 def __getattr__(name: str):
@@ -347,7 +343,7 @@ def _meta_dict(found: dict) -> dict:
         "version": __version__,
         "python": sys.version.split()[0],  # platform.python_version(), without its import
     }
-    numpy = globals().get("np")
+    numpy = sys.modules.get("numpy")
     if numpy is not None:
         meta["numpy"] = numpy.__version__
     elif "numpy" in found:
@@ -394,21 +390,18 @@ def _cache_path(cfg: RunConfig, d: int, n: int) -> Path:
     return cfg.out_dir / f"spectrum_{_channel_key(d, n)}.json"
 
 
-def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples: bool):
+def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, opener):
     """The cached spectrum at ``path`` if it serves ``cfg``, else None, and
-    why not.  With ``samples`` the table is loaded once, its ``.npy``
-    opened and its header and size checked against the record, and judged
-    by its record, so samples that are missing or do not fit the record
-    read ``unreadable`` before any other reason; without, the JSON record
-    alone is read and a hit is the record."""
+    why not.  With an ``opener`` the table is opened once, its ``.npy``
+    header and size checked against the record, and judged by its record,
+    so samples that are missing or do not fit the record read
+    ``unreadable`` before any other reason; without, the JSON record alone
+    is read and a hit is the record."""
     if not path.exists():
         return None, "missing"
     try:
-        if samples:
-            table = load_spectrum(path)
-            record = table.record
-        else:
-            table = record = read_spectrum_record(path)
+        table = opener(path) if opener else read_spectrum_record(path)
+        record = table.record if opener else table
     except SpectrumFormatError:
         return None, "format"
     except (ValueError, KeyError, TypeError, OSError, EOFError):
@@ -426,21 +419,23 @@ def _cached(cfg: RunConfig, path: Path, channel: Channel, solver: dict, samples:
     return table.truncated(cfg.l_max + 1), "hit"
 
 
-def _tables(cfg: RunConfig, samples: bool = True) -> tuple[dict, dict]:
+def _tables(cfg: RunConfig, samples: bool = True, opener=None) -> tuple[dict, dict]:
     """Every channel's ``SpectrumTable``, reused from its cache when that
     matches the config, else solved and cached; and per channel, whether
     the cache hit or why it missed (also one line on stderr) and, on a
-    miss, the wall seconds of the solve and its save.  Without ``samples``
+    miss, the wall seconds of the solve and its save.  A cache opens
+    through ``opener``, ``load_spectrum`` by default.  Without ``samples``
     each entry is the table's ``SpectrumRecord`` instead, hit or miss: its
-    eigenvalues, counters and corrections; numpy then loads only for a
-    solve."""
-    if samples:
+    eigenvalues, counters and corrections.  numpy loads only for a solve,
+    or to open through ``load_spectrum``."""
+    if samples and opener is None:
         _load_solver("eigensolve")
+        opener = load_spectrum
     solver = {row.key: getattr(cfg, row.field) for row in _KEYS if row.solver}
     tables, cache = {}, {}
     for d, n in cfg.channels:
         path = _cache_path(cfg, d, n)
-        table, why = _cached(cfg, path, Channel(d, n), solver, samples)
+        table, why = _cached(cfg, path, Channel(d, n), solver, opener)
         entry = {"hit": True}
         if table is None:
             _load_solver("eigensolve")
@@ -489,14 +484,14 @@ def cmd_spectrum(cfg: RunConfig, doc: dict) -> dict:
     path = export_spectrum_csv(list(tables.values()), cfg.out_dir / "spectrum.csv")
     payload = {"channels": {}, "rows": 0, "cache": cache}
     for (d, n), table in tables.items():
-        lams = table.eigenvalues
+        lams = table.record.eigenvalues
         entry = {
             "levels": len(lams),
             "lambda_min": float(lams[0]),
             "lambda_max": float(lams[-1]),
             "grid_points": table.grid.n_points,
             # the largest dispersion correction, relative to its eigenvalue
-            "shift_rel_max": float(np.max(np.abs(table.record.shifts) / lams)),
+            "shift_rel_max": max(abs(s) / lam for s, lam in zip(table.record.shifts, lams)),
         }
         for stat in ("sweeps", "bisections"):
             counts = getattr(table.record, stat)
@@ -727,13 +722,11 @@ def _snap_to_grid(grid, values: tuple[float, ...]) -> list[float]:
 
 
 def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
-    # the records, solved on a miss, then the first channel's samples, without numpy
-    records, cache = _tables(cfg, samples=False)
     _load_solver("kernel")
     _load_solver("table")
-    count = len(records[cfg.channels[0]].eigenvalues)
-    table = open_spectrum(_cache_path(cfg, *cfg.channels[0])).truncated(count)
-    cap = min(cfg.kernel_levels, count - 1)
+    tables, cache = _tables(cfg, opener=open_spectrum)  # numpy loads only for a solve
+    table = tables[cfg.channels[0]]
+    cap = min(cfg.kernel_levels, len(table.record.eigenvalues) - 1)
     rs = _snap_to_grid(table.grid, cfg.kernel_r)
     ss = _snap_to_grid(table.grid, cfg.kernel_s)
     path = export_kernel_grid(table, list(cfg.kernel_t), rs, ss, cap, cfg.out_dir / "kernel.csv")
@@ -752,8 +745,7 @@ def cmd_kernel(cfg: RunConfig, doc: dict) -> dict:
         if not math.isfinite(deviation):
             raise NumericsError(f"kernel at t = {t:g}: hermitian deviation is {deviation}")
         herm = max(herm, deviation)
-    eigs = symmetric_eigenvalues([[x.real for x in row]
-                                  for row in kernel_matrix(table, 0.0, radii, cap)])
+    eigs = t0_eigenvalues(table, radii, cap)
     payload = {
         "level_cap": cap,
         "parseval": parseval_check(table, cap),

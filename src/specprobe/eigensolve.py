@@ -662,14 +662,18 @@ def _with_gram(table: SpectrumTable) -> SpectrumRecord:
     """The table's record with the per-level terms of its samples' Simpson
     Gram matrix ``G``, summed over column blocks of about one grid row by
     ``einsum``, which uses no BLAS, so the terms do not move with its
-    thread count."""
+    thread count.  The terms read only ``G_lm`` with ``m <= l``, so each
+    of eight level blocks sums its rows up to its last level alone."""
     grid, count = table.grid, len(table.record.eigenvalues)
-    width = max(1, grid.n_points // count)
+    width, step = max(1, grid.n_points // count), -(-count // 8)
     g = np.zeros((count, count))
     for start in range(0, grid.n_points, width):
         columns = slice(start, start + width)
         f = np.ascontiguousarray(table.block(columns))
-        g += np.einsum("ik,jk->ij", f * grid.simpson_weights[columns], f)
+        weighted = f * grid.simpson_weights[columns]
+        for a in range(0, count, step):
+            rows = slice(a, a + step)
+            g[rows, : a + step] += np.einsum("ik,jk->ij", weighted[rows], f[: a + step])
     terms = [float(row[l] ** 2 + 2.0 * np.sum(row[:l] ** 2)) for l, row in enumerate(g)]
     g.flat[:: count + 1] -= 1.0  # G - I
     defects = [float(np.max(np.abs(row[: l + 1]))) for l, row in enumerate(g)]

@@ -17,40 +17,60 @@ from __future__ import annotations
 
 import cmath
 import math
+from operator import mul
 from typing import Sequence
 
 __all__ = ["kernel_matrix", "parseval_check", "orthonormality_defect", "symmetric_eigenvalues",
-           "export_kernel_grid"]
+           "t0_eigenvalues", "export_kernel_grid"]
 
 
-def _check_cap(table, level_cap: int) -> None:
-    count = len(table.record.eigenvalues)
+def _levels(table, level_cap: int, field: str = "eigenvalues") -> tuple:
+    """The record's per-level ``field`` up to ``level_cap``; ``ValueError``
+    for a cap outside the levels or a record without ``field`` for each."""
+    record, count = table.record, len(table.record.eigenvalues)
     if not (0 <= level_cap < count):
-        raise ValueError(
-            f"truncation level {level_cap} outside the solved range 0..{count - 1}"
-        )
+        raise ValueError(f"truncation level {level_cap} outside the solved range 0..{count - 1}")
+    if len(getattr(record, field)) != count:
+        raise ValueError(f"the table's record holds no {field} for each level")
+    return getattr(record, field)[: level_cap + 1]
 
 
 def kernel_matrix(table, t: float, radii: Sequence[float], level_cap: int) -> list[list[complex]]:
     """Kernel matrix over a set of grid radii at one time, as a list of
-    rows; only the samples at those radii are read."""
-    _check_cap(table, level_cap)
+    rows; only the samples at those radii are read, and each pair of radii
+    is summed once."""
+    phases = [cmath.exp(-1j * lam * t) for lam in _levels(table, level_cap)]
     f = table.columns([table.grid.index_of(r) for r in radii], slice(level_cap + 1))
-    phases = [cmath.exp(-1j * lam * t) for lam in table.record.eigenvalues[: level_cap + 1]]
-    return [[sum(p * x * y for p, x, y in zip(phases, fr, fs)) for fs in f] for fr in f]
+    k = [[0j] * len(f) for _ in f]
+    for i, fr in enumerate(f):
+        weighted = list(map(mul, phases, fr))
+        for j in range(i, len(f)):
+            k[i][j] = k[j][i] = sum(map(mul, weighted, f[j]))
+    return k
+
+
+def t0_eigenvalues(table, radii: Sequence[float], level_cap: int) -> list[float]:
+    """Eigenvalues, ascending, of ``K(0) = F^T F`` over ``radii``, ``F`` the
+    samples of the levels up to ``level_cap``, one column per radius.  Past
+    ``level_cap + 1`` radii the Jacobi pass runs on ``F F^T``, whose
+    eigenvalues are the nonzero ones of ``F^T F``; the others are 0."""
+    _levels(table, level_cap)  # the cap's check
+    f = table.columns([table.grid.index_of(r) for r in radii], slice(level_cap + 1))
+    rows = f if len(f) <= level_cap + 1 else list(zip(*f))
+    eigs = symmetric_eigenvalues([[sum(map(mul, x, y)) for y in rows] for x in rows])
+    return sorted(eigs + [0.0] * (len(f) - len(rows)))
 
 
 def parseval_check(table, level_cap: int) -> float:
     """Double integral of |K(0,r,s)|^2, the sum of the squared Gram matrix
-    of the first ``level_cap + 1`` levels; equals L+1 for orthonormal levels."""
-    _check_cap(table, level_cap)
-    return sum(table.record.parseval_terms[: level_cap + 1])
+    of the first ``level_cap + 1`` levels, from the writer's stored terms;
+    equals L+1 for orthonormal levels."""
+    return sum(_levels(table, level_cap, "parseval_terms"))
 
 
 def orthonormality_defect(table, level_cap: int) -> float:
     """``max |G - I|`` over the Gram matrix of the first ``level_cap + 1`` levels."""
-    _check_cap(table, level_cap)
-    return max(table.record.gram_defects[: level_cap + 1])
+    return max(_levels(table, level_cap, "gram_defects"))
 
 
 def symmetric_eigenvalues(a: Sequence[Sequence[float]]) -> list[float]:

@@ -1,11 +1,10 @@
 """Spectrum tables, opened and read without numpy.
 
 A ``SpectrumTable`` is its cache record plus the samples ``(L, N)``: an
-array in memory, or the ``.npy`` beside a saved record, whose header and
-size ``open_spectrum`` checks against the record once.  Each read copies
-what a command asks for from the open file into a new read-only buffer,
-so a process holds O(N) samples, not O(L N).  numpy loads only for the
-arrays a caller asks for, which wrap those buffers without a copy.
+array, or the ``.npy`` beside a saved record, which ``open_spectrum``
+checks against the record once and each read copies from into a new
+read-only buffer, so a process holds O(N) samples, not O(L N).  numpy
+loads only for the arrays a caller asks for, which wrap those buffers.
 """
 
 from __future__ import annotations
@@ -166,11 +165,14 @@ class SpectrumTable(_SpectrumTable):
         return np.array(values, dtype=float).reshape(len(columns), len(levels)).T
 
     def columns(self, indices: Sequence[int], levels: slice = slice(None)) -> list[list[float]]:
-        """Samples of ``levels`` at each grid index of ``indices``, which
-        index as a list's do, as one list of floats per index."""
-        levels = range(len(self.record.eigenvalues))[levels]
-        points = range(self.grid.n_points)
-        return [self._read(levels, range(i, i + 1)).tolist() for i in map(points.__getitem__, indices)]
+        """Samples of ``levels`` at each grid index of ``indices`` (indexed
+        as a list's), one list per index; a loaded table keeps the last ones
+        it read, as its open file does not change, for the kernel's next time."""
+        key = range(len(self.record.eigenvalues))[levels], tuple(
+            map(range(self.grid.n_points).__getitem__, indices))
+        if not isinstance(self.samples, _SampleFile) or self.__dict__.get("_kept", ())[:1] != (key,):
+            self.__dict__["_kept"] = key, [self._read(key[0], range(i, i + 1)).tolist() for i in key[1]]
+        return [list(values) for values in self.__dict__["_kept"][1]]
 
     def pair(self, level: int):
         """Level ``level`` as an ``eigensolve.EigenPair``."""

@@ -648,9 +648,11 @@ class TestCaching:
         assert main(["gaps"] + base) == 0  # the eigenvalues are in the record
         assert capsys.readouterr().err == "cache: d3_n0 hit\n"
         assert not (tmp_path / "spectrum_d3_n0.npy").exists()
-        assert main(["spectrum"] + base) == 0
-        assert capsys.readouterr().err == "cache: d3_n0 miss (unreadable)\n"
-        assert (tmp_path / "spectrum_d3_n0.npy").exists()
+        for command in ("spectrum", "kernel"):  # kernel reads a few samples, without numpy
+            (tmp_path / "spectrum_d3_n0.npy").unlink(missing_ok=True)
+            assert main([command] + base) == 0
+            assert capsys.readouterr().err == "cache: d3_n0 miss (unreadable)\n"
+            assert (tmp_path / "spectrum_d3_n0.npy").exists()
 
     @pytest.mark.parametrize("spoil", [
         lambda npy: npy.unlink(),
@@ -663,7 +665,8 @@ class TestCaching:
         # it by the record: samples it cannot read miss as unreadable, even
         # where the model differs too; gaps reads the record alone
         base = ["--lmax", "5", "--out", str(tmp_path)]
-        for command, reason in (("gaps", "model"), ("spectrum", "unreadable")):
+        for command, reason in (("gaps", "model"), ("spectrum", "unreadable"),
+                                ("kernel", "unreadable")):
             assert main(["spectrum"] + base) == 0  # a 1*r^4 cache, solved afresh
             spoil(tmp_path / "spectrum_d3_n0.npy")
             capsys.readouterr()

@@ -198,6 +198,46 @@ def test_orthonormality_sees_a_mixed_row(quartic_n0, tmp_path):
     assert section["orthonormality"] == ke.orthonormality_defect(mixed, 20) > 2.0 * clean
 
 
+def test_a_record_without_gram_terms_is_refused(quartic_n0):
+    # a record built without the writer (or cut from one that lacks them)
+    # has no terms to sum: an error, not a Parseval sum of 0
+    bare = es.SpectrumTable(quartic_n0.record._replace(parseval_terms=(), gram_defects=()),
+                            quartic_n0.samples)
+    for check in (ke.parseval_check, ke.orthonormality_defect):
+        with pytest.raises(ValueError, match="record holds no"):
+            check(bare, 5)
+
+
+@pytest.mark.parametrize("level_cap", [10, 30])
+def test_t0_eigenvalues_on_either_side_of_the_level_count(quartic_n0, radii, level_cap):
+    # 26 radii: past cap 10's 11 levels the pass runs on F F^T, and the
+    # 15 eigenvalues that K(0) adds are 0
+    m = np.array(ke.kernel_matrix(quartic_n0, 0.0, radii, level_cap)).real
+    expect = np.linalg.eigvalsh(m)
+    eigs = ke.t0_eigenvalues(quartic_n0, radii, level_cap)
+    assert len(eigs) == len(radii) and eigs == sorted(eigs)
+    assert np.abs(np.array(eigs) - expect).max() <= 1e-13 * expect.max()
+    assert eigs.count(0.0) == max(len(radii) - level_cap - 1, 0)
+
+
+def test_a_loaded_table_reads_the_kernel_columns_once(quartic_n0, radii, tmp_path, monkeypatch):
+    path = tmp_path / "spectrum_d3_n0.json"
+    es.save_spectrum(quartic_n0, path)
+    table = es.load_spectrum(path)
+    reads, read = [], type(table.samples).read
+
+    def counted(self, *args):
+        reads.append(args)
+        return read(self, *args)
+
+    monkeypatch.setattr(type(table.samples), "read", counted)
+    matrices = [ke.kernel_matrix(table, t, radii, 20) for t in (0.0, 0.5, -0.5)]
+    assert len(reads) == len(radii)  # one read per radius, at the first time
+    assert matrices == [ke.kernel_matrix(quartic_n0, t, radii, 20) for t in (0.0, 0.5, -0.5)]
+    ke.kernel_matrix(table, 0.5, radii[:3], 20)
+    assert len(reads) == len(radii) + 3
+
+
 @st.composite
 def spd_matrices(draw):
     n = draw(st.integers(1, 9))
